@@ -137,23 +137,6 @@ class Aig:
             out = self.or_(out, lit)
         return out
 
-    def build(self, op: str, *operands: int) -> int:
-        """Generic entry point over the primitive constructors."""
-        if op == "and":
-            return self.and_many(operands)
-        if op == "or":
-            return self.or_many(operands)
-        if op == "not":
-            (a,) = operands
-            return self.not_(a)
-        if op == "xor":
-            a, b = operands
-            return self.xor_(a, b)
-        if op == "ite":
-            c, t, e = operands
-            return self.ite_(c, t, e)
-        raise AigError(f"unknown operation {op!r}")
-
     def copy(self) -> "Aig":
         other = Aig.__new__(Aig)
         other.max_var = self.max_var

@@ -1,10 +1,15 @@
 """Reduced ordered binary decision diagrams.
 
-Design: a fixed static variable order chosen at manager setup, no
-complement edges, no reordering, no garbage collection, and an
+Design: a fixed static variable order, the order of ``add_var`` calls,
+no complement edges, no reordering, no garbage collection, and an
 unbounded operation cache, so runs are deterministic and a node id
 identifies a boolean function for the manager's lifetime.  Terminals
 are node 0 (false) and node 1 (true).
+
+The toolchain allocates input-first (``game.encode``): uncontrollable
+inputs, then controllable inputs, then latches.  The quantified inputs
+then sit on top, so ``∃C ∀U`` and ``∃inputs`` strip the top of each
+diagram and leave the latch subdiagrams below shared.
 
 One manager per thread; handles must never cross managers.
 """

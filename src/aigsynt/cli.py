@@ -9,7 +9,7 @@ polarity of a model for standard fair-trace checkers, and ``mc`` runs
 the built-in model checker.
 
 Exit codes: 0 success / holds, 1 unrealizable or violated, 2 usage or
-input errors.
+input errors and resource exhaustion (RecursionError, MemoryError).
 """
 
 from __future__ import annotations
@@ -209,6 +209,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # an exhausted resource is an error, never a verdict
+        detail = str(exc) or "out of memory"
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
 
 

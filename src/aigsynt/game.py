@@ -12,6 +12,15 @@ raised at the same step.
 
 A game owns one decision-diagram manager and solves single-threaded;
 independent games may run in parallel on their own managers.
+
+``encode`` is the one symbolic encoding of a document, shared by the
+game solver and the model checker.  Its static variable order is
+input-first: uncontrollable inputs, then controllable inputs, then
+latches.  Every fixpoint step quantifies the inputs out of a one-step
+formula (``∃C ∀U`` in ``cpre``, ``∃inputs`` in the model checker); with
+the quantified inputs on top, that strips the top of each diagram and
+keeps the latch functions below it shared, where a latches-first order
+rebuilds every diagram down to its input levels.
 """
 
 from __future__ import annotations
@@ -67,21 +76,80 @@ def delay_justice(doc: AigerDoc) -> AigerDoc:
     return new
 
 
+def _is_controllable(name: str | None) -> bool:
+    return name is not None and name.startswith(CONTROLLABLE_PREFIX)
+
+
 @dataclass
-class Game:
+class Encoding:
+    """One document's symbolic transition system on its own manager.
+
+    Levels are allocated input-first: uncontrollable inputs, then
+    controllable inputs, then latches, each group in document order.
+    See the module docstring for why.
+    """
+
     mgr: BddManager
-    doc: AigerDoc
-    latch_names: list[str]
-    u_names: list[str]
-    c_names: list[str]
-    latch_levels: list[int]
+    latch_levels: list[int]  # in doc.latches order
+    input_levels: list[int]  # in doc.inputs order
     u_levels: list[int]
     c_levels: list[int]
     delta: dict[int, BddRef]  # latch level -> next-state function over (L,U,C)
     bad: BddRef
     inv: BddRef
-    just: BddRef
-    init: BddRef
+    just: BddRef | None  # None without a justice literal
+
+
+def encode(doc: AigerDoc) -> Encoding:
+    """Build the manager, the levels and every one-step function of doc.
+
+    Old-format documents read the disjunction of their outputs as bad,
+    with no constraints and no justice.
+    """
+    mgr = BddManager()
+    var_map: dict[int, BddRef] = {}
+    controllable = [_is_controllable(name) for _, name in doc.inputs]
+    input_names = doc.input_names()
+    input_levels = [0] * len(doc.inputs)
+    # a stable sort keeps document order within each group
+    for i in sorted(range(len(doc.inputs)), key=controllable.__getitem__):
+        var_map[lit_var(doc.inputs[i][0])] = ref = mgr.add_var(input_names[i])
+        input_levels[i] = ref.level
+    u_levels = [lvl for lvl, c in zip(input_levels, controllable) if not c]
+    c_levels = [lvl for lvl, c in zip(input_levels, controllable) if c]
+    latch_levels = []
+    for (lit, _, _), label in zip(doc.latches, doc.latch_names()):
+        var_map[lit_var(lit)] = ref = mgr.add_var(label)
+        latch_levels.append(ref.level)
+
+    cone = AigCone(mgr, doc, var_map)
+    delta = {lvl: cone.lit(next_lit)
+             for (_, next_lit, _), lvl in zip(doc.latches, latch_levels)}
+    bad = mgr.false
+    inv = mgr.true
+    just = None
+    if doc.fmt == "old":
+        for lit, _ in doc.outputs:
+            bad = bad | cone.lit(lit)
+    else:
+        for lit, _ in doc.bad:
+            bad = bad | cone.lit(lit)
+        for lit, _ in doc.constraints:
+            inv = inv & cone.lit(lit)
+        jlit = doc.justice_literal()
+        if jlit is not None:
+            just = cone.lit(jlit)
+    return Encoding(mgr=mgr, latch_levels=latch_levels,
+                    input_levels=input_levels, u_levels=u_levels,
+                    c_levels=c_levels, delta=delta, bad=bad, inv=inv,
+                    just=just)
+
+
+@dataclass
+class Game(Encoding):
+    just: BddRef  # true without a justice literal
+    doc: AigerDoc
+    c_names: list[str]
 
 
 def build_game(doc: AigerDoc) -> Game:
@@ -98,62 +166,11 @@ def build_game(doc: AigerDoc) -> Game:
         raise GameError("justice groups must hold exactly one literal")
     if justice_depends_on_inputs(doc):
         doc = delay_justice(doc)
-
-    mgr = BddManager()
-    var_map: dict[int, BddRef] = {}
-    latch_names, latch_levels = [], []
-    u_names, u_levels = [], []
-    c_names, c_levels = [], []
-    for lit, next_lit, name in doc.latches:
-        ref = mgr.add_var(name or f"latch{len(latch_names)}")
-        var_map[lit_var(lit)] = ref
-        latch_names.append(name or f"latch{len(latch_names)}")
-        latch_levels.append(ref.level)
-    for i, (lit, name) in enumerate(doc.inputs):
-        controllable = name is not None and name.startswith(CONTROLLABLE_PREFIX)
-        if controllable:
-            continue
-        ref = mgr.add_var(name or f"input{i}")
-        var_map[lit_var(lit)] = ref
-        u_names.append(name or f"input{i}")
-        u_levels.append(ref.level)
-    for i, (lit, name) in enumerate(doc.inputs):
-        controllable = name is not None and name.startswith(CONTROLLABLE_PREFIX)
-        if not controllable:
-            continue
-        ref = mgr.add_var(name)
-        var_map[lit_var(lit)] = ref
-        c_names.append(name)
-        c_levels.append(ref.level)
-
-    cone = AigCone(mgr, doc, var_map)
-    delta = {}
-    for (lit, next_lit, _), lvl in zip(doc.latches, latch_levels):
-        delta[lvl] = cone.lit(next_lit)
-    if doc.fmt == "old":
-        bad = mgr.false
-        for lit, _ in doc.outputs:
-            bad = bad | cone.lit(lit)
-        inv = mgr.true
-        just = mgr.true
-    else:
-        bad = mgr.false
-        for lit, _ in doc.bad:
-            bad = bad | cone.lit(lit)
-        inv = mgr.true
-        for lit, _ in doc.constraints:
-            inv = inv & cone.lit(lit)
-        jlit = doc.justice_literal()
-        just = cone.lit(jlit) if jlit is not None else mgr.true
-
-    init = mgr.true
-    for lvl in latch_levels:
-        init = init & ~mgr.var(lvl)
-
-    return Game(mgr=mgr, doc=doc, latch_names=latch_names, u_names=u_names,
-                c_names=c_names, latch_levels=latch_levels, u_levels=u_levels,
-                c_levels=c_levels, delta=delta, bad=bad, inv=inv, just=just,
-                init=init)
+    enc = encode(doc)
+    if enc.just is None:
+        enc.just = enc.mgr.true
+    return Game(**vars(enc), doc=doc,
+                c_names=[name for _, name in doc.controllable_inputs()])
 
 
 def cpre(game: Game, target: BddRef) -> BddRef:
@@ -264,7 +281,7 @@ def strategy_to_circuit(doc: AigerDoc, game: Game, strategy: Strategy) -> AigerD
     from .aiger import AigerDoc as Doc
 
     if len(doc.latches) != len(game.latch_levels) or \
-            len(doc.uncontrollable_inputs()) != len(game.u_levels):
+            len(doc.inputs) != len(game.input_levels):
         raise GameError("document does not match the game it was solved as")
     new = Doc(fmt=doc.fmt, comments=list(doc.comments))
     aig = new.aig
@@ -272,14 +289,10 @@ def strategy_to_circuit(doc: AigerDoc, game: Game, strategy: Strategy) -> AigerD
     var_sub: dict[int, int] = {0: 0}  # constants map to themselves
 
     c_by_name = {}
-    for lit, name in doc.inputs:
-        if name is not None and name.startswith(CONTROLLABLE_PREFIX):
+    for (lit, name), lvl in zip(doc.inputs, game.input_levels):
+        if _is_controllable(name):
             c_by_name[name] = lit
-
-    for (lit, name), lvl in zip(
-            [(l, n) for l, n in doc.inputs
-             if n is None or not n.startswith(CONTROLLABLE_PREFIX)],
-            game.u_levels):
+            continue
         new_lit = new.add_input(name)
         var_sub[lit_var(lit)] = new_lit
         level_to_lit[lvl] = new_lit

@@ -24,7 +24,8 @@ import numpy as np
 from .aiger import (
     AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, lit_var, values_lit,
 )
-from .bdd import AigCone, BddManager, BddRef
+from .bdd import BddRef
+from .game import encode
 
 
 class McError(Exception):
@@ -68,41 +69,19 @@ class FairResult:
 
 
 class _SymbolicModel:
-    """State space over the latches; all inputs quantified existentially."""
+    """State space over the latches; all inputs quantified existentially.
+
+    The encoding is ``game.encode``, so the inputs sit above the latches.
+    """
 
     def __init__(self, doc: AigerDoc):
         self.doc = doc
-        self.mgr = BddManager()
-        var_map: dict[int, BddRef] = {}
-        self.latch_levels: list[int] = []
-        for i, (lit, _, name) in enumerate(doc.latches):
-            ref = self.mgr.add_var(name or f"l{i}")
-            var_map[lit_var(lit)] = ref
-            self.latch_levels.append(ref.level)
-        self.input_levels: list[int] = []
-        for i, (lit, name) in enumerate(doc.inputs):
-            ref = self.mgr.add_var(name or f"i{i}")
-            var_map[lit_var(lit)] = ref
-            self.input_levels.append(ref.level)
-        cone = AigCone(self.mgr, doc, var_map)
-        self.delta = {lvl: cone.lit(next_lit)
-                      for (_, next_lit, _), lvl in zip(doc.latches,
-                                                       self.latch_levels)}
-        if doc.fmt == "old":
-            self.bad = self.mgr.false
-            for lit, _ in doc.outputs:
-                self.bad = self.bad | cone.lit(lit)
-            self.inv = self.mgr.true
-            self.just: BddRef | None = None
-        else:
-            self.bad = self.mgr.false
-            for lit, _ in doc.bad:
-                self.bad = self.bad | cone.lit(lit)
-            self.inv = self.mgr.true
-            for lit, _ in doc.constraints:
-                self.inv = self.inv & cone.lit(lit)
-            jlit = doc.justice_literal()
-            self.just = cone.lit(jlit) if jlit is not None else None
+        enc = encode(doc)
+        self.mgr = enc.mgr
+        self.latch_levels = enc.latch_levels
+        self.input_levels = enc.input_levels  # doc order: trace columns
+        self.delta = enc.delta
+        self.bad, self.inv, self.just = enc.bad, enc.inv, enc.just
         self.init_state = tuple(False for _ in doc.latches)
 
     # state/set helpers

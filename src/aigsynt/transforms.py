@@ -120,8 +120,7 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
     return new
 
 
-def reverse_justice(doc: AigerDoc, just: int | None = None,
-                    constraints: list[int] | None = None) -> AigerDoc:
+def reverse_justice(doc: AigerDoc) -> AigerDoc:
     """Swap the justice polarity of a closed model for fair-trace search.
 
     Adds an uncontrollable input ``aux`` and a three-state watcher:
@@ -132,15 +131,11 @@ def reverse_justice(doc: AigerDoc, just: int | None = None,
     trace of the model whose original literal eventually stays low, and
     vice versa for traces keeping the constraints true.
     """
-    if just is None:
-        just = _single_justice_literal(doc)
-    if constraints is None:
-        constraints = [lit for lit, _ in doc.constraints]
+    just = _single_justice_literal(doc)
 
     new = AigerDoc(aig=doc.aig.copy(), inputs=list(doc.inputs),
                    latches=list(doc.latches), outputs=list(doc.outputs),
-                   bad=list(doc.bad),
-                   constraints=[(lit, name) for lit, name in doc.constraints],
+                   bad=list(doc.bad), constraints=list(doc.constraints),
                    justice=[], fmt="new", comments=list(doc.comments))
     aig = new.aig
     aux = new.add_input(_fresh_name(new, "aux"))

@@ -25,19 +25,6 @@ def test_hash_consing_is_commutative():
     assert aig.num_ands == 1
 
 
-def test_build_dispatch():
-    aig = Aig()
-    a = 2 * aig.new_var()
-    b = 2 * aig.new_var()
-    assert aig.build("and", a, b) == aig.and_(a, b)
-    assert aig.build("or", a, b) == aig.or_(a, b)
-    assert aig.build("not", a) == (a ^ 1)
-    assert aig.build("xor", a, b) == aig.xor_(a, b)
-    assert aig.build("ite", a, b, 0) == aig.and_(a, b)
-    with pytest.raises(AigError):
-        aig.build("nand", a, b)
-
-
 def test_derived_ops_truth_tables():
     aig = Aig()
     a = 2 * aig.new_var()

@@ -105,6 +105,23 @@ def test_missing_file_exits_two(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_resource_exhaustion_is_never_a_verdict(tmp_path, capsys):
+    # 1100 self-looping latches with bad = their conjunction: realizable,
+    # but deep enough to exhaust the recursive BDD construction
+    doc = AigerDoc(fmt="old")
+    lits = [doc.add_latch(f"l{i}") for i in range(1100)]
+    doc.latches = [(lit, lit, name) for lit, _, name in doc.latches]
+    doc.outputs = [(doc.aig.and_many(lits), "bad")]
+    game = tmp_path / "deep.aag"
+    game.write_text(write_aiger(doc))
+    code = main(["synth", str(game), "-o", str(tmp_path / "model.aag")])
+    assert code in (0, 2)
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_outputs_idempotent(tmp_path):
     a = tmp_path / "a.aag"
     b = tmp_path / "b.aag"

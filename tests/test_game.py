@@ -1,5 +1,6 @@
 """Symbolic game solving, strategy extraction and circuit substitution."""
 
+import random
 from itertools import product
 
 import pytest
@@ -8,11 +9,12 @@ from aigsynt.aiger import (
     AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, values_lit, write_aiger,
 )
 from aigsynt.game import (
-    GameError, build_game, cpre, delay_justice, extract_strategy,
+    GameError, build_game, cpre, delay_justice, encode, extract_strategy,
     is_realizable, justice_depends_on_inputs, mu_levels, solve,
     strategy_to_circuit, synthesize,
 )
 from aigsynt.mc import check_justice_universal, check_safety, solve_explicit
+from aigsynt.transforms import justice_to_safety
 
 from helpers import random_game_doc
 
@@ -43,6 +45,57 @@ def test_empty_game_defaults():
     assert game.bad.is_false
     assert game.inv.is_true
     assert game.just.is_true
+
+
+def test_encode_orders_inputs_above_latches():
+    # inputs interleaved in the document: c0, u0, c1, u1
+    doc = AigerDoc(fmt="new")
+    for i in range(2):
+        doc.add_input(f"{CONTROLLABLE_PREFIX}c{i}")
+        doc.add_input(f"u{i}")
+    for i in range(3):
+        doc.add_latch(f"l{i}")
+    enc = encode(doc)
+    assert max(enc.u_levels) < min(enc.c_levels)
+    assert max(enc.input_levels) < min(enc.latch_levels)
+    assert [enc.mgr.var_name(lvl) for lvl in enc.input_levels] == \
+        doc.input_names()
+    assert [enc.mgr.var_name(lvl) for lvl in enc.latch_levels] == \
+        doc.latch_names()
+    assert enc.just is None
+    assert build_game(doc).just.is_true
+
+
+def test_encode_agrees_with_simulation():
+    for seed in range(30):
+        rng = random.Random(seed)
+        doc = random_game_doc(seed, n_latches=rng.randint(1, 4),
+                              n_u=rng.randint(0, 2), n_c=rng.randint(0, 2),
+                              with_justice=seed % 3 != 0)
+        rng.shuffle(doc.inputs)
+        if seed % 5 == 1 and doc.justice:
+            doc = justice_to_safety(doc, 2)  # old format: bad is the output
+        bad_lits = doc.outputs if doc.fmt == "old" else doc.bad
+        enc = encode(doc)
+        for _ in range(16):
+            latches = [rng.random() < 0.5 for _ in doc.latches]
+            inputs = [rng.random() < 0.5 for _ in doc.inputs]
+            assignment = dict(zip(enc.latch_levels, latches))
+            assignment.update(zip(enc.input_levels, inputs))
+            values = evaluate_vars(doc, latches, inputs)
+            for (_, nxt, _), lvl in zip(doc.latches, enc.latch_levels):
+                assert enc.delta[lvl].evaluate(assignment) == \
+                    values_lit(values, nxt), seed
+            assert enc.bad.evaluate(assignment) == \
+                any(values_lit(values, lit) for lit, _ in bad_lits), seed
+            assert enc.inv.evaluate(assignment) == \
+                all(values_lit(values, lit) for lit, _ in doc.constraints), seed
+            jlit = doc.justice_literal()
+            if jlit is None:
+                assert enc.just is None
+            else:
+                assert enc.just.evaluate(assignment) == \
+                    values_lit(values, jlit), seed
 
 
 def test_justice_on_input_gets_delay_latch():
