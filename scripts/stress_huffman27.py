@@ -1,178 +1,26 @@
 #!/usr/bin/env python3
 """Stress-scale benchmark: a 27-letter prefix decoder (A-Z plus space).
 
-Generates the specification (decoder module, FIFOs, property automata)
-from a fixed letter-frequency table, reports the code table and the
-game circuit size, and optionally runs synthesis.  This is a stress
-target: gate counts and runtimes are reported, never asserted.
+Writes the specification (decoder module, FIFOs, property automata)
+with the benchmark's generator, ``perfbench/workloads.py``, from its
+fixed letter-frequency table; reports the code table and the game
+circuit size, and optionally runs synthesis.  This is a stress target:
+gate counts and runtimes are reported, never asserted.
 """
 
 import argparse
-import heapq
-import shutil
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
 from aigsynt.mc import check_justice_universal, check_safety
-
-# per-mille letter weights, A..Z then space
-WEIGHTS = {
-    "A": 65, "B": 12, "C": 22, "D": 34, "E": 102, "F": 18, "G": 16,
-    "H": 49, "I": 56, "J": 1, "K": 6, "L": 32, "M": 19, "N": 54,
-    "O": 60, "P": 15, "Q": 1, "R": 48, "S": 51, "T": 73, "U": 22,
-    "V": 8, "W": 19, "X": 1, "Y": 16, "Z": 1, "_": 180,
-}
-
-PROPERTY_FILES = [
-    "guar_done_then_output.gff", "guar_streams_match.gff",
-    "guar_done_recurs.gff", "asm_input_in_range.gff", "asm_input_stable.gff",
-]
-
-
-def huffman_codes(weights: dict[str, int]) -> dict[str, str]:
-    heap = [(w, i, sym) for i, (sym, w) in enumerate(sorted(weights.items()))]
-    heapq.heapify(heap)
-    counter = len(heap)
-    parent: dict = {}
-    while len(heap) > 1:
-        w1, _, a = heapq.heappop(heap)
-        w2, _, b = heapq.heappop(heap)
-        node = (a, b)
-        parent[a] = (node, "0")
-        parent[b] = (node, "1")
-        heapq.heappush(heap, (w1 + w2, counter, node))
-        counter += 1
-    codes = {}
-    for sym in weights:
-        bits = ""
-        cur = sym
-        while cur in parent:
-            cur, bit = parent[cur]
-            bits = bit + bits
-        codes[sym] = bits
-    return codes
-
-
-def data_bits(n_letters: int) -> int:
-    return max((n_letters).bit_length(), 1)
-
-
-def decoder_module(codes: dict[str, str], width: int) -> str:
-    """State machine over the code-tree's internal nodes."""
-    letters = sorted(codes)
-    letter_value = {sym: i + 1 for i, sym in enumerate(letters)}
-    # walk the tree: nodes addressed by code prefixes
-    prefixes = {""}
-    for code in codes.values():
-        for i in range(1, len(code)):
-            prefixes.add(code[:i])
-    node_id = {p: i for i, p in enumerate(sorted(prefixes, key=lambda p: (len(p), p)))}
-    is_leaf = {codes[sym]: sym for sym in codes}
-
-    step_branches = []
-    emit_conds = []
-    letter_branches = []
-    for prefix in sorted(prefixes, key=lambda p: (len(p), p)):
-        sid = node_id[prefix]
-        for bit, cond in (("0", f"s = {sid} & !c"), ("1", f"s = {sid} & c")):
-            target = prefix + bit
-            if target in is_leaf:
-                emit_conds.append(f"({cond})")
-                letter_branches.append(
-                    f"    {cond} : {letter_value[is_leaf[target]]};")
-                # falls back to the root, covered by the default branch
-            else:
-                step_branches.append(f"    {cond} : {node_id[target]};")
-
-    max_node = len(prefixes) - 1
-    top = (1 << width) - 1
-    lines = [
-        "MODULE decoder(c)",
-        "VAR",
-        f"  s: 0..{max_node};",
-        "  out_valid: boolean;",
-        f"  out_letter: 0..{top};",
-        "ASSIGN",
-        "  init(s) := 0;",
-        "  next(s) := case",
-        *step_branches,
-        "    TRUE : 0;",
-        "  esac;",
-        "  init(out_valid) := FALSE;",
-        "  next(out_valid) := " + "\n    | ".join(emit_conds) + ";",
-        "  init(out_letter) := 0;",
-        "  next(out_letter) := case",
-        *letter_branches,
-        "    TRUE : out_letter;",
-        "  esac;",
-    ]
-    return "\n".join(lines)
-
-
-def main_module(n_letters: int, width: int) -> str:
-    top = (1 << width) - 1
-    return f"""
-MODULE fifo1(din, enq, deq)
-VAR
-  full: boolean;
-  slot: 0..{top};
-DEFINE
-  empty := !full;
-  overflow := enq & !deq & full;
-ASSIGN
-  init(full) := FALSE;
-  next(full) := case
-    enq : TRUE;
-    deq : FALSE;
-    TRUE : full;
-  esac;
-  init(slot) := 0;
-  next(slot) := case
-    enq : din;
-    TRUE : slot;
-  esac;
-
-MODULE main
-VAR
-  dataIn: 0..{top};
-
-VAR --controllable
-  cipher: boolean;
-  done: boolean;
-
-VAR
-  prevIn: 0..{top};
-  done_d: boolean;
-  dec: decoder(cipher);
-  fifo_enc: fifo1(prevIn, done_d, cmp);
-  fifo_dec: fifo1(dec.out_letter, enq_dec, cmp);
-ASSIGN
-  init(prevIn) := 0;
-  next(prevIn) := dataIn;
-  init(done_d) := FALSE;
-  next(done_d) := done;
-DEFINE
-  enq_dec := dec.out_valid;
-  cmp := !fifo_enc.empty & !fifo_dec.empty;
-  diff := (cmp & !(fifo_enc.slot = fifo_dec.slot))
-        | fifo_enc.overflow | fifo_dec.overflow;
-  validIn := dataIn >= 1 & dataIn <= {n_letters};
-  stable := dataIn = prevIn;
-
-SYS_AUTOMATON_SPEC
-  guar_done_then_output.gff;
-  guar_streams_match.gff;
-  guar_done_recurs.gff;
-
-ENV_AUTOMATON_SPEC
-  asm_input_in_range.gff;
-  asm_input_stable.gff;
-"""
+from workloads import WEIGHTS, stress_codes, write_stress_spec
 
 
 def main() -> int:
@@ -187,23 +35,12 @@ def main() -> int:
 
     if not 2 <= args.letters <= len(WEIGHTS):
         parser.error(f"--letters must be within 2..{len(WEIGHTS)}")
-    chosen = sorted(sorted(WEIGHTS), key=lambda s: -WEIGHTS[s])[:args.letters]
-    weights = {sym: WEIGHTS[sym] for sym in chosen}
-    codes = huffman_codes(weights)
-    max_len = max(len(c) for c in codes.values())
-    width = data_bits(args.letters)
+    codes = stress_codes(args.letters)
+    spec_path, max_len = write_stress_spec(args.letters, args.out_dir)
     print(f"{args.letters}-letter code table, max code length {max_len} "
           f"(window reduction would need k = {max_len}):")
     for sym in sorted(codes):
         print(f"  {sym}: {codes[sym]}")
-
-    args.out_dir.mkdir(parents=True, exist_ok=True)
-    spec_path = args.out_dir / f"huffman{args.letters}.smv"
-    spec_path.write_text(decoder_module(codes, width) + "\n"
-                         + main_module(args.letters, width))
-    bench4 = Path(__file__).resolve().parent.parent / "benchmarks" / "huffman4"
-    for name in PROPERTY_FILES:
-        shutil.copy(bench4 / name, args.out_dir / name)
     print(f"specification written to {spec_path}")
 
     doc = build_spec_doc(spec_path)

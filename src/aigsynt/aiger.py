@@ -166,6 +166,16 @@ class AigerDoc:
     fmt: str = "new"
     comments: list[str] = field(default_factory=list)
 
+    def copy(self, **changes) -> "AigerDoc":
+        """A copy sharing nothing mutable; keywords replace whole fields."""
+        fields = dict(aig=self.aig.copy(), inputs=list(self.inputs),
+                      latches=list(self.latches), outputs=list(self.outputs),
+                      bad=list(self.bad), constraints=list(self.constraints),
+                      justice=[(list(g), n) for g, n in self.justice],
+                      fmt=self.fmt, comments=list(self.comments))
+        fields.update(changes)
+        return AigerDoc(**fields)
+
     def add_input(self, name: str | None = None) -> int:
         var = self.aig.new_var()
         lit = 2 * var
@@ -200,7 +210,11 @@ class AigerDoc:
                 if n is None or not n.startswith(CONTROLLABLE_PREFIX)]
 
     def justice_literal(self) -> int | None:
-        """The single justice literal, or None when no justice section."""
+        """The single justice literal, or None when no justice section.
+
+        The one place the supported shape is checked: at most one
+        justice group, holding exactly one literal.
+        """
         if not self.justice:
             return None
         if len(self.justice) > 1 or len(self.justice[0][0]) != 1:

@@ -15,6 +15,7 @@ input errors and resource exhaustion (RecursionError, MemoryError).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
@@ -151,7 +152,9 @@ def cmd_mc(args) -> int:
     return 1
 
 
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state."""
     parser = argparse.ArgumentParser(
         prog="aigsynt",
         description="SMV-to-AIGER reactive synthesis toolchain")

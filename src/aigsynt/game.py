@@ -66,10 +66,7 @@ def delay_justice(doc: AigerDoc) -> AigerDoc:
     jlit = doc.justice_literal()
     if jlit is None:
         raise GameError("document has no justice literal to delay")
-    new = AigerDoc(aig=doc.aig.copy(), inputs=list(doc.inputs),
-                   latches=list(doc.latches), outputs=list(doc.outputs),
-                   bad=list(doc.bad), constraints=list(doc.constraints),
-                   justice=[], fmt=doc.fmt, comments=list(doc.comments))
+    new = doc.copy(justice=[])
     lit = new.add_latch(DELAY_LATCH_NAME, next_lit=jlit)
     new.justice.append(([lit], doc.justice[0][1]))
     new.validate()
@@ -97,14 +94,15 @@ class Encoding:
     delta: dict[int, BddRef]  # latch level -> next-state function over (L,U,C)
     bad: BddRef
     inv: BddRef
-    just: BddRef | None  # None without a justice literal
+    just: BddRef  # true without a justice literal
 
 
 def encode(doc: AigerDoc) -> Encoding:
     """Build the manager, the levels and every one-step function of doc.
 
     Old-format documents read the disjunction of their outputs as bad,
-    with no constraints and no justice.
+    with no constraints and no justice.  A document without a justice
+    literal reads ``just`` as true, as the game does.
     """
     mgr = BddManager()
     var_map: dict[int, BddRef] = {}
@@ -127,7 +125,7 @@ def encode(doc: AigerDoc) -> Encoding:
              for (_, next_lit, _), lvl in zip(doc.latches, latch_levels)}
     bad = mgr.false
     inv = mgr.true
-    just = None
+    just = mgr.true
     if doc.fmt == "old":
         for lit, _ in doc.outputs:
             bad = bad | cone.lit(lit)
@@ -147,7 +145,6 @@ def encode(doc: AigerDoc) -> Encoding:
 
 @dataclass
 class Game(Encoding):
-    just: BddRef  # true without a justice literal
     doc: AigerDoc
     c_names: list[str]
 
@@ -160,16 +157,9 @@ def build_game(doc: AigerDoc) -> Game:
     document is first rewritten with a delay latch, so ``just`` is a
     state predicate; the game carries the rewritten document.
     """
-    if len(doc.justice) > 1:
-        raise GameError("multiple justice groups are not supported")
-    if doc.justice and len(doc.justice[0][0]) != 1:
-        raise GameError("justice groups must hold exactly one literal")
     if justice_depends_on_inputs(doc):
         doc = delay_justice(doc)
-    enc = encode(doc)
-    if enc.just is None:
-        enc.just = enc.mgr.true
-    return Game(**vars(enc), doc=doc,
+    return Game(**vars(encode(doc)), doc=doc,
                 c_names=[name for _, name in doc.controllable_inputs()])
 
 
@@ -278,12 +268,10 @@ def strategy_to_circuit(doc: AigerDoc, game: Game, strategy: Strategy) -> AigerD
     controllable inputs disappear from the input list.  Synthesized
     signals are additionally exposed as named outputs.
     """
-    from .aiger import AigerDoc as Doc
-
     if len(doc.latches) != len(game.latch_levels) or \
             len(doc.inputs) != len(game.input_levels):
         raise GameError("document does not match the game it was solved as")
-    new = Doc(fmt=doc.fmt, comments=list(doc.comments))
+    new = AigerDoc(fmt=doc.fmt, comments=list(doc.comments))
     aig = new.aig
     level_to_lit: dict[int, int] = {}
     var_sub: dict[int, int] = {0: 0}  # constants map to themselves

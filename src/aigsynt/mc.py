@@ -8,7 +8,10 @@ that one.  ``check_justice_universal`` looks for a lasso keeping the
 constraints true forever with the justice literal eventually never
 raised (reversed-polarity reading).  ``find_fair_trace`` is the plain
 AIGER reading: a reachable constraint-respecting cycle with the justice
-literal raised on it.
+literal raised on it.  Both justice readings are one Emerson-Lei
+fair-cycle search, ``_fair_lasso``, with different step predicates: the
+reversed reading loops on quiet steps (constraints, no justice), the
+plain one loops on constraint-keeping steps and needs a justice step.
 
 ``solve_explicit`` computes the winning region of the full objective by
 literal fixpoint iteration over enumerated states; it is the reference
@@ -164,76 +167,59 @@ def check_safety(doc: AigerDoc) -> CheckResult:
     return CheckResult(holds=False, trace=sm.make_trace(steps))
 
 
+def _fair_lasso(sm: _SymbolicModel, loop_step: BddRef,
+                fair_step: BddRef) -> Trace | None:
+    """A reachable lasso whose loop keeps loop_step and takes a fair_step.
+
+    fair_step must imply loop_step.  Emerson-Lei fair-cycle search
+    (Emerson & Lei, LICS 1986): ``recur`` is the greatest set of states
+    with a fair_step into states that reach ``recur`` again by loop_step
+    steps.  The stem keeps the constraints up to ``recur``; each turn of
+    the loop takes a fair_step and walks back into ``recur``.  Returns
+    None when no such lasso starts in the initial state.
+    """
+    recur = sm.mgr.true
+    while True:
+        nxt = sm.pre_exists(_rings(sm, recur, loop_step)[-1], fair_step)
+        if nxt == recur:
+            break
+        recur = nxt
+    stem = _rings(sm, recur, sm.inv)
+    if not sm.contains(stem[-1], sm.init_state):
+        return None
+    steps: list = []
+    state = _walk_to_ring0(sm, stem, sm.init_state, sm.inv, steps)
+    loop = _rings(sm, recur, loop_step)
+    seen: dict[tuple[bool, ...], int] = {}
+    while state not in seen:
+        seen[state] = len(steps)
+        inputs = sm.pick_input(state, fair_step & loop[-1].compose(sm.delta))
+        steps.append((inputs, state))
+        state = _walk_to_ring0(sm, loop, sm.step(state, inputs), loop_step,
+                               steps)
+    return sm.make_trace(steps, loop_start=seen[state])
+
+
 def check_justice_universal(doc: AigerDoc) -> CheckResult:
     """Search for a lasso with constraints forever and justice finitely often.
 
     Vacuously holds without a justice section.
     """
-    if len(doc.justice) > 1:
-        raise McError("multiple justice groups are not supported")
+    if not doc.justice:
+        return CheckResult(holds=True)
     sm = _SymbolicModel(doc)
-    if sm.just is None:
-        return CheckResult(holds=True)
     quiet = sm.inv & ~sm.just
-    live = sm.mgr.true
-    while True:
-        nxt = sm.pre_exists(live, quiet)
-        if nxt == live:
-            break
-        live = nxt
-    rings = _rings(sm, live, sm.inv)
-    if not sm.contains(rings[-1], sm.init_state):
-        return CheckResult(holds=True)
-    steps: list = []
-    state = _walk_to_ring0(sm, rings, sm.init_state, sm.inv, steps)
-    seen: dict[tuple[bool, ...], int] = {}
-    while state not in seen:
-        seen[state] = len(steps)
-        inputs = sm.pick_input(state, quiet & live.compose(sm.delta))
-        steps.append((inputs, state))
-        state = sm.step(state, inputs)
-    loop_start = seen[state]
-    return CheckResult(holds=False,
-                       trace=sm.make_trace(steps, loop_start=loop_start))
+    trace = _fair_lasso(sm, quiet, quiet)
+    return CheckResult(holds=trace is None, trace=trace)
 
 
 def find_fair_trace(doc: AigerDoc) -> FairResult:
     """Plain AIGER fair-trace search: GF justice under G constraints."""
-    if len(doc.justice) > 1:
-        raise McError("multiple justice groups are not supported")
+    if not doc.justice:
+        return FairResult(found=False)
     sm = _SymbolicModel(doc)
-    if sm.just is None:
-        return FairResult(found=False)
-    fair_step = sm.inv & sm.just
-
-    def reach_rings(region: BddRef) -> list[BddRef]:
-        return _rings(sm, region, sm.inv)
-
-    recur = sm.mgr.true
-    while True:
-        reach = reach_rings(recur)[-1]
-        nxt = sm.pre_exists(reach, fair_step)
-        if nxt == recur:
-            break
-        recur = nxt
-    if recur.is_false:
-        return FairResult(found=False)
-    rings = reach_rings(recur)
-    if not sm.contains(rings[-1], sm.init_state):
-        return FairResult(found=False)
-    steps: list = []
-    state = _walk_to_ring0(sm, rings, sm.init_state, sm.inv, steps)
-    seen: dict[tuple[bool, ...], int] = {}
-    reach_region = rings[-1]
-    while state not in seen:
-        seen[state] = len(steps)
-        inputs = sm.pick_input(state, fair_step & reach_region.compose(sm.delta))
-        steps.append((inputs, state))
-        state = sm.step(state, inputs)
-        state = _walk_to_ring0(sm, rings, state, sm.inv, steps)
-    loop_start = seen[state]
-    return FairResult(found=True,
-                      trace=sm.make_trace(steps, loop_start=loop_start))
+    trace = _fair_lasso(sm, sm.inv, sm.inv & sm.just)
+    return FairResult(found=trace is not None, trace=trace)
 
 
 # explicit-state oracle ----------------------------------------------------

@@ -11,7 +11,7 @@ justice violations.
 
 from __future__ import annotations
 
-from .aiger import AigerDoc, FALSE_LIT, TRUE_LIT
+from .aiger import AigerDoc, TRUE_LIT
 
 
 class TransformError(Exception):
@@ -19,18 +19,14 @@ class TransformError(Exception):
 
 
 def _single_justice_literal(doc: AigerDoc) -> int:
-    if len(doc.justice) != 1 or len(doc.justice[0][0]) != 1:
-        raise TransformError(
-            f"expected exactly one one-literal justice group, found "
-            f"{[len(g) for g, _ in doc.justice]}")
-    return doc.justice[0][0][0]
+    jlit = doc.justice_literal()
+    if jlit is None:
+        raise TransformError("expected a justice section, found none")
+    return jlit
 
 
-def _copy_without_properties(doc: AigerDoc, fmt: str) -> AigerDoc:
-    return AigerDoc(aig=doc.aig.copy(), inputs=list(doc.inputs),
-                    latches=list(doc.latches), outputs=[],
-                    bad=[], constraints=[], justice=[], fmt=fmt,
-                    comments=list(doc.comments))
+def _old_format_copy(doc: AigerDoc) -> AigerDoc:
+    return doc.copy(outputs=[], bad=[], constraints=[], justice=[], fmt="old")
 
 
 def _fresh_name(doc: AigerDoc, base: str) -> str:
@@ -52,7 +48,7 @@ def fold_constraints_into_bad(doc: AigerDoc) -> AigerDoc:
     """
     if doc.justice:
         raise TransformError("document still has a justice section")
-    new = _copy_without_properties(doc, "old")
+    new = _old_format_copy(doc)
     aig = new.aig
     inv_now = aig.and_many(lit for lit, _ in doc.constraints)
     bad_now = aig.or_many(lit for lit, _ in doc.bad)
@@ -89,7 +85,7 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
         raise TransformError("document already has outputs")
     just = _single_justice_literal(doc)
 
-    new = _copy_without_properties(doc, "old")
+    new = _old_format_copy(doc)
     aig = new.aig
 
     width = (k + 1).bit_length()  # ceil(log2(k + 2)) bits for values 0 .. k+1
@@ -133,10 +129,7 @@ def reverse_justice(doc: AigerDoc) -> AigerDoc:
     """
     just = _single_justice_literal(doc)
 
-    new = AigerDoc(aig=doc.aig.copy(), inputs=list(doc.inputs),
-                   latches=list(doc.latches), outputs=list(doc.outputs),
-                   bad=list(doc.bad), constraints=list(doc.constraints),
-                   justice=[], fmt="new", comments=list(doc.comments))
+    new = doc.copy(justice=[], fmt="new")
     aig = new.aig
     aux = new.add_input(_fresh_name(new, "aux"))
     armed = new.add_latch(_fresh_name(new, "aux_seen"))

@@ -37,6 +37,23 @@ def test_spec2aag_standard_needs_k(tmp_path, capsys):
     assert "needs --k" in capsys.readouterr().err
 
 
+def test_options_do_not_leak_between_calls(tmp_path, spec_aag, capsys):
+    # one process, one parser: each call starts from the defaults
+    k2 = tmp_path / "k2.aag"
+    assert main(["just2safe", str(spec_aag), "-o", str(k2), "--k", "2"]) == 0
+    assert main(["spec2aag", str(BENCH / "huffman4.smv"), "-o",
+                 str(tmp_path / "std.aag"), "--standard"]) == 2
+    assert "needs --k" in capsys.readouterr().err
+    assert main(["synth", str(spec_aag), "--print-realizability-only"]) == 0
+    model = tmp_path / "model.aag"
+    assert main(["synth", str(spec_aag), "-o", str(model)]) == 0
+    assert model.is_file()
+    assert main(["mc", str(model), "--existential"]) == 1
+    assert "FAIR TRACE FOUND" in capsys.readouterr().out
+    assert main(["mc", str(model)]) == 0
+    assert "SAFETY: holds; JUSTICE: holds" in capsys.readouterr().out
+
+
 def test_spec2aag_standard_with_k(tmp_path):
     out = tmp_path / "std.aag"
     code = main(["spec2aag", str(BENCH / "huffman4.smv"), "-o", str(out),

@@ -8,6 +8,7 @@ from aigsynt.mc import (
     McError, check_justice_universal, check_safety, find_fair_trace,
     solve_explicit,
 )
+from aigsynt.transforms import reverse_justice
 
 from helpers import enumerate_lasso_fg_not_just, random_game_doc
 from test_game import doc_with
@@ -164,6 +165,18 @@ def test_random_counterexamples_replay_faithfully():
                 assert all(values_lit(v, lit) for lit, _ in doc.constraints)
             for v in values[trace.loop_start:]:
                 assert not values_lit(v, jlit)
+        reversed_doc = reverse_justice(doc)
+        fresult = find_fair_trace(reversed_doc)
+        assert fresult.found == (not jresult.holds), seed
+        if fresult.found:
+            trace = fresult.trace
+            values, final_state = replay(reversed_doc, trace)
+            assert final_state == trace.steps[trace.loop_start][1]
+            jlit = reversed_doc.justice_literal()
+            for v in values:
+                assert all(values_lit(v, lit)
+                           for lit, _ in reversed_doc.constraints)
+            assert any(values_lit(v, jlit) for v in values[trace.loop_start:])
     assert safety_violations >= 5
     assert justice_violations >= 5
 
