@@ -4,7 +4,9 @@
 Writes the specification (decoder module, FIFOs, property automata)
 with the benchmark's generator, ``perfbench/workloads.py``, from its
 fixed letter-frequency table; reports the code table and the game
-circuit size, and optionally runs synthesis.  This is a stress target:
+circuit size, and optionally runs synthesis, the model check of the
+synthesized model, and the fair-trace search on its reversed form (the
+``synt2hwmcc`` + ``mc --existential`` stage).  This is a stress target:
 gate counts and runtimes are reported, never asserted.
 """
 
@@ -19,7 +21,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
-from aigsynt.mc import check_justice_universal, check_safety
+from aigsynt.mc import check_justice_universal, check_safety, find_fair_trace
+from aigsynt.transforms import reverse_justice
 from workloads import WEIGHTS, stress_codes, write_stress_spec
 
 
@@ -69,6 +72,11 @@ def main() -> int:
     print(f"model check in {time.monotonic() - t0:.1f}s: "
           f"safety {'holds' if safety.holds else 'VIOLATED'}, "
           f"justice {'holds' if justice.holds else 'VIOLATED'}")
+    t0 = time.monotonic()
+    fair = find_fair_trace(reverse_justice(model))
+    print(f"reversed model (synt2hwmcc + mc --existential) in "
+          f"{time.monotonic() - t0:.1f}s: "
+          f"{'FAIR TRACE FOUND' if fair.found else 'NO FAIR TRACE'}")
     return 0
 
 

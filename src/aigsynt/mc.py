@@ -13,6 +13,18 @@ fair-cycle search, ``_fair_lasso``, with different step predicates: the
 reversed reading loops on quiet steps (constraints, no justice), the
 plain one loops on constraint-keeping steps and needs a justice step.
 
+The searches stop as soon as the initial state decides the verdict,
+with the same result and the same traces as the full fixpoints.  A
+backward ring search toward a stem or a violation stops at the first
+ring holding the initial state, since a trace walks down from that
+ring and reads none beyond it.  The fair-cycle search of
+``find_fair_trace`` returns "no trace" as soon as the initial state
+leaves one νZ iteration's closure along the constraints: that closure
+is the stem set of the current candidate region, and the region only
+shrinks, so no later stem can hold the initial state again.  The
+reversed reading's closure runs along quiet steps only, which bounds
+no stem, so its νZ fixpoint runs to the end.
+
 ``solve_explicit`` computes the winning region of the full objective by
 literal fixpoint iteration over enumerated states; it is the reference
 implementation the symbolic game solver is tested against.
@@ -128,14 +140,20 @@ class _SymbolicModel:
                      steps=steps, loop_start=loop_start)
 
 
-def _rings(sm: _SymbolicModel, target: BddRef, step_pred: BddRef) -> list[BddRef]:
-    """Cumulative backward layers of target under step_pred-steps."""
+def _rings(sm: _SymbolicModel, target: BddRef, step_pred: BddRef,
+           until: tuple[bool, ...] | None = None) -> list[BddRef]:
+    """Cumulative backward layers of target under step_pred-steps.
+
+    With ``until``, stops at the first ring containing that state: a walk
+    from it reads no ring beyond the first one that holds it.
+    """
     rings = [target]
-    while True:
+    while until is None or not sm.contains(rings[-1], until):
         nxt = rings[-1] | sm.pre_exists(rings[-1], step_pred)
         if nxt == rings[-1]:
-            return rings
+            break
         rings.append(nxt)
+    return rings
 
 
 def _walk_to_ring0(sm: _SymbolicModel, rings: list[BddRef],
@@ -154,10 +172,15 @@ def _walk_to_ring0(sm: _SymbolicModel, rings: list[BddRef],
 
 
 def check_safety(doc: AigerDoc) -> CheckResult:
-    """Search for a finite violation of the weak-until safety part."""
+    """Search for a finite violation of the weak-until safety part.
+
+    The backward rings stop at the first one holding the initial state;
+    the counterexample walks down from that ring, so it is a shortest one
+    and needs no ring beyond it.
+    """
     sm = _SymbolicModel(doc)
     violate_now = sm.now_exists(sm.inv & sm.bad)
-    rings = _rings(sm, violate_now, sm.inv)
+    rings = _rings(sm, violate_now, sm.inv, sm.init_state)
     if not sm.contains(rings[-1], sm.init_state):
         return CheckResult(holds=True)
     steps: list = []
@@ -177,19 +200,31 @@ def _fair_lasso(sm: _SymbolicModel, loop_step: BddRef,
     steps.  The stem keeps the constraints up to ``recur``; each turn of
     the loop takes a fair_step and walks back into ``recur``.  Returns
     None when no such lasso starts in the initial state.
+
+    Stop rule: ``recur`` only shrinks from one νZ iteration to the next.
+    When loop_step is the constraint step ``sm.inv``, each iteration's
+    closure is the stem set E[inv U recur] of the current ``recur``, so
+    once the initial state leaves it, it stays outside every later
+    closure, the final stem included, and the search returns None at
+    once.  The rings of the last iteration are those of the final
+    ``recur``; they are kept as the loop's rings, and as the stem too
+    when loop_step is ``sm.inv``.
     """
+    stem_is_loop = loop_step == sm.inv
     recur = sm.mgr.true
     while True:
-        nxt = sm.pre_exists(_rings(sm, recur, loop_step)[-1], fair_step)
+        loop = _rings(sm, recur, loop_step)
+        if stem_is_loop and not sm.contains(loop[-1], sm.init_state):
+            return None
+        nxt = sm.pre_exists(loop[-1], fair_step)
         if nxt == recur:
             break
         recur = nxt
-    stem = _rings(sm, recur, sm.inv)
+    stem = loop if stem_is_loop else _rings(sm, recur, sm.inv, sm.init_state)
     if not sm.contains(stem[-1], sm.init_state):
         return None
     steps: list = []
     state = _walk_to_ring0(sm, stem, sm.init_state, sm.inv, steps)
-    loop = _rings(sm, recur, loop_step)
     seen: dict[tuple[bool, ...], int] = {}
     while state not in seen:
         seen[state] = len(steps)

@@ -5,8 +5,8 @@ import pytest
 
 from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit
 from aigsynt.mc import (
-    McError, check_justice_universal, check_safety, find_fair_trace,
-    solve_explicit,
+    McError, _SymbolicModel, check_justice_universal, check_safety,
+    find_fair_trace, solve_explicit,
 )
 from aigsynt.transforms import reverse_justice
 
@@ -139,6 +139,42 @@ def test_fair_trace_replays_with_justice_on_loop():
         assert all(values_lit(v, lit) for lit, _ in doc.constraints)
 
 
+def test_fair_trace_raises_input_dependent_justice_on_loop():
+    # the self-looping latch admits every input; only u0 = 1 is fair, so
+    # the loop's closing step must be chosen for justice, not just for
+    # keeping the constraints
+    doc = doc_with(next_of=lambda aig, u, c, l: [l[0]],
+                   justice=lambda aig, u, c, l: u[0])
+    result = find_fair_trace(doc)
+    assert result.found
+    values, final_state = replay(doc, result.trace)
+    assert final_state == result.trace.steps[result.trace.loop_start][1]
+    jlit = doc.justice_literal()
+    assert any(values_lit(v, jlit) for v in values[result.trace.loop_start:])
+
+
+def test_fair_cycle_in_unreachable_states_stops_early(monkeypatch):
+    # l0 stays 0 from the initial state; the only fair cycle is the
+    # self-loop of l0 = 1, which the initial state never reaches
+    doc = doc_with(next_of=lambda aig, u, c, l: [l[0]],
+                   justice=lambda aig, u, c, l: l[0])
+    fair_images = []
+    pre_exists = _SymbolicModel.pre_exists
+
+    def counting(self, region, step_pred):
+        if step_pred == self.inv & self.just:
+            fair_images.append(region)
+        return pre_exists(self, region, step_pred)
+
+    monkeypatch.setattr(_SymbolicModel, "pre_exists", counting)
+    result = find_fair_trace(doc)
+    assert not result.found
+    # the first pre-image under the fair step already excludes the initial
+    # state from the stem; reaching the νZ fixpoint would take a second one
+    # to confirm that the region stopped shrinking
+    assert len(fair_images) == 1
+
+
 def test_random_counterexamples_replay_faithfully():
     """Every counterexample or lasso the checker produces is a real run
     of the document with the claimed step properties."""
@@ -256,8 +292,12 @@ def test_explicit_safe_reachable_old_format_only():
         solve_explicit(doc, mode="safe_reachable")
 
 
-def _explicit_safety_violation(doc: AigerDoc) -> bool:
-    """Bounded explicit search for a weak-until safety violation."""
+def _explicit_safety_violation(doc: AigerDoc) -> int | None:
+    """Breadth-first explicit search for a weak-until safety violation.
+
+    Returns the depth (steps from the initial state) of the first state
+    with a violating input, or None when no violation is reachable.
+    """
     n_latches = len(doc.latches)
     n_inputs = len(doc.inputs)
     if doc.fmt == "old":
@@ -268,25 +308,29 @@ def _explicit_safety_violation(doc: AigerDoc) -> bool:
         constraint_lits = [lit for lit, _ in doc.constraints]
     seen = {0}
     frontier = [0]
+    depth = 0
     while frontier:
-        s = frontier.pop()
-        latch_vals = [bool((s >> i) & 1) for i in range(n_latches)]
-        for combo in range(1 << n_inputs):
-            input_vals = [bool((combo >> i) & 1) for i in range(n_inputs)]
-            values = evaluate_vars(doc, latch_vals, input_vals)
-            inv = all(values_lit(values, lit) for lit in constraint_lits)
-            if not inv:
-                continue  # history breaks here; nothing beyond can violate
-            if any(values_lit(values, lit) for lit in bad_lits):
-                return True
-            nxt = 0
-            for i, (_, next_lit, _) in enumerate(doc.latches):
-                if values_lit(values, next_lit):
-                    nxt |= 1 << i
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return False
+        successors = []
+        for s in frontier:
+            latch_vals = [bool((s >> i) & 1) for i in range(n_latches)]
+            for combo in range(1 << n_inputs):
+                input_vals = [bool((combo >> i) & 1) for i in range(n_inputs)]
+                values = evaluate_vars(doc, latch_vals, input_vals)
+                inv = all(values_lit(values, lit) for lit in constraint_lits)
+                if not inv:
+                    continue  # history breaks here; nothing beyond can violate
+                if any(values_lit(values, lit) for lit in bad_lits):
+                    return depth
+                nxt = 0
+                for i, (_, next_lit, _) in enumerate(doc.latches):
+                    if values_lit(values, next_lit):
+                        nxt |= 1 << i
+                if nxt not in seen:
+                    seen.add(nxt)
+                    successors.append(nxt)
+        frontier = successors
+        depth += 1
+    return None
 
 
 def test_check_safety_agrees_with_explicit_simulation():
@@ -297,8 +341,24 @@ def test_check_safety_agrees_with_explicit_simulation():
         cases.append(random_game_doc(seed + 600, n_latches=4, n_u=2, n_c=1,
                                      n_gates=10))
     for i, doc in enumerate(cases):
-        expected = _explicit_safety_violation(doc)
+        expected = _explicit_safety_violation(doc) is not None
         assert check_safety(doc).holds == (not expected), f"case {i}"
+
+
+def test_safety_counterexamples_are_shortest():
+    """The backward rings stop at the first one holding the initial state;
+    the counterexample still takes the fewest steps to a violation."""
+    depths = []
+    for seed in range(20):
+        doc = random_game_doc(seed + 900, n_latches=4 + seed % 3, n_u=2,
+                              n_c=1, n_gates=10 + seed % 7)
+        depth = _explicit_safety_violation(doc)
+        result = check_safety(doc)
+        assert result.holds == (depth is None), seed
+        if depth is not None:
+            assert len(result.trace.steps) == 1 + depth, seed
+            depths.append(depth)
+    assert max(depths) >= 2
 
 
 def test_fair_trace_iff_justice_violation():
