@@ -6,11 +6,14 @@ with the benchmark's generator, ``perfbench/workloads.py``, from its
 fixed letter-frequency table; reports the code table and the game
 circuit size, and optionally runs synthesis, the model check of the
 synthesized model, and the fair-trace search on its reversed form (the
-``synt2hwmcc`` + ``mc --existential`` stage).  This is a stress target:
-gate counts and runtimes are reported, never asserted.
+``synt2hwmcc`` + ``mc --existential`` stage).  After each stage it
+prints the time and this process's peak resident set size so far.  This
+is a stress target: gate counts, runtimes and memory are reported, never
+asserted.
 """
 
 import argparse
+import resource
 import sys
 import time
 from pathlib import Path
@@ -24,6 +27,12 @@ from aigsynt.game import synthesize
 from aigsynt.mc import check_justice_universal, check_safety, find_fair_trace
 from aigsynt.transforms import reverse_justice
 from workloads import WEIGHTS, stress_codes, write_stress_spec
+
+
+def peak_rss() -> str:
+    """This process's peak resident set size so far (Linux reports KiB)."""
+    kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return f"peak RSS {kib / 1024:.0f} MB"
 
 
 def main() -> int:
@@ -62,20 +71,20 @@ def main() -> int:
     ok, model, _ = synthesize(doc)
     elapsed = time.monotonic() - t0
     if not ok:
-        print(f"UNREALIZABLE after {elapsed:.1f}s")
+        print(f"UNREALIZABLE after {elapsed:.1f}s, {peak_rss()}")
         return 1
-    print(f"realizable; {elapsed:.1f}s, model has {model.aig.num_ands} "
-          f"AND gates (reported, not asserted)")
+    print(f"realizable; {elapsed:.1f}s, {peak_rss()}, model has "
+          f"{model.aig.num_ands} AND gates (reported, not asserted)")
     t0 = time.monotonic()
     safety = check_safety(model)
     justice = check_justice_universal(model)
-    print(f"model check in {time.monotonic() - t0:.1f}s: "
+    print(f"model check in {time.monotonic() - t0:.1f}s, {peak_rss()}: "
           f"safety {'holds' if safety.holds else 'VIOLATED'}, "
           f"justice {'holds' if justice.holds else 'VIOLATED'}")
     t0 = time.monotonic()
     fair = find_fair_trace(reverse_justice(model))
     print(f"reversed model (synt2hwmcc + mc --existential) in "
-          f"{time.monotonic() - t0:.1f}s: "
+          f"{time.monotonic() - t0:.1f}s, {peak_rss()}: "
           f"{'FAIR TRACE FOUND' if fair.found else 'NO FAIR TRACE'}")
     return 0
 

@@ -11,6 +11,14 @@ the justice literal only finitely often.
 
 Latches initialize to 0 in AIGER, so a latch whose model init bit is 1
 is stored inverted; its symbol name carries the suffix ``.__neg``.
+
+Latch order: the round-robin counter comes first, then the monitor
+states (guarantees, then assumptions), then the model's latches.
+``game.encode`` gives latches their decision-diagram levels in document
+order, so observers sit above the latches they read.  An observer has
+only a few modes; on top, each diagram splits into a few mode branches
+that share the model's sub-diagrams, where at the bottom every path
+through the model would end in its own copy of the observer's function.
 """
 
 from __future__ import annotations
@@ -99,13 +107,10 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
     for name in model.inputs_c:
         signals[name] = doc.add_input(CONTROLLABLE_PREFIX + name)
 
-    latch_plans: list[tuple[_LatchPlan, bx.BoolExpr]] = []
-    for latch in model.latches:
-        flip = latch.init == 1
-        plan = _LatchPlan(latch.name, flip,
-                          doc.add_latch(latch.name + (".__neg" if flip else "")))
-        signals[latch.name] = plan.signal_lit
-        latch_plans.append((plan, latch.next))
+    n_sys = len(sys_monitors)
+    n_fair = sum(m.fair_nontrivial for m in sys_monitors)
+    counter = [doc.add_latch(f"counting_justice.__bit{i}")
+               for i in range(max(n_fair - 1, 0).bit_length())]
 
     monitor_plans: list[_MonitorPlan] = []
     for role, monitors in (("sys", sys_monitors), ("env", env_monitors)):
@@ -119,6 +124,14 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
                                   doc.add_latch(name + (".__neg" if flip else "")))
                 mp.latches.append(plan)
             monitor_plans.append(mp)
+
+    latch_plans: list[tuple[_LatchPlan, bx.BoolExpr]] = []
+    for latch in model.latches:
+        flip = latch.init == 1
+        plan = _LatchPlan(latch.name, flip,
+                          doc.add_latch(latch.name + (".__neg" if flip else "")))
+        signals[latch.name] = plan.signal_lit
+        latch_plans.append((plan, latch.next))
 
     memo: dict[bx.BoolExpr, int] = {}
     for name, expr in model.defines:
@@ -146,7 +159,6 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
                         next_lit = aig.or_(next_lit, step)
             doc.set_latch_next(plan.lit, next_lit ^ 1 if plan.flip else next_lit)
 
-    n_sys = len(sys_monitors)
     for mp in monitor_plans[:n_sys]:
         bad_lit = mp.states_pred(aig, mp.monitor.bad_states)
         doc.bad.append((bad_lit, f"{mp.name}_bad"))
@@ -160,21 +172,22 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
     if len(fair_lits) == 1:
         doc.justice.append(([fair_lits[0]], "just"))
     elif len(fair_lits) > 1:
-        just = _round_robin(doc, fair_lits)
+        just = _round_robin(doc, counter, fair_lits)
         doc.justice.append(([just], "just"))
 
     doc.validate()
     return doc
 
 
-def _round_robin(doc: AigerDoc, fair_lits: list[int]) -> int:
-    """Counter awaiting each fair signal in turn; emits just on wraparound."""
+def _round_robin(doc: AigerDoc, bits: list[int], fair_lits: list[int]) -> int:
+    """Counter awaiting each fair signal in turn; emits just on wraparound.
+
+    ``bits`` are the counter's latches, allocated by the caller ahead of
+    the latches the fair signals read.
+    """
     aig = doc.aig
     n = len(fair_lits)
-    width = (n - 1).bit_length()
-    bits: list[int] = []
-    for i in range(width):
-        bits.append(doc.add_latch(f"counting_justice.__bit{i}"))
+    width = len(bits)
 
     def value_eq(v: int) -> int:
         return aig.and_many(bits[i] if (v >> i) & 1 else bits[i] ^ 1

@@ -61,13 +61,15 @@ def justice_depends_on_inputs(doc: AigerDoc) -> bool:
 def delay_justice(doc: AigerDoc) -> AigerDoc:
     """Route the justice literal through a fresh latch so it is state-based.
 
-    Recurring infinitely often is insensitive to a one-step delay.
+    Recurring infinitely often is insensitive to a one-step delay.  The
+    delay latch observes the others, so it is listed first.
     """
     jlit = doc.justice_literal()
     if jlit is None:
         raise GameError("document has no justice literal to delay")
-    new = doc.copy(justice=[])
+    new = doc.copy(latches=[], justice=[])
     lit = new.add_latch(DELAY_LATCH_NAME, next_lit=jlit)
+    new.latches += doc.latches
     new.justice.append(([lit], doc.justice[0][1]))
     new.validate()
     return new
@@ -83,7 +85,7 @@ class Encoding:
 
     Levels are allocated input-first: uncontrollable inputs, then
     controllable inputs, then latches, each group in document order.
-    See the module docstring for why.
+    See the module docstring and ``encode`` for why.
     """
 
     mgr: BddManager
@@ -99,6 +101,15 @@ class Encoding:
 
 def encode(doc: AigerDoc) -> Encoding:
     """Build the manager, the levels and every one-step function of doc.
+
+    Latch levels follow document order, so the document fixes the latch
+    order.  Producers list observers first: ``compile_model`` puts the
+    monitor latches above the model's, and every rewrite in
+    ``transforms`` and ``delay_justice`` puts its added latches above
+    the copied ones.  An observer has few modes; on top it splits each
+    diagram into a few branches sharing the observed design's
+    sub-diagrams, where below them it would leave its own copy of its
+    function at the end of every path through the design.
 
     Old-format documents read the disjunction of their outputs as bad,
     with no constraints and no justice.  A document without a justice

@@ -7,6 +7,14 @@ length k, enforced by a saturating counter of steps since the literal
 last held.  ``reverse_justice`` rewrites a synthesized model so that a
 standard existential fair-trace search witnesses the reversed-polarity
 justice violations.
+
+Every latch a rewrite adds observes the copied ones (the window counter,
+``env_broken``, the ``aux`` watcher), so it is listed ahead of them and
+the copied latches keep their relative order.  ``game.encode`` gives
+latches their decision-diagram levels in document order, and an
+observer with few modes placed on top splits each diagram into a few
+branches that share the copied design's sub-diagrams; see
+``circuit.py``.
 """
 
 from __future__ import annotations
@@ -26,7 +34,10 @@ def _single_justice_literal(doc: AigerDoc) -> int:
 
 
 def _old_format_copy(doc: AigerDoc) -> AigerDoc:
-    return doc.copy(outputs=[], bad=[], constraints=[], justice=[], fmt="old")
+    """Copy without property sections or latches; the caller adds its
+    observer latches, then ``doc.latches`` after them."""
+    return doc.copy(latches=[], outputs=[], bad=[], constraints=[],
+                    justice=[], fmt="old")
 
 
 def _fresh_name(doc: AigerDoc, base: str) -> str:
@@ -53,6 +64,7 @@ def fold_constraints_into_bad(doc: AigerDoc) -> AigerDoc:
     inv_now = aig.and_many(lit for lit, _ in doc.constraints)
     bad_now = aig.or_many(lit for lit, _ in doc.bad)
     env_ok = _env_ok_latch(new, inv_now)
+    new.latches += doc.latches
     out = aig.and_many([env_ok, inv_now, bad_now])
     new.outputs.append((out, "bad"))
     new.validate()
@@ -109,6 +121,7 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
     inv_now = aig.and_many(lit for lit, _ in doc.constraints)
     bad_now = aig.or_many(lit for lit, _ in doc.bad)
     env_ok = _env_ok_latch(new, inv_now)
+    new.latches += doc.latches
     over_window = at_top
     out = aig.and_many([env_ok, inv_now, aig.or_(bad_now, over_window)])
     new.outputs.append((out, "bad"))
@@ -129,11 +142,12 @@ def reverse_justice(doc: AigerDoc) -> AigerDoc:
     """
     just = _single_justice_literal(doc)
 
-    new = doc.copy(justice=[], fmt="new")
+    new = doc.copy(latches=[], justice=[], fmt="new")
     aig = new.aig
-    aux = new.add_input(_fresh_name(new, "aux"))
-    armed = new.add_latch(_fresh_name(new, "aux_seen"))
-    dead = new.add_latch(_fresh_name(new, "just_seen_after_aux"))
+    aux = new.add_input(_fresh_name(doc, "aux"))
+    armed = new.add_latch(_fresh_name(doc, "aux_seen"))
+    dead = new.add_latch(_fresh_name(doc, "just_seen_after_aux"))
+    new.latches += doc.latches
     new.set_latch_next(armed, aig.or_(armed, aux))
     new.set_latch_next(dead, aig.or_(dead, aig.and_(armed, just)))
     checking = aig.and_(armed, dead ^ 1)

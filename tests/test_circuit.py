@@ -7,6 +7,7 @@ import pytest
 from aigsynt.aiger import CONTROLLABLE_PREFIX, evaluate_vars, values_lit
 from aigsynt.automata import parse_gff, to_monitor, validate_for_role
 from aigsynt.circuit import CircuitError, compile_model
+from aigsynt.game import encode
 from aigsynt.smv import flatten, parse_smv, resolve
 
 from helpers import FlatSim, simulate_doc_steps, typed_value_to_bits
@@ -177,9 +178,8 @@ def test_monitor_state_tracks_automaton_in_circuit():
     assert fair_seq == [False] + word[:-1]
 
 
-def test_two_liveness_guarantees_round_robin():
-    """With two recurrence guarantees the shared justice literal rises
-    exactly when both fair signals have been seen since it last rose."""
+def two_liveness_doc():
+    """Model latch x under two recurrence guarantees, GF a and GF b."""
     model = flat("""
     MODULE main
     VAR a: boolean; b: boolean; x: boolean;
@@ -191,7 +191,13 @@ def test_two_liveness_guarantees_round_robin():
     gf_b = gf_a.replace(">a<", ">b<").replace(">~a<", ">~b<") \
         .replace("<label>a</label>", "<label>b</label>") \
         .replace("<label>~a</label>", "<label>~b</label>")
-    doc = compile_model(model, [monitor(gf_a), monitor(gf_b)], [])
+    return compile_model(model, [monitor(gf_a), monitor(gf_b)], [])
+
+
+def test_two_liveness_guarantees_round_robin():
+    """With two recurrence guarantees the shared justice literal rises
+    exactly when both fair signals have been seen since it last rose."""
+    doc = two_liveness_doc()
     assert len(doc.justice) == 1
     counter_latches = [n for _, _, n in doc.latches
                        if n.startswith("counting_justice")]
@@ -209,6 +215,17 @@ def test_two_liveness_guarantees_round_robin():
     #   counter: 0 0 1 0 1 1 0 1
     #   just:    0 0 1 0 0 1 0 1
     assert got == [False, False, True, False, False, True, False, True]
+
+
+def test_observer_latches_listed_first():
+    """The round-robin counter and the monitor states come before the
+    model's latches, so the shared encoding puts them on top."""
+    doc = two_liveness_doc()
+    assert doc.latch_names() == ["counting_justice.__bit0",
+                                 "sys_prop0.state.__bit0",
+                                 "sys_prop1.state.__bit0", "x"]
+    levels = encode(doc).latch_levels
+    assert levels[:3] == sorted(levels)[:3]
 
 
 def test_doc_is_deterministic():

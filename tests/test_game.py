@@ -6,15 +6,17 @@ from itertools import product
 import pytest
 
 from aigsynt.aiger import (
-    AigError, AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, values_lit,
-    write_aiger,
+    AigError, AigerDoc, CONTROLLABLE_PREFIX, Simulator, evaluate_vars,
+    values_lit, write_aiger,
 )
 from aigsynt.game import (
     GameError, build_game, cpre, delay_justice, encode, extract_strategy,
     is_realizable, justice_depends_on_inputs, mu_levels, solve,
     strategy_to_circuit, synthesize,
 )
-from aigsynt.mc import check_justice_universal, check_safety, solve_explicit
+from aigsynt.mc import (
+    check_justice_universal, check_safety, find_fair_trace, solve_explicit,
+)
 from aigsynt.transforms import justice_to_safety
 
 from helpers import random_game_doc
@@ -105,6 +107,13 @@ def test_justice_on_input_gets_delay_latch():
     game = build_game(doc)
     assert len(game.doc.latches) == len(doc.latches) + 1
     assert not justice_depends_on_inputs(game.doc)
+
+
+def test_delay_latch_listed_first():
+    doc = doc_with(justice=lambda aig, u, c, l: u[0], n_latches=2)
+    delayed = delay_justice(doc)
+    assert delayed.latch_names() == ["__just_delay", "l0", "l1"]
+    assert delayed.latches[1:] == doc.latches
 
 
 def test_latch_justice_untouched():
@@ -359,3 +368,45 @@ def test_old_format_game_uses_outputs():
     assert model.fmt == "old"
     assert [n for _, n in model.outputs] == ["bad"]  # no extra outputs
     assert check_safety(model).holds
+
+
+def _steps_by_name(trace):
+    """A trace's steps with latch bits keyed by name, and its loop start."""
+    if trace is None:
+        return None
+    return ([(inputs, dict(zip(trace.latch_names, latches)))
+             for inputs, latches in trace.steps], trace.loop_start)
+
+
+def test_latch_order_changes_size_not_behaviour():
+    """Rotating the latch list moves decision-diagram levels only: the
+    verdicts, the counterexamples and the synthesized outputs stay."""
+    checks = (lambda d: check_safety(d).trace,
+              lambda d: check_justice_universal(d).trace,
+              lambda d: find_fair_trace(d).trace)
+    realizable = traces = 0
+    for seed in range(30):
+        rng = random.Random(seed)
+        doc = random_game_doc(seed + 300, n_latches=3 + seed % 3)
+        k = 1 + seed % (len(doc.latches) - 1)
+        rotated = doc.copy(latches=doc.latches[k:] + doc.latches[:k])
+        for check in checks:
+            trace = _steps_by_name(check(doc))
+            assert trace == _steps_by_name(check(rotated)), seed
+            traces += trace is not None
+        ok, model, _ = synthesize(doc)
+        ok_rotated, model_rotated, _ = synthesize(rotated)
+        assert ok == ok_rotated, seed
+        if not ok:
+            continue
+        realizable += 1
+        assert model.outputs and \
+            [n for _, n in model.outputs] == [n for _, n in model_rotated.outputs]
+        sims = Simulator(model), Simulator(model_rotated)
+        for _ in range(12):
+            inputs = [rng.random() < 0.5 for _ in model.inputs]
+            values, values_rotated = (sim.step(inputs) for sim in sims)
+            assert [values_lit(values, lit) for lit, _ in model.outputs] == \
+                [values_lit(values_rotated, lit)
+                 for lit, _ in model_rotated.outputs], seed
+    assert realizable >= 5 and traces >= 10

@@ -172,6 +172,22 @@ def test_fold_constraints_into_bad():
     assert not values_lit(values, bad_lit)
 
 
+def test_added_latches_listed_first():
+    """Window counter and env_broken come first; the copied latches
+    follow unchanged, in their order."""
+    doc = random_game_doc(7, n_latches=3)
+    copied = [n for _, _, n in doc.latches]
+    window = justice_to_safety(doc, 2)
+    assert [n for _, _, n in window.latches] == \
+        ["justice_wait.__bit0", "justice_wait.__bit1", "env_broken"] + copied
+    assert window.latches[3:] == doc.latches
+
+    doc = random_game_doc(7, n_latches=3, with_justice=False)
+    folded = fold_constraints_into_bad(doc)
+    assert [n for _, _, n in folded.latches] == ["env_broken"] + copied
+    assert folded.latches[1:] == doc.latches
+
+
 # reverse_justice --------------------------------------------------------------
 
 
@@ -194,7 +210,8 @@ def test_adds_aux_input_and_two_latches():
     out = reverse_justice(doc)
     assert [n for _, n in out.inputs] == ["u0", "aux"]
     names = [n for _, _, n in out.latches]
-    assert names == ["l0", "l1", "aux_seen", "just_seen_after_aux"]
+    assert names == ["aux_seen", "just_seen_after_aux", "l0", "l1"]
+    assert out.latches[2:] == doc.latches
     assert len(out.justice) == 1
 
 
