@@ -25,8 +25,9 @@ class AigError(Exception):
     pass
 
 
-def negate(lit: int) -> int:
-    return lit ^ 1
+def is_controllable(name: str | None) -> bool:
+    """The SYNTCOMP input partition: controllable iff the name has the prefix."""
+    return name is not None and name.startswith(CONTROLLABLE_PREFIX)
 
 
 def lit_var(lit: int) -> int:
@@ -107,20 +108,11 @@ class Aig:
         self._hash[key] = lit
         return lit
 
-    def not_(self, a: int) -> int:
-        return a ^ 1
-
     def or_(self, a: int, b: int) -> int:
         return self.and_(a ^ 1, b ^ 1) ^ 1
 
     def xor_(self, a: int, b: int) -> int:
         return self.or_(self.and_(a, b ^ 1), self.and_(a ^ 1, b))
-
-    def iff_(self, a: int, b: int) -> int:
-        return self.xor_(a, b) ^ 1
-
-    def implies_(self, a: int, b: int) -> int:
-        return self.or_(a ^ 1, b)
 
     def ite_(self, c: int, t: int, e: int) -> int:
         return self.or_(self.and_(c, t), self.and_(c ^ 1, e))
@@ -136,6 +128,11 @@ class Aig:
         for lit in lits:
             out = self.or_(out, lit)
         return out
+
+    def eq_const(self, bits: list[int], value: int) -> int:
+        """True iff the bit-vector ``bits`` (least significant first) reads value."""
+        return self.and_many(bit if (value >> i) & 1 else bit ^ 1
+                             for i, bit in enumerate(bits))
 
     def copy(self) -> "Aig":
         other = Aig.__new__(Aig)
@@ -202,12 +199,10 @@ class AigerDoc:
         return [n or f"l{i}" for i, (_, _, n) in enumerate(self.latches)]
 
     def controllable_inputs(self) -> list[tuple[int, str | None]]:
-        return [(lit, n) for lit, n in self.inputs
-                if n is not None and n.startswith(CONTROLLABLE_PREFIX)]
+        return [(lit, n) for lit, n in self.inputs if is_controllable(n)]
 
     def uncontrollable_inputs(self) -> list[tuple[int, str | None]]:
-        return [(lit, n) for lit, n in self.inputs
-                if n is None or not n.startswith(CONTROLLABLE_PREFIX)]
+        return [(lit, n) for lit, n in self.inputs if not is_controllable(n)]
 
     def justice_literal(self) -> int | None:
         """The single justice literal, or None when no justice section.
@@ -227,11 +222,12 @@ class AigerDoc:
         if self.fmt == "old" and (self.bad or self.constraints or self.justice):
             raise AigError("old format cannot carry bad/constraint/justice sections")
         defined = {0}
-        for lit, _ in self.inputs:
-            defined.add(lit_var(lit))
-        for lit, _, _ in self.latches:
-            defined.add(lit_var(lit))
-        for var, _, _ in self.aig.nodes():
+        defining = [lit_var(lit) for lit, _ in self.inputs]
+        defining += [lit_var(lit) for lit, _, _ in self.latches]
+        defining += [var for var, _, _ in self.aig.nodes()]
+        for var in defining:
+            if var in defined:
+                raise AigError(f"variable {var} is defined more than once")
             defined.add(var)
 
         def check(lit: int, what: str) -> None:
@@ -382,8 +378,6 @@ def read_aiger(text: str) -> AigerDoc:
         group = [parse_lit(next_line("justice literals").strip(), f"justice {i}")
                  for _ in range(size)]
         doc.justice.append((group, None))
-    seen_vars = {lit_var(lit) for lit, _ in doc.inputs}
-    seen_vars |= {lit_var(lit) for lit, _, _ in doc.latches}
     for i in range(na):
         parts = next_line("AND nodes").split()
         if len(parts) != 3:
@@ -391,17 +385,12 @@ def read_aiger(text: str) -> AigerDoc:
         lhs = parse_lit(parts[0], f"AND {i}")
         if is_negated(lhs) or lhs == 0:
             raise AigError(f"AND {i}: lhs {lhs} must be a positive even literal")
-        var = lit_var(lhs)
-        if var in seen_vars:
-            raise AigError(f"AND {i}: variable {var} already defined")
         rhs0 = parse_lit(parts[1], f"AND {i}")
         rhs1 = parse_lit(parts[2], f"AND {i}")
-        doc.aig.add_and_raw(var, rhs0, rhs1)
-        seen_vars.add(var)
+        doc.aig.add_and_raw(lit_var(lhs), rhs0, rhs1)
 
-    section_counts = {"i": len(doc.inputs), "l": len(doc.latches),
-                      "o": len(doc.outputs), "b": len(doc.bad),
-                      "c": len(doc.constraints), "j": len(doc.justice)}
+    sections = {"i": doc.inputs, "l": doc.latches, "o": doc.outputs,
+                "b": doc.bad, "c": doc.constraints, "j": doc.justice}
     while pos < len(raw_lines):
         line = raw_lines[pos]
         if line == "c":
@@ -410,7 +399,7 @@ def read_aiger(text: str) -> AigerDoc:
             pos = len(raw_lines)
             break
         kind = line[:1]
-        if kind not in section_counts:
+        if kind not in sections:
             raise AigError(f"unexpected line in symbol table: {line!r}")
         body = line[1:]
         sep = body.find(" ")
@@ -421,26 +410,10 @@ def read_aiger(text: str) -> AigerDoc:
         except ValueError:
             raise AigError(f"malformed symbol entry: {line!r}") from None
         name = body[sep + 1:]
-        if idx < 0 or idx >= section_counts[kind]:
+        entries = sections[kind]
+        if idx < 0 or idx >= len(entries):
             raise AigError(f"symbol entry {line!r} out of range")
-        if kind == "i":
-            lit, _ = doc.inputs[idx]
-            doc.inputs[idx] = (lit, name)
-        elif kind == "l":
-            lit, nxt, _ = doc.latches[idx]
-            doc.latches[idx] = (lit, nxt, name)
-        elif kind == "o":
-            lit, _ = doc.outputs[idx]
-            doc.outputs[idx] = (lit, name)
-        elif kind == "b":
-            lit, _ = doc.bad[idx]
-            doc.bad[idx] = (lit, name)
-        elif kind == "c":
-            lit, _ = doc.constraints[idx]
-            doc.constraints[idx] = (lit, name)
-        elif kind == "j":
-            group, _ = doc.justice[idx]
-            doc.justice[idx] = (group, name)
+        entries[idx] = (*entries[idx][:-1], name)
         pos += 1
 
     doc.validate()

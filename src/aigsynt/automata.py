@@ -459,12 +459,6 @@ class Monitor:
                 f"monitor state {state} has {len(enabled)} enabled moves")
         return enabled[0]
 
-    def is_bad(self, state: int) -> bool:
-        return state in self.bad_states
-
-    def is_fair(self, state: int) -> bool:
-        return state in self.fair_states
-
     @property
     def fair_nontrivial(self) -> bool:
         """True when some live (non-bad) state is not accepting."""

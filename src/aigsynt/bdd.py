@@ -257,13 +257,6 @@ class BddRef:
         return BddRef(self.mgr,
                       self.mgr._ite(self.node, self._lift(g), self._lift(h)))
 
-    def implies(self, other: "BddRef") -> "BddRef":
-        return BddRef(self.mgr, self.mgr._ite(self.node, self._lift(other), 1))
-
-    def iff(self, other: "BddRef") -> "BddRef":
-        g = self._lift(other)
-        return BddRef(self.mgr, self.mgr._ite(self.node, g, self.mgr._neg(g)))
-
     # quantification -------------------------------------------------------
 
     def exists(self, levels: Iterable[int]) -> "BddRef":

@@ -84,15 +84,13 @@ class _MonitorPlan:
         self.name = name
         self.latches: list[_LatchPlan] = []
 
-    def state_eq(self, aig, index: int) -> int:
-        lits = []
-        for i, plan in enumerate(self.latches):
-            bit = plan.signal_lit
-            lits.append(bit if (index >> i) & 1 else bit ^ 1)
-        return aig.and_many(lits)
+    @property
+    def state_lits(self) -> list[int]:
+        return [plan.signal_lit for plan in self.latches]
 
     def states_pred(self, aig, states) -> int:
-        return aig.or_many(self.state_eq(aig, s) for s in sorted(states))
+        bits = self.state_lits
+        return aig.or_many(aig.eq_const(bits, s) for s in sorted(states))
 
 
 def compile_model(model: FlatModel, sys_monitors: list[Monitor],
@@ -149,10 +147,11 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
                 raise CircuitError(
                     f"automaton proposition {p!r} is not a signal of the model")
             prop_lits[p] = signals[p]
+        state_lits = mp.state_lits
         for i, plan in enumerate(mp.latches):
             next_lit = FALSE_LIT
             for src in range(monitor.n_states):
-                src_eq = mp.state_eq(aig, src)
+                src_eq = aig.eq_const(state_lits, src)
                 for label, dst in monitor.table[src]:
                     if (dst >> i) & 1:
                         step = aig.and_(src_eq, _label_lit(aig, label, prop_lits))
@@ -187,18 +186,12 @@ def _round_robin(doc: AigerDoc, bits: list[int], fair_lits: list[int]) -> int:
     """
     aig = doc.aig
     n = len(fair_lits)
-    width = len(bits)
-
-    def value_eq(v: int) -> int:
-        return aig.and_many(bits[i] if (v >> i) & 1 else bits[i] ^ 1
-                            for i in range(width))
-
-    for i in range(width):
+    for i in range(len(bits)):
         next_i = FALSE_LIT
         for v in range(n):
             stay_bit = (v >> i) & 1
             advance_bit = (((v + 1) % n) >> i) & 1
             bit_next = aig.ite_(fair_lits[v], advance_bit, stay_bit)
-            next_i = aig.or_(next_i, aig.and_(value_eq(v), bit_next))
+            next_i = aig.or_(next_i, aig.and_(aig.eq_const(bits, v), bit_next))
         doc.set_latch_next(bits[i], next_i)
-    return aig.and_(value_eq(n - 1), fair_lits[n - 1])
+    return aig.and_(aig.eq_const(bits, n - 1), fair_lits[n - 1])

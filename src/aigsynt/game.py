@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .aiger import AigerDoc, CONTROLLABLE_PREFIX, lit_var
+from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var
 from .bdd import AigCone, BddManager, BddRef
 
 
@@ -75,10 +75,6 @@ def delay_justice(doc: AigerDoc) -> AigerDoc:
     return new
 
 
-def _is_controllable(name: str | None) -> bool:
-    return name is not None and name.startswith(CONTROLLABLE_PREFIX)
-
-
 @dataclass
 class Encoding:
     """One document's symbolic transition system on its own manager.
@@ -117,7 +113,7 @@ def encode(doc: AigerDoc) -> Encoding:
     """
     mgr = BddManager()
     var_map: dict[int, BddRef] = {}
-    controllable = [_is_controllable(name) for _, name in doc.inputs]
+    controllable = [is_controllable(name) for _, name in doc.inputs]
     input_names = doc.input_names()
     input_levels = [0] * len(doc.inputs)
     # a stable sort keeps document order within each group
@@ -187,37 +183,31 @@ def solve(game: Game) -> BddRef:
     """Winning region of the recurrence objective.
 
     Greatest fixpoint over Z of the least fixpoint over Y of
-    cpre((just and Z) or Y); with a trivial justice literal this
-    degenerates to the pure safety fixpoint.
+    cpre((just and Z) or Y); each pass over Z is ``mu_levels(game, z)``.
+    With a trivial justice literal this degenerates to the pure safety
+    fixpoint.
     """
     z = game.mgr.true
     while True:
-        core = game.just & z
-        y = game.mgr.false
-        while True:
-            y_next = cpre(game, core | y)
-            if y_next == y:
-                break
-            y = y_next
+        y = mu_levels(game, z)[-1]
         if y == z:
             return z
         z = y
 
 
-def mu_levels(game: Game, winning: BddRef) -> list[BddRef]:
-    """Iterates of the final least fixpoint, from empty up to the region."""
+def mu_levels(game: Game, z: BddRef) -> list[BddRef]:
+    """Iterates of the least fixpoint of cpre((just and z) or Y).
+
+    The list runs from empty up to the fixpoint.  At the winning region
+    these are the attractor layers ``move_relation`` ranks moves by.
+    """
     levels = [game.mgr.false]
-    core = game.just & winning
-    y = game.mgr.false
+    core = game.just & z
     while True:
-        y_next = cpre(game, core | y)
-        if y_next == y:
-            break
-        y = y_next
+        y = cpre(game, core | levels[-1])
+        if y == levels[-1]:
+            return levels
         levels.append(y)
-    if y != winning:
-        raise GameError("attractor iteration did not reproduce the region")
-    return levels
 
 
 def is_realizable(game: Game, winning: BddRef) -> bool:
@@ -235,9 +225,13 @@ def move_relation(game: Game, winning: BddRef) -> BddRef:
 
     From states in the i+1st attractor level difference the system
     moves into (just and W) or the ith level; discharged steps (inv
-    false now) are always allowed.
+    false now) are always allowed.  The layers are those of the last
+    pass of ``solve``, so every ``cpre`` they take hits the manager's
+    cache; ``winning`` must be the region ``solve`` returned.
     """
     levels = mu_levels(game, winning)
+    if levels[-1] != winning:
+        raise GameError("attractor iteration did not reproduce the region")
     core = game.just & winning
     rank_ok = game.mgr.false
     for i in range(len(levels) - 1):
@@ -289,7 +283,7 @@ def strategy_to_circuit(doc: AigerDoc, game: Game, strategy: Strategy) -> AigerD
 
     c_by_name = {}
     for (lit, name), lvl in zip(doc.inputs, game.input_levels):
-        if _is_controllable(name):
+        if is_controllable(name):
             c_by_name[name] = lit
             continue
         new_lit = new.add_input(name)

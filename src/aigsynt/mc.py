@@ -36,9 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .aiger import (
-    AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, lit_var, values_lit,
-)
+from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
 from .bdd import BddRef
 from .game import encode
 
@@ -285,10 +283,8 @@ class _ExplicitCircuit:
         self.doc = doc
         self.latch_bit = {lit_var(lit): i
                           for i, (lit, _, _) in enumerate(doc.latches)}
-        u_inputs = [lit for lit, n in doc.inputs
-                    if n is None or not n.startswith(CONTROLLABLE_PREFIX)]
-        c_inputs = [lit for lit, n in doc.inputs
-                    if n is not None and n.startswith(CONTROLLABLE_PREFIX)]
+        u_inputs = [lit for lit, _ in doc.uncontrollable_inputs()]
+        c_inputs = [lit for lit, _ in doc.controllable_inputs()]
         self.nu = len(u_inputs)
         self.nc = len(c_inputs)
         # combo index = u_value * 2^nc + c_value

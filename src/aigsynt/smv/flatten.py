@@ -45,15 +45,6 @@ class FlatModel:
     latches: tuple[FlatLatch, ...]
     defines: tuple[tuple[str, BoolExpr], ...]
 
-    def define_map(self) -> dict[str, BoolExpr]:
-        return dict(self.defines)
-
-    def signal_names(self) -> set[str]:
-        names = set(self.inputs_u) | set(self.inputs_c)
-        names |= {l.name for l in self.latches}
-        names |= {n for n, _ in self.defines}
-        return names
-
     def validate(self) -> None:
         if set(self.inputs_u) & set(self.inputs_c):
             raise SmvFlattenError("controllable and uncontrollable inputs overlap")

@@ -4,9 +4,12 @@
 justice sections) into an old-format single-output safety game: the
 recurrence obligation on the justice literal is replaced by a window of
 length k, enforced by a saturating counter of steps since the literal
-last held.  ``reverse_justice`` rewrites a synthesized model so that a
-standard existential fair-trace search witnesses the reversed-polarity
-justice violations.
+last held.  ``fold_constraints_into_bad`` is the same rewrite for a
+document without justice.  Both end in one output builder,
+``_with_bad_output``, which relativizes bad to the constraints.
+``reverse_justice`` rewrites a synthesized model so that a standard
+existential fair-trace search witnesses the reversed-polarity justice
+violations.
 
 Every latch a rewrite adds observes the copied ones (the window counter,
 ``env_broken``, the ``aux`` watcher), so it is listed ahead of them and
@@ -19,7 +22,7 @@ branches that share the copied design's sub-diagrams; see
 
 from __future__ import annotations
 
-from .aiger import AigerDoc, TRUE_LIT
+from .aiger import AigerDoc, FALSE_LIT, TRUE_LIT
 
 
 class TransformError(Exception):
@@ -59,27 +62,28 @@ def fold_constraints_into_bad(doc: AigerDoc) -> AigerDoc:
     """
     if doc.justice:
         raise TransformError("document still has a justice section")
-    new = _old_format_copy(doc)
+    return _with_bad_output(_old_format_copy(doc), doc, FALSE_LIT)
+
+
+def _with_bad_output(new: AigerDoc, doc: AigerDoc, extra_bad: int) -> AigerDoc:
+    """Finish an old-format rewrite of doc with its single output.
+
+    The output raises when a bad literal of doc or ``extra_bad`` holds
+    while the constraints have held at every step up to and including
+    this one.  The ``env_broken`` latch records that they failed at an
+    earlier step; AIGER latches start at 0, so it stores the negation.
+    It follows the rewrite's own latches and precedes doc's.
+    """
     aig = new.aig
     inv_now = aig.and_many(lit for lit, _ in doc.constraints)
     bad_now = aig.or_many(lit for lit, _ in doc.bad)
-    env_ok = _env_ok_latch(new, inv_now)
+    broken = new.add_latch("env_broken")
+    new.set_latch_next(broken, aig.or_(broken, inv_now ^ 1))
     new.latches += doc.latches
-    out = aig.and_many([env_ok, inv_now, bad_now])
+    out = aig.and_many([broken ^ 1, inv_now, aig.or_(bad_now, extra_bad)])
     new.outputs.append((out, "bad"))
     new.validate()
     return new
-
-
-def _env_ok_latch(doc: AigerDoc, inv_now: int) -> int:
-    """Latch tracking that the constraints held at every earlier step.
-
-    AIGER latches start at 0, so the stored bit is the negation
-    ("constraints already broken").
-    """
-    broken = doc.add_latch("env_broken")
-    doc.set_latch_next(broken, doc.aig.or_(broken, inv_now ^ 1))
-    return broken ^ 1
 
 
 def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
@@ -103,11 +107,7 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
     width = (k + 1).bit_length()  # ceil(log2(k + 2)) bits for values 0 .. k+1
     bits = [new.add_latch(f"justice_wait.__bit{i}") for i in range(width)]
 
-    def counter_eq(value: int) -> int:
-        return aig.and_many(bits[i] if (value >> i) & 1 else bits[i] ^ 1
-                            for i in range(width))
-
-    at_top = counter_eq(k + 1)
+    at_top = aig.eq_const(bits, k + 1)
     # incremented value, ripple carry
     inc_bits = []
     carry = TRUE_LIT
@@ -117,16 +117,7 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
     for i in range(width):
         held = aig.ite_(at_top, bits[i], inc_bits[i])
         new.set_latch_next(bits[i], aig.and_(just ^ 1, held))
-
-    inv_now = aig.and_many(lit for lit, _ in doc.constraints)
-    bad_now = aig.or_many(lit for lit, _ in doc.bad)
-    env_ok = _env_ok_latch(new, inv_now)
-    new.latches += doc.latches
-    over_window = at_top
-    out = aig.and_many([env_ok, inv_now, aig.or_(bad_now, over_window)])
-    new.outputs.append((out, "bad"))
-    new.validate()
-    return new
+    return _with_bad_output(new, doc, at_top)
 
 
 def reverse_justice(doc: AigerDoc) -> AigerDoc:

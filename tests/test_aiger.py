@@ -36,9 +36,8 @@ def test_derived_ops_truth_tables():
     exprs = {
         "or": (aig.or_(a, b), lambda va, vb, vc: va or vb),
         "xor": (aig.xor_(a, b), lambda va, vb, vc: va != vb),
-        "iff": (aig.iff_(a, b), lambda va, vb, vc: va == vb),
-        "implies": (aig.implies_(a, b), lambda va, vb, vc: (not va) or vb),
         "ite": (aig.ite_(a, b, c), lambda va, vb, vc: vb if va else vc),
+        "eq_const": (aig.eq_const([a, b], 2), lambda va, vb, vc: not va and vb),
     }
     from itertools import product
     from aigsynt.aiger import evaluate_vars, values_lit
@@ -114,6 +113,18 @@ def test_literal_out_of_range_rejected():
 def test_duplicate_and_definition_rejected():
     text = "aag 3 1 0 0 2\n2\n4 2 2\n4 2 2\n"
     with pytest.raises(AigError):
+        read_aiger(text)
+
+
+TWICE_DEFINED = {
+    "input_and_latch": "aag 2 1 1 0 0 1 0 0 0\n2\n2 3\n2\n",
+    "two_inputs": "aag 2 2 0 0 0\n2\n2\n",
+}
+
+
+@pytest.mark.parametrize("text", TWICE_DEFINED.values(), ids=TWICE_DEFINED)
+def test_variable_defined_twice_rejected(text):
+    with pytest.raises(AigError, match="defined more than once"):
         read_aiger(text)
 
 

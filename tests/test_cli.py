@@ -7,6 +7,7 @@ import pytest
 from aigsynt.aiger import AigerDoc, read_aiger, write_aiger
 from aigsynt.cli import main
 
+from test_aiger import TWICE_DEFINED
 from test_game import doc_with
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "huffman4"
@@ -120,6 +121,15 @@ def test_usage_error_exits_two(tmp_path, capsys):
 def test_missing_file_exits_two(tmp_path, capsys):
     assert main(["synth", str(tmp_path / "nope.aag")]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", TWICE_DEFINED.values(), ids=TWICE_DEFINED)
+@pytest.mark.parametrize("command", ["synth", "mc", "mc --existential"])
+def test_variable_defined_twice_is_an_input_error(tmp_path, capsys, text, command):
+    path = tmp_path / "twice.aag"
+    path.write_text(text)
+    assert main(command.split() + [str(path)]) == 2
+    assert "defined more than once" in capsys.readouterr().err
 
 
 def test_resource_exhaustion_is_never_a_verdict(tmp_path, capsys):

@@ -11,8 +11,8 @@ from aigsynt.aiger import (
 )
 from aigsynt.game import (
     GameError, build_game, cpre, delay_justice, encode, extract_strategy,
-    is_realizable, justice_depends_on_inputs, mu_levels, solve,
-    strategy_to_circuit, synthesize,
+    is_realizable, justice_depends_on_inputs, move_relation, mu_levels,
+    solve, strategy_to_circuit, synthesize,
 )
 from aigsynt.mc import (
     check_justice_universal, check_safety, find_fair_trace, solve_explicit,
@@ -209,6 +209,13 @@ def test_mu_levels_reproduce_region():
     levels = mu_levels(game, w)
     assert levels[0].is_false
     assert levels[-1] == w
+
+
+def test_move_relation_rejects_a_region_that_is_not_the_fixpoint():
+    game = build_game(doc_with(bad=lambda aig, u, c, l: 1))
+    assert not solve(game).is_true
+    with pytest.raises(GameError, match="did not reproduce"):
+        move_relation(game, game.mgr.true)
 
 
 def test_strategy_forced_to_copy_input():
