@@ -10,6 +10,11 @@ synthesized model, and the fair-trace search on its reversed form (the
 prints the time and this process's peak resident set size so far.  This
 is a stress target: gate counts, runtimes and memory are reported, never
 asserted.
+
+With ``--synth`` the exit status follows the CLI's contract: 1 when the
+game is unrealizable, the model check reports a violation, or the
+reversed model has a fair trace; 0 when every verdict is the expected
+one.
 """
 
 import argparse
@@ -86,7 +91,7 @@ def main() -> int:
     print(f"reversed model (synt2hwmcc + mc --existential) in "
           f"{time.monotonic() - t0:.1f}s, {peak_rss()}: "
           f"{'FAIR TRACE FOUND' if fair.found else 'NO FAIR TRACE'}")
-    return 0
+    return 0 if safety.holds and justice.holds and not fair.found else 1
 
 
 if __name__ == "__main__":

@@ -6,6 +6,17 @@ unbounded operation cache, so runs are deterministic and a node id
 identifies a boolean function for the manager's lifetime.  Terminals
 are node 0 (false) and node 1 (true).
 
+All operations share one cache, ``_cache``, so the keys of different
+operations must never be equal; each operation has its own key shape.
+``_ite`` keys on the triple of node ids ``(f, g, h)``, ``_neg`` on the
+bare node id, ``_compose`` on the pair ``(f, sub_id)``, where
+``sub_id`` is a small per-manager id interned once per
+``BddRef.compose`` call, and ``_quantify`` on ``(f, exists, levels)``
+with a frozenset last.  ``_ite`` first rewrites ``ite(f, f, h)`` to
+``ite(f, 1, h)`` and ``ite(f, g, f)`` to ``ite(f, g, 0)`` (Brace, Rudell
+& Bryant, DAC 1990), so equal calls share one cache entry, and it
+resolves terminal cofactor triples without a recursive call.
+
 The toolchain allocates input-first (``game.encode``): uncontrollable
 inputs, then controllable inputs, then latches.  The quantified inputs
 then sit on top, so ``∃C ∀U`` and ``∃inputs`` strip the top of each
@@ -32,7 +43,9 @@ class BddManager:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        self._cache: dict[tuple, int] = {}
+        # one operation cache; see the module docstring for its keys
+        self._cache: dict[int | tuple, int] = {}
+        self._sub_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._var_names: list[str] = []
 
     # variables ---------------------------------------------------------
@@ -82,63 +95,96 @@ class BddManager:
         return node
 
     def _ite(self, f: int, g: int, h: int) -> int:
-        if f == 1:
-            return g
-        if f == 0:
-            return h
+        if g == f:
+            g = 1  # ite(f, f, h) = ite(f, 1, h)
+        if h == f:
+            h = 0  # ite(f, g, f) = ite(f, g, 0)
+        if f <= 1:
+            return g if f else h
         if g == h:
             return g
         if g == 1 and h == 0:
             return f
-        key = (0, f, g, h)
-        cached = self._cache.get(key)
+        key = (f, g, h)
+        cache = self._cache
+        cached = cache.get(key)
         if cached is not None:
             return cached
         levels = self._level
         los = self._lo
         his = self._hi
-        v = min(levels[f], levels[g], levels[h])
-        if levels[f] == v:
+        lf = levels[f]
+        lg = levels[g]
+        lh = levels[h]
+        v = lf if lf < lg else lg
+        if lh < v:
+            v = lh
+        if lf == v:
             f0, f1 = los[f], his[f]
         else:
             f0 = f1 = f
-        if levels[g] == v:
+        if lg == v:
             g0, g1 = los[g], his[g]
         else:
             g0 = g1 = g
-        if levels[h] == v:
+        if lh == v:
             h0, h1 = los[h], his[h]
         else:
             h0 = h1 = h
-        r = self._mk(v, self._ite(f0, g0, h0), self._ite(f1, g1, h1))
-        self._cache[key] = r
+        # terminal cofactor triples are resolved here, not by a call
+        if f0 <= 1:
+            lo = g0 if f0 else h0
+        elif g0 == h0:
+            lo = g0
+        else:
+            lo = self._ite(f0, g0, h0)
+        if f1 <= 1:
+            hi = g1 if f1 else h1
+        elif g1 == h1:
+            hi = g1
+        else:
+            hi = self._ite(f1, g1, h1)
+        if lo == hi:
+            r = lo
+        else:
+            # _mk's unique-table lookup, inlined on the hottest path
+            ukey = (v, lo, hi)
+            r = self._unique.get(ukey)
+            if r is None:
+                r = len(levels)
+                levels.append(v)
+                los.append(lo)
+                his.append(hi)
+                self._unique[ukey] = r
+        cache[key] = r
         return r
 
     def _neg(self, f: int) -> int:
         if f <= 1:
             return 1 - f
-        key = (1, f)
-        cached = self._cache.get(key)
+        cached = self._cache.get(f)
         if cached is not None:
             return cached
         r = self._mk(self._level[f], self._neg(self._lo[f]), self._neg(self._hi[f]))
-        self._cache[key] = r
+        self._cache[f] = r
         return r
 
     # quantification ------------------------------------------------------
 
-    def _quantify(self, f: int, levels: frozenset[int], exists: bool) -> int:
+    def _quantify(self, f: int, levels: frozenset[int], exists: bool,
+                  last: int) -> int:
+        """Quantify ``levels`` out of f; ``last`` is the deepest of them."""
         if f <= 1:
             return f
         v = self._level[f]
-        if v > max(levels, default=-1):
+        if v > last:
             return f
-        key = (2 if exists else 3, f, levels)
+        key = (f, exists, levels)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        lo = self._quantify(self._lo[f], levels, exists)
-        hi = self._quantify(self._hi[f], levels, exists)
+        lo = self._quantify(self._lo[f], levels, exists, last)
+        hi = self._quantify(self._hi[f], levels, exists, last)
         if v in levels:
             if exists:
                 r = self._ite(lo, 1, hi)  # lo | hi
@@ -151,16 +197,21 @@ class BddManager:
 
     # composition ---------------------------------------------------------
 
-    def _compose(self, f: int, sub: dict[int, int], sub_key: tuple) -> int:
+    def _sub_id(self, sub: dict[int, int]) -> int:
+        """A small id naming one substitution for this manager's lifetime."""
+        sub_key = tuple(sorted(sub.items()))
+        return self._sub_ids.setdefault(sub_key, len(self._sub_ids))
+
+    def _compose(self, f: int, sub: dict[int, int], sub_id: int) -> int:
         if f <= 1:
             return f
-        v = self._level[f]
-        key = (4, f, sub_key)
+        key = (f, sub_id)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        lo = self._compose(self._lo[f], sub, sub_key)
-        hi = self._compose(self._hi[f], sub, sub_key)
+        v = self._level[f]
+        lo = self._compose(self._lo[f], sub, sub_id)
+        hi = self._compose(self._hi[f], sub, sub_id)
         g = sub.get(v)
         if g is None:
             g = self._mk(v, 0, 1)
@@ -263,21 +314,23 @@ class BddRef:
         levels = frozenset(levels)
         if not levels:
             return self
-        return BddRef(self.mgr, self.mgr._quantify(self.node, levels, True))
+        return BddRef(self.mgr, self.mgr._quantify(self.node, levels, True,
+                                                   max(levels)))
 
     def forall(self, levels: Iterable[int]) -> "BddRef":
         levels = frozenset(levels)
         if not levels:
             return self
-        return BddRef(self.mgr, self.mgr._quantify(self.node, levels, False))
+        return BddRef(self.mgr, self.mgr._quantify(self.node, levels, False,
+                                                   max(levels)))
 
     def compose(self, submap: Mapping[int, "BddRef"]) -> "BddRef":
         """Simultaneous substitution of variables by functions."""
         if not submap:
             return self
         sub = {lvl: ref.node for lvl, ref in submap.items()}
-        sub_key = tuple(sorted(sub.items()))
-        return BddRef(self.mgr, self.mgr._compose(self.node, sub, sub_key))
+        return BddRef(self.mgr, self.mgr._compose(self.node, sub,
+                                                  self.mgr._sub_id(sub)))
 
     def cofactor(self, level: int, value: bool) -> "BddRef":
         target = self.mgr.true if value else self.mgr.false

@@ -17,13 +17,11 @@ The searches stop as soon as the initial state decides the verdict,
 with the same result and the same traces as the full fixpoints.  A
 backward ring search toward a stem or a violation stops at the first
 ring holding the initial state, since a trace walks down from that
-ring and reads none beyond it.  The fair-cycle search of
-``find_fair_trace`` returns "no trace" as soon as the initial state
-leaves one νZ iteration's closure along the constraints: that closure
-is the stem set of the current candidate region, and the region only
-shrinks, so no later stem can hold the initial state again.  The
-reversed reading's closure runs along quiet steps only, which bounds
-no stem, so its νZ fixpoint runs to the end.
+ring and reads none beyond it.  The fair-cycle search of both justice
+readings returns "no trace" as soon as the initial state leaves the stem
+set E[inv U recur] of one νZ iteration's candidate region ``recur``:
+the region only shrinks, so no later stem set holds the initial state
+again.
 
 ``solve_explicit`` computes the winning region of the full objective by
 literal fixpoint iteration over enumerated states; it is the reference
@@ -199,28 +197,23 @@ def _fair_lasso(sm: _SymbolicModel, loop_step: BddRef,
     the loop takes a fair_step and walks back into ``recur``.  Returns
     None when no such lasso starts in the initial state.
 
-    Stop rule: ``recur`` only shrinks from one νZ iteration to the next.
-    When loop_step is the constraint step ``sm.inv``, each iteration's
-    closure is the stem set E[inv U recur] of the current ``recur``, so
-    once the initial state leaves it, it stays outside every later
-    closure, the final stem included, and the search returns None at
-    once.  The rings of the last iteration are those of the final
-    ``recur``; they are kept as the loop's rings, and as the stem too
-    when loop_step is ``sm.inv``.
+    Stop rule: ``recur`` only shrinks from one νZ iteration to the next,
+    and so does its stem set E[inv U recur].  Each iteration takes the
+    stem rings after the loop rings and returns None once the initial
+    state is outside them.  When loop_step is ``sm.inv`` the stem rings
+    are a prefix of the loop rings, so they come from the cache.  The
+    rings of the last iteration are those of the final ``recur``.
     """
-    stem_is_loop = loop_step == sm.inv
     recur = sm.mgr.true
     while True:
         loop = _rings(sm, recur, loop_step)
-        if stem_is_loop and not sm.contains(loop[-1], sm.init_state):
+        stem = _rings(sm, recur, sm.inv, sm.init_state)
+        if not sm.contains(stem[-1], sm.init_state):
             return None
         nxt = sm.pre_exists(loop[-1], fair_step)
         if nxt == recur:
             break
         recur = nxt
-    stem = loop if stem_is_loop else _rings(sm, recur, sm.inv, sm.init_state)
-    if not sm.contains(stem[-1], sm.init_state):
-        return None
     steps: list = []
     state = _walk_to_ring0(sm, stem, sm.init_state, sm.inv, steps)
     seen: dict[tuple[bool, ...], int] = {}

@@ -3,7 +3,7 @@
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from aigsynt.aiger import AigerDoc
 from aigsynt.bdd import AigCone, BddError, BddManager
@@ -77,6 +77,17 @@ def test_ite_matches_truth_table(f):
         assert node.evaluate(list(bits)) == eval_formula(f, list(bits))
 
 
+def over_levels(value, base, levels):
+    """value(a) for every assignment a that agrees with base off levels."""
+    out = []
+    for combo in product([False, True], repeat=len(levels)):
+        a = list(base)
+        for lvl, v in zip(sorted(levels), combo):
+            a[lvl] = v
+        out.append(value(a))
+    return out
+
+
 @given(formulas(), st.sets(st.integers(0, 4), max_size=5))
 @settings(max_examples=100, deadline=None)
 def test_quantifiers_match_truth_table(f, qvars):
@@ -84,15 +95,9 @@ def test_quantifiers_match_truth_table(f, qvars):
     node = build_formula(mgr, refs, f)
     ex = node.exists(qvars)
     fa = node.forall(qvars)
-    qlist = sorted(qvars)
     for bits in product([False, True], repeat=5):
         base = list(bits)
-        values = []
-        for combo in product([False, True], repeat=len(qlist)):
-            a = list(base)
-            for lvl, v in zip(qlist, combo):
-                a[lvl] = v
-            values.append(eval_formula(f, a))
+        values = over_levels(lambda a: eval_formula(f, a), base, qvars)
         assert ex.evaluate(base) == any(values)
         assert fa.evaluate(base) == all(values)
 
@@ -109,6 +114,55 @@ def test_compose_matches_truth_table(f, g):
         a2 = list(bits)
         a2[2] = eval_formula(g, a)
         assert composed.evaluate(a) == eval_formula(f, a2)
+
+
+@st.composite
+def substitutions(draw, n_vars=5):
+    """A simultaneous substitution of 2-3 levels by random formulas."""
+    levels = draw(st.lists(st.integers(0, n_vars - 1), min_size=2,
+                           max_size=3, unique=True))
+    return {lvl: draw(formulas(max_depth=3)) for lvl in levels}
+
+
+def substituted(f, sub, assignment):
+    """The value of f with every level of sub replaced by its formula."""
+    a2 = list(assignment)
+    for lvl, g in sub.items():
+        a2[lvl] = eval_formula(g, assignment)
+    return eval_formula(f, a2)
+
+
+@given(formulas(), substitutions(), substitutions(), formulas(),
+       st.sets(st.integers(0, 4), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_vector_compose_then_apply_matches_truth_table(f, sub_a, sub_b, h,
+                                                       qvars):
+    # every operation of one manager shares one cache, so two
+    # substitutions followed by ite and both quantifiers would read a
+    # wrong entry if the keys of two operations could be equal
+    assume(sub_a != sub_b)
+    mgr, refs = fresh()
+    fn = build_formula(mgr, refs, f)
+    hn = build_formula(mgr, refs, h)
+    ca, cb = (fn.compose({lvl: build_formula(mgr, refs, g)
+                          for lvl, g in sub.items()})
+              for sub in (sub_a, sub_b))
+    mixed = ca.ite(cb, hn)
+    ex = mixed.exists(qvars)
+    fa = mixed.forall(qvars)
+
+    def mixed_value(a):
+        return (substituted(f, sub_b, a) if substituted(f, sub_a, a)
+                else eval_formula(h, a))
+
+    for bits in product([False, True], repeat=5):
+        base = list(bits)
+        assert ca.evaluate(base) == substituted(f, sub_a, base)
+        assert cb.evaluate(base) == substituted(f, sub_b, base)
+        assert mixed.evaluate(base) == mixed_value(base)
+        values = over_levels(mixed_value, base, qvars)
+        assert ex.evaluate(base) == any(values)
+        assert fa.evaluate(base) == all(values)
 
 
 # canonicity ------------------------------------------------------------------

@@ -1,6 +1,8 @@
 """End-to-end behavior of the bundled benchmark specifications."""
 
+import importlib.util
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -9,7 +11,10 @@ from aigsynt.aiger import Simulator, values_lit
 from aigsynt.automata import AutomatonError, parse_gff, validate_for_role
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
-from aigsynt.mc import check_justice_universal, check_safety, solve_explicit
+from aigsynt.mc import (
+    CheckResult, FairResult, check_justice_universal, check_safety,
+    solve_explicit,
+)
 
 ROOT = Path(__file__).resolve().parent.parent / "benchmarks"
 
@@ -71,3 +76,31 @@ def test_huffman_spec_parses_and_sizes():
     doc = build_spec_doc(ROOT / "huffman4" / "huffman4.smv")
     assert len(doc.latches) == 21
     assert len(doc.inputs) == 4
+
+
+def _load_ladder_script():
+    path = ROOT.parent / "scripts" / "stress_huffman27.py"
+    spec = importlib.util.spec_from_file_location("stress_huffman27", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("wrong, expected", [
+    (None, 0),
+    ("check_safety", 1),
+    ("check_justice_universal", 1),
+    ("find_fair_trace", 1),
+])
+def test_ladder_script_exit_status_follows_the_verdicts(
+        wrong, expected, tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    script = _load_ladder_script()
+    if wrong == "find_fair_trace":
+        monkeypatch.setattr(script, wrong, lambda doc: FairResult(found=True))
+    elif wrong is not None:
+        monkeypatch.setattr(script, wrong, lambda doc: CheckResult(holds=False))
+    monkeypatch.setattr(sys, "argv", [
+        "stress_huffman27.py", "--letters", "3", "--synth",
+        "--out-dir", str(tmp_path)])
+    assert script.main() == expected

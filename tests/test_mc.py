@@ -175,6 +175,30 @@ def test_fair_cycle_in_unreachable_states_stops_early(monkeypatch):
     assert len(fair_images) == 1
 
 
+def test_justice_check_stops_once_init_leaves_the_stem(monkeypatch):
+    # l0 stays 0 from the initial state and justice is raised whenever
+    # l0 = 0, so the only quiet cycle is the self-loop of l0 = 1, which
+    # the initial state never reaches.  The first νZ iteration shrinks the
+    # candidate region from every state to l0 = 1; the second finds the
+    # initial state outside its stem set and stops there.
+    doc = doc_with(next_of=lambda aig, u, c, l: [l[0]],
+                   justice=lambda aig, u, c, l: l[0] ^ 1)
+    images = []
+    pre_exists = _SymbolicModel.pre_exists
+
+    def counting(self, region, step_pred):
+        images.append(region)
+        return pre_exists(self, region, step_pred)
+
+    monkeypatch.setattr(_SymbolicModel, "pre_exists", counting)
+    assert check_justice_universal(doc).holds
+    # two quiet-step images for the loop rings, one fair-step image, and
+    # one for the stem rings of l0 = 1; reaching the νZ fixpoint would
+    # take a second fair-step image to confirm that the region stopped
+    # shrinking
+    assert len(images) == 4
+
+
 def test_random_counterexamples_replay_faithfully():
     """Every counterexample or lasso the checker produces is a real run
     of the document with the claimed step properties."""
