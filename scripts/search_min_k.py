@@ -3,6 +3,9 @@
 
 The window reduction needs a length as input; this iterates candidate
 values upward and reports the first realizable one.
+
+Exit status: 0 when some window up to --max-k is realizable, 1 when
+none is, 2 when the input cannot be read or has no justice section.
 """
 
 import argparse
@@ -13,6 +16,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aigsynt.aiger import read_aiger
+from aigsynt.cli import PIPELINE_ERRORS
 from aigsynt.game import build_game, is_realizable, solve
 from aigsynt.transforms import justice_to_safety
 
@@ -24,16 +28,20 @@ def main() -> int:
     parser.add_argument("--max-k", type=int, default=32)
     args = parser.parse_args()
 
-    doc = read_aiger(args.aag.read_text())
-    for k in range(args.max_k + 1):
-        t0 = time.monotonic()
-        game = build_game(justice_to_safety(doc, k))
-        realizable = is_realizable(game, solve(game))
-        print(f"k={k}: {'realizable' if realizable else 'unrealizable'} "
-              f"({time.monotonic() - t0:.2f}s)")
-        if realizable:
-            print(f"minimal realizable window: {k}")
-            return 0
+    try:
+        doc = read_aiger(args.aag.read_text())
+        for k in range(args.max_k + 1):
+            t0 = time.monotonic()
+            game = build_game(justice_to_safety(doc, k))
+            realizable = is_realizable(game, solve(game))
+            print(f"k={k}: {'realizable' if realizable else 'unrealizable'} "
+                  f"({time.monotonic() - t0:.2f}s)")
+            if realizable:
+                print(f"minimal realizable window: {k}")
+                return 0
+    except PIPELINE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"unrealizable for every k up to {args.max_k}")
     return 1
 

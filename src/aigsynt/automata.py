@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import logging
 import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations, product
 
 log = logging.getLogger(__name__)
@@ -220,8 +220,9 @@ def _missing_cubes(labels: list[Label], props: list[str]) -> list[Label]:
 def complete(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Add a rejecting trap with a True self-loop for all missing letters.
 
-    The trap is always materialized first and pruned again when no
-    other state can reach it.
+    The trap is added only when some state lacks a letter;
+    ``validate_for_role`` prunes it again when the initial state cannot
+    reach it.
     """
     trap = TRAP_ID
     k = 0
@@ -239,13 +240,8 @@ def complete(aut: BuchiAutomaton) -> BuchiAutomaton:
     if not trap_used:
         return aut
     transitions.append((trap, Label(), trap))
-    return BuchiAutomaton(
-        states=aut.states + (trap,),
-        initial=aut.initial,
-        alphabet_props=aut.alphabet_props,
-        transitions=tuple(transitions),
-        accepting=aut.accepting,
-    )
+    return replace(aut, states=aut.states + (trap,),
+                   transitions=tuple(transitions))
 
 
 def check_deterministic(aut: BuchiAutomaton) -> None:
@@ -259,106 +255,66 @@ def check_deterministic(aut: BuchiAutomaton) -> None:
                     f"automaton offline and retry")
 
 
+def _is_trap(aut: BuchiAutomaton, state: str) -> bool:
+    """Rejecting, and its only move is a True self-loop."""
+    if state in aut.accepting:
+        return False
+    out = aut.outgoing(state)
+    return len(out) == 1 and out[0][0].is_true and out[0][1] == state
+
+
 def _find_trap(aut: BuchiAutomaton) -> str | None:
-    for state in aut.states:
-        if state in aut.accepting:
-            continue
-        out = aut.outgoing(state)
-        if len(out) == 1 and out[0][0].is_true and out[0][1] == state:
-            return state
-    return None
+    return next((s for s in aut.states if _is_trap(aut, s)), None)
 
 
-def _mixed_cycle(aut: BuchiAutomaton) -> list[str] | None:
-    """A cycle containing both accepting and rejecting states, if any."""
-    sccs = _strongly_connected(aut)
-    for scc in sccs:
-        if len(scc) == 1:
-            s = next(iter(scc))
-            if not any(dst == s for _, dst in aut.outgoing(s)):
-                continue
-        kinds = {s in aut.accepting for s in scc}
-        if len(kinds) == 2:
-            return sorted(scc)
-    return None
+def _successors(aut: BuchiAutomaton) -> dict[str, list[str]]:
+    succ: dict[str, list[str]] = {s: [] for s in aut.states}
+    for src, _, dst in aut.transitions:
+        succ[src].append(dst)
+    return succ
 
 
-def _strongly_connected(aut: BuchiAutomaton) -> list[set[str]]:
-    # iterative Tarjan
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    sccs: list[set[str]] = []
-    counter = 0
-    succ = {s: [dst for _, dst in aut.outgoing(s)] for s in aut.states}
-
-    for root in aut.states:
-        if root in index:
-            continue
-        work = [(root, 0)]
-        while work:
-            node, pi = work[-1]
-            if pi == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            for i in range(pi, len(succ[node])):
-                w = succ[node][i]
-                if w not in index:
-                    work[-1] = (node, i + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                scc: set[str] = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    scc.add(w)
-                    if w == node:
-                        break
-                sccs.append(scc)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-    return sccs
-
-
-def _reachable(aut: BuchiAutomaton, frontier: set[str]) -> set[str]:
+def _reachable(succ: dict[str, list[str]], frontier: list[str]) -> set[str]:
     seen = set(frontier)
     todo = list(frontier)
     while todo:
-        s = todo.pop()
-        for _, dst in aut.outgoing(s):
+        for dst in succ[todo.pop()]:
             if dst not in seen:
                 seen.add(dst)
                 todo.append(dst)
     return seen
 
 
+def _cyclic_sccs(aut: BuchiAutomaton) -> list[frozenset[str]]:
+    """The strongly connected components that hold a cycle.
+
+    A state lies on a cycle exactly when it reaches itself in one or
+    more steps; its component is the set of states it reaches that also
+    reach it back.  Components come in the document order of their
+    first state.  One search per state: O(n·(n+T)) for n states and T
+    transitions, and automata have a handful of states.
+    """
+    succ = _successors(aut)
+    reach = {s: _reachable(succ, succ[s]) for s in aut.states}
+    sccs: list[frozenset[str]] = []
+    covered: set[str] = set()
+    for s in aut.states:
+        if s in reach[s] and s not in covered:
+            scc = frozenset(t for t in reach[s] if s in reach[t])
+            covered |= scc
+            sccs.append(scc)
+    return sccs
+
+
 def _prune_unreachable_trap(aut: BuchiAutomaton) -> BuchiAutomaton:
     trap = _find_trap(aut)
-    if trap is None:
+    if trap is None or trap in _reachable(_successors(aut), [aut.initial]):
         return aut
-    reachable = _reachable(aut, {aut.initial})
-    if trap in reachable:
-        return aut
-    return BuchiAutomaton(
+    return replace(
+        aut,
         states=tuple(s for s in aut.states if s != trap),
-        initial=aut.initial,
-        alphabet_props=aut.alphabet_props,
         transitions=tuple((s, l, d) for s, l, d in aut.transitions
-                          if s != trap and d != trap),
-        accepting=aut.accepting,
-    )
+                          if s != trap and d != trap))
 
 
 def check_safety(aut: BuchiAutomaton, what: str) -> None:
@@ -374,13 +330,9 @@ def check_safety(aut: BuchiAutomaton, what: str) -> None:
             raise AutomatonError(
                 f"{what}: accepting state {src!r} steps to rejecting "
                 f"non-trap state {dst!r}, so this is not a safety property")
-    for scc in _strongly_connected(aut):
-        rejecting = {s for s in scc if s not in aut.accepting and s != trap}
-        if not rejecting:
-            continue
-        has_cycle = len(scc) > 1 or any(
-            dst in scc for s in scc for _, dst in aut.outgoing(s))
-        if has_cycle:
+    for scc in _cyclic_sccs(aut):
+        rejecting = scc - aut.accepting - {trap}
+        if rejecting:
             raise AutomatonError(
                 f"{what}: cycle through rejecting state(s) "
                 f"{sorted(rejecting)}, so this is not a safety property")
@@ -400,19 +352,13 @@ def validate_for_role(aut: BuchiAutomaton, role: str,
     aut = complete(aut)
     check_deterministic(aut)
     if negated:
-        mixed = _mixed_cycle(aut)
-        if mixed is not None:
-            raise AutomatonError(
-                f"cannot negate by acceptance swap: the cycle through "
-                f"{mixed} mixes accepting and rejecting states, so the "
-                f"swapped automaton would not recognize the complement")
-        aut = BuchiAutomaton(
-            states=aut.states,
-            initial=aut.initial,
-            alphabet_props=aut.alphabet_props,
-            transitions=aut.transitions,
-            accepting=frozenset(aut.states) - aut.accepting,
-        )
+        for scc in _cyclic_sccs(aut):
+            if scc & aut.accepting and scc - aut.accepting:
+                raise AutomatonError(
+                    f"cannot negate by acceptance swap: the cycle through "
+                    f"{sorted(scc)} mixes accepting and rejecting states, so "
+                    f"the swapped automaton would not recognize the complement")
+        aut = replace(aut, accepting=frozenset(aut.states) - aut.accepting)
         # the swap may have created a fresh trap or removed the old one
     aut = _prune_unreachable_trap(aut)
     if role == "assumption":
@@ -483,20 +429,14 @@ def to_monitor(aut: BuchiAutomaton) -> Monitor:
     table = tuple(
         tuple((label, index[dst]) for label, dst in aut.outgoing(state))
         for state in aut.states)
-    bad = set()
-    for state in aut.states:
-        if state in aut.accepting:
-            continue
-        out = aut.outgoing(state)
-        if len(out) == 1 and out[0][0].is_true and out[0][1] == state:
-            bad.add(index[state])
+    bad = frozenset(index[s] for s in aut.states if _is_trap(aut, s))
     fair = frozenset(index[s] for s in aut.accepting)
     monitor = Monitor(
         state_ids=aut.states,
         init_index=index[aut.initial],
         props=tuple(props),
         table=table,
-        bad_states=frozenset(bad),
+        bad_states=bad,
         fair_states=fair,
     )
     assert not (monitor.bad_states & monitor.fair_states)

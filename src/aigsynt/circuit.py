@@ -34,16 +34,20 @@ class CircuitError(Exception):
 
 
 class _LatchPlan:
-    __slots__ = ("name", "flip", "lit")
+    """The latch of a signal with initial value ``init`` (0 or 1)."""
 
-    def __init__(self, name: str, flip: bool, lit: int):
-        self.name = name
-        self.flip = flip
-        self.lit = lit
+    __slots__ = ("flip", "lit")
+
+    def __init__(self, doc: AigerDoc, name: str, init: int):
+        self.flip = init
+        self.lit = doc.add_latch(name + ".__neg" if init else name)
 
     @property
     def signal_lit(self) -> int:
-        return self.lit ^ 1 if self.flip else self.lit
+        return self.lit ^ self.flip
+
+    def set_next(self, doc: AigerDoc, lit: int) -> None:
+        doc.set_latch_next(self.lit, lit ^ self.flip)
 
 
 def _bexpr_to_lit(aig, expr: bx.BoolExpr, signals: dict[str, int],
@@ -79,10 +83,11 @@ def _label_lit(aig, label: Label, prop_lits: dict[str, int]) -> int:
 
 
 class _MonitorPlan:
-    def __init__(self, monitor: Monitor, name: str):
+    def __init__(self, doc: AigerDoc, monitor: Monitor, name: str):
         self.monitor = monitor
         self.name = name
-        self.latches: list[_LatchPlan] = []
+        self.latches = [_LatchPlan(doc, f"{name}.state.__bit{i}", bit)
+                        for i, bit in enumerate(monitor.init_code)]
 
     @property
     def state_lits(self) -> list[int]:
@@ -110,24 +115,14 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
     counter = [doc.add_latch(f"counting_justice.__bit{i}")
                for i in range(max(n_fair - 1, 0).bit_length())]
 
-    monitor_plans: list[_MonitorPlan] = []
-    for role, monitors in (("sys", sys_monitors), ("env", env_monitors)):
-        for k, monitor in enumerate(monitors):
-            mp = _MonitorPlan(monitor, f"{role}_prop{k}")
-            init = monitor.init_code
-            for i in range(monitor.state_bits):
-                flip = init[i] == 1
-                name = f"{mp.name}.state.__bit{i}"
-                plan = _LatchPlan(name, flip,
-                                  doc.add_latch(name + (".__neg" if flip else "")))
-                mp.latches.append(plan)
-            monitor_plans.append(mp)
+    monitor_plans = [_MonitorPlan(doc, monitor, f"{role}_prop{k}")
+                     for role, monitors in (("sys", sys_monitors),
+                                            ("env", env_monitors))
+                     for k, monitor in enumerate(monitors)]
 
     latch_plans: list[tuple[_LatchPlan, bx.BoolExpr]] = []
     for latch in model.latches:
-        flip = latch.init == 1
-        plan = _LatchPlan(latch.name, flip,
-                          doc.add_latch(latch.name + (".__neg" if flip else "")))
+        plan = _LatchPlan(doc, latch.name, latch.init)
         signals[latch.name] = plan.signal_lit
         latch_plans.append((plan, latch.next))
 
@@ -136,8 +131,7 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
         signals[name] = _bexpr_to_lit(aig, expr, signals, memo)
 
     for plan, next_expr in latch_plans:
-        next_lit = _bexpr_to_lit(aig, next_expr, signals, memo)
-        doc.set_latch_next(plan.lit, next_lit ^ 1 if plan.flip else next_lit)
+        plan.set_next(doc, _bexpr_to_lit(aig, next_expr, signals, memo))
 
     for mp in monitor_plans:
         monitor = mp.monitor
@@ -156,7 +150,7 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
                     if (dst >> i) & 1:
                         step = aig.and_(src_eq, _label_lit(aig, label, prop_lits))
                         next_lit = aig.or_(next_lit, step)
-            doc.set_latch_next(plan.lit, next_lit ^ 1 if plan.flip else next_lit)
+            plan.set_next(doc, next_lit)
 
     for mp in monitor_plans[:n_sys]:
         bad_lit = mp.states_pred(aig, mp.monitor.bad_states)

@@ -75,14 +75,6 @@ def nbits(size: int) -> int:
     return max(size - 1, 0).bit_length()
 
 
-def type_size(t: VarType) -> int:
-    if isinstance(t, RangeType):
-        return t.size
-    if isinstance(t, EnumType):
-        return t.size
-    raise AssertionError(f"not a word type: {t}")
-
-
 def value_code(t: VarType, value) -> int:
     if isinstance(t, RangeType):
         if not (t.lo <= value <= t.hi):
@@ -117,9 +109,15 @@ class _Flattener:
     def signal(self, ctx: ModuleCtx, name: str) -> str:
         return self._prefix(ctx) + name
 
-    def word_bit_names(self, ctx: ModuleCtx, name: str, width: int) -> list[str]:
+    def bit_names(self, ctx: ModuleCtx, name: str, t: VarType) -> list[str]:
+        """The signals of variable or define ``name`` of type ``t``.
+
+        A boolean keeps its plain name; bit i of a word is ``name.__bit<i>``.
+        """
         base = self.signal(ctx, name)
-        return [f"{base}.__bit{i}" for i in range(width)]
+        if isinstance(t, BoolType):
+            return [base]
+        return [f"{base}.__bit{i}" for i in range(nbits(t.size))]
 
     # main walk ----------------------------------------------------------
 
@@ -154,17 +152,10 @@ class _Flattener:
         self._define_state[key] = "busy"
         decl = ctx.module.define_decl(name)
         dtype = ctx.define_types[name]
-        if isinstance(dtype, BoolType):
-            expr = self.compile_bool(ctx, decl.expr)
-            self.defines.append((self.signal(ctx, name), expr))
-        elif isinstance(dtype, (RangeType, EnumType)):
-            bits = self.compile_word(ctx, decl.expr, dtype)
-            for bit_name, bit in zip(
-                    self.word_bit_names(ctx, name, len(bits)), bits):
-                self.defines.append((bit_name, bit))
-        else:
-            # constant-typed defines are inlined at their use sites
-            pass
+        # constant-typed defines are inlined at their use sites
+        if isinstance(dtype, (BoolType, RangeType, EnumType)):
+            bits = self.compile_bits(ctx, decl.expr, dtype)
+            self.defines.extend(zip(self.bit_names(ctx, name, dtype), bits))
         self._define_state[key] = "done"
 
     def _walk_vars(self, ctx: ModuleCtx) -> None:
@@ -192,24 +183,13 @@ class _Flattener:
 
     def _emit_input(self, ctx: ModuleCtx, v) -> None:
         target = self.inputs_c if v.controllable else self.inputs_u
-        if isinstance(v.type, BoolType):
-            target.append(self.signal(ctx, v.name))
-            return
-        width = nbits(type_size(v.type))
-        target.extend(self.word_bit_names(ctx, v.name, width))
+        target.extend(self.bit_names(ctx, v.name, v.type))
 
     def _emit_latch(self, ctx: ModuleCtx, v, init_assign, next_assign) -> None:
-        if isinstance(v.type, BoolType):
-            init_code = self._init_code(ctx, v, init_assign)
-            nxt = self.compile_bool(ctx, next_assign.expr)
-            self.latches.append(FlatLatch(self.signal(ctx, v.name),
-                                          init_code, nxt))
-            return
-        width = nbits(type_size(v.type))
         init_code = self._init_code(ctx, v, init_assign)
-        next_bits = self.compile_word(ctx, next_assign.expr, v.type)
+        next_bits = self.compile_bits(ctx, next_assign.expr, v.type)
         for i, (bit_name, bit) in enumerate(zip(
-                self.word_bit_names(ctx, v.name, width), next_bits)):
+                self.bit_names(ctx, v.name, v.type), next_bits)):
             self.latches.append(FlatLatch(bit_name, (init_code >> i) & 1, bit))
 
     def _init_code(self, ctx: ModuleCtx, v, init_assign) -> int:
@@ -375,8 +355,14 @@ class _Flattener:
             result = bx.bite(bx.biff(ai, bi), result, bx.band(bx.bnot(ai), bi))
         return result
 
+    def compile_bits(self, ctx: ModuleCtx, expr: Expr, t: VarType) -> list[BoolExpr]:
+        """The signals of an expression of type ``t``, one per bit name."""
+        if isinstance(t, BoolType):
+            return [self.compile_bool(ctx, expr)]
+        return self.compile_word(ctx, expr, t)
+
     def compile_word(self, ctx: ModuleCtx, expr: Expr, t: VarType) -> list[BoolExpr]:
-        width = nbits(type_size(t))
+        width = nbits(t.size)
         if isinstance(expr, IntLit):
             return code_bits(value_code(t, expr.value), width)
         if isinstance(expr, Name):
@@ -388,8 +374,7 @@ class _Flattener:
                     raise SmvFlattenError(
                         f"{self.signal(b.ctx, b.name)!r} has type {b.type}, "
                         f"context requires {t}", expr.line)
-                return [BVar(n) for n in
-                        self.word_bit_names(b.ctx, b.name, width)]
+                return [BVar(n) for n in self.bit_names(b.ctx, b.name, t)]
             if isinstance(b, DefineBinding):
                 dtype = b.ctx.define_types[b.name]
                 if isinstance(dtype, (IntConstType, SymConstType)):
@@ -400,8 +385,7 @@ class _Flattener:
                         f"define {self.signal(b.ctx, b.name)!r} has type {dtype}, "
                         f"context requires {t}", expr.line)
                 self._ensure_define(b.ctx, b.name)
-                return [BVar(n) for n in
-                        self.word_bit_names(b.ctx, b.name, width)]
+                return [BVar(n) for n in self.bit_names(b.ctx, b.name, t)]
             if isinstance(b, ParamBinding):
                 return self.compile_word(b.parent, b.actual, t)
             raise AssertionError(b)

@@ -214,6 +214,14 @@ class Parser:
         tok = self._peek()
         return tok.kind == "PUNCT" and tok.text == text
 
+    def _comma_list(self, parse_item) -> list:
+        """One or more items separated by ','."""
+        items = [parse_item()]
+        while self._at_punct(","):
+            self._next()
+            items.append(parse_item())
+        return items
+
     # grammar ----------------------------------------------------------
 
     def parse_spec(self) -> SmvSpec:
@@ -251,12 +259,8 @@ class Parser:
         if self._at_punct("("):
             self._next()
             if not self._at_punct(")"):
-                while True:
-                    params.append(self._expect_ident("parameter name").text)
-                    if self._at_punct(","):
-                        self._next()
-                        continue
-                    break
+                params = self._comma_list(
+                    lambda: self._expect_ident("parameter name").text)
             self._expect_punct(")")
         module = SmvModule(name=name, params=tuple(params), line=head.line)
         while True:
@@ -324,13 +328,8 @@ class Parser:
                 raise self._error(f"empty range {lo}..{hi}", tok)
             return RangeType(lo, hi)
         if tok.kind == "PUNCT" and tok.text == "{":
-            symbols: list[str] = []
-            while True:
-                symbols.append(self._expect_ident("enum symbol").text)
-                if self._at_punct(","):
-                    self._next()
-                    continue
-                break
+            symbols = self._comma_list(
+                lambda: self._expect_ident("enum symbol").text)
             self._expect_punct("}")
             if len(set(symbols)) != len(symbols):
                 raise self._error("duplicate enum symbol", tok)
@@ -340,12 +339,7 @@ class Parser:
             if self._at_punct("("):
                 self._next()
                 if not self._at_punct(")"):
-                    while True:
-                        actuals.append(self._parse_expr())
-                        if self._at_punct(","):
-                            self._next()
-                            continue
-                        break
+                    actuals = self._comma_list(self._parse_expr)
                 self._expect_punct(")")
             return InstanceType(module=tok.text, actuals=tuple(actuals))
         raise self._error(f"expected a type, found {tok.text!r}", tok)
@@ -493,8 +487,6 @@ class Parser:
                 self._next()
                 parts.append(self._expect_ident("member name").text)
             return Name(tuple(parts), line=tok.line)
-        if tok.kind == "PUNCT" and tok.text in ("+", "-", "*", "/"):
-            raise self._error(f"arithmetic operator {tok.text!r} is not supported", tok)
         raise self._error(f"unexpected token {tok.text!r} in expression", tok)
 
 

@@ -172,6 +172,7 @@ def test_criterion_6_monitor_faithfulness():
         aut = validate_for_role(parse_gff(FIXTURES[name]), role)
         monitor = to_monitor(aut)
         assert monitor.n_states <= 6 and len(monitor.props) <= 4
+        assert monitor.state_ids[monitor.init_index] == aut.initial, name
         letters = enumerate_assignments(sorted(aut.alphabet_props))
         for word in product(letters, repeat=8):
             direct = aut.run(list(word))

