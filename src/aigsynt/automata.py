@@ -220,9 +220,9 @@ def _missing_cubes(labels: list[Label], props: list[str]) -> list[Label]:
 def complete(aut: BuchiAutomaton) -> BuchiAutomaton:
     """Add a rejecting trap with a True self-loop for all missing letters.
 
-    The trap is added only when some state lacks a letter;
-    ``validate_for_role`` prunes it again when the initial state cannot
-    reach it.
+    The trap is added only when some state lacks a letter, so some
+    state steps into it and ``validate_for_role`` keeps it, even when
+    the initial state cannot reach it.
     """
     trap = TRAP_ID
     k = 0
@@ -307,8 +307,14 @@ def _cyclic_sccs(aut: BuchiAutomaton) -> list[frozenset[str]]:
 
 
 def _prune_unreachable_trap(aut: BuchiAutomaton) -> BuchiAutomaton:
+    """Drop a trap that is not initial and that no other state steps into.
+
+    A state that steps into the trap, reachable or not, would lose those
+    letters with it and stop being complete.
+    """
     trap = _find_trap(aut)
-    if trap is None or trap in _reachable(_successors(aut), [aut.initial]):
+    if trap is None or trap == aut.initial or any(
+            d == trap and s != trap for s, _, d in aut.transitions):
         return aut
     return replace(
         aut,
@@ -318,20 +324,20 @@ def _prune_unreachable_trap(aut: BuchiAutomaton) -> BuchiAutomaton:
 
 
 def check_safety(aut: BuchiAutomaton, what: str) -> None:
-    """Safety shape: acceptance only ever stops by falling into the trap.
+    """Safety shape: acceptance only ever stops by falling into a trap.
 
     Every state reachable from an accepting state must be accepting or
-    the unique trap, and the only cycle through rejecting states is the
-    trap self-loop.
+    a trap, and the only cycles through rejecting states are the trap
+    self-loops.  ``to_monitor`` marks every trap bad.
     """
-    trap = _find_trap(aut)
+    traps = {s for s in aut.states if _is_trap(aut, s)}
     for src, _, dst in aut.transitions:
-        if src in aut.accepting and dst not in aut.accepting and dst != trap:
+        if src in aut.accepting and dst not in aut.accepting | traps:
             raise AutomatonError(
                 f"{what}: accepting state {src!r} steps to rejecting "
                 f"non-trap state {dst!r}, so this is not a safety property")
     for scc in _cyclic_sccs(aut):
-        rejecting = scc - aut.accepting - {trap}
+        rejecting = scc - aut.accepting - traps
         if rejecting:
             raise AutomatonError(
                 f"{what}: cycle through rejecting state(s) "

@@ -16,7 +16,8 @@ independent games may run in parallel on their own managers.
 ``encode`` is the one symbolic encoding of a document, shared by the
 game solver and the model checker.  Its static variable order is
 input-first: uncontrollable inputs, then controllable inputs, then
-latches.  Every fixpoint step quantifies the inputs out of a one-step
+latches; the model checker's cut variables sit between the inputs and
+the latches.  Every fixpoint step quantifies the inputs out of a one-step
 formula (``∃C ∀U`` in ``cpre``, ``∃inputs`` in the model checker); with
 the quantified inputs on top, that strips the top of each diagram and
 keeps the latch functions below it shared, where a latches-first order
@@ -26,6 +27,7 @@ rebuilds every diagram down to its input levels.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var
 from .bdd import AigCone, BddManager, BddRef
@@ -80,8 +82,9 @@ class Encoding:
     """One document's symbolic transition system on its own manager.
 
     Levels are allocated input-first: uncontrollable inputs, then
-    controllable inputs, then latches, each group in document order.
-    See the module docstring and ``encode`` for why.
+    controllable inputs, then cuts, then latches; inputs and latches
+    in document order, cuts in the order given.  See the module
+    docstring and ``encode`` for why.
     """
 
     mgr: BddManager
@@ -93,9 +96,11 @@ class Encoding:
     bad: BddRef
     inv: BddRef
     just: BddRef  # true without a justice literal
+    cut_levels: list[int]  # in cut_vars order
+    define: BddRef  # each cut equals its gate's function; true without cuts
 
 
-def encode(doc: AigerDoc) -> Encoding:
+def encode(doc: AigerDoc, cut_vars: Sequence[int] = ()) -> Encoding:
     """Build the manager, the levels and every one-step function of doc.
 
     Latch levels follow document order, so the document fixes the latch
@@ -106,6 +111,13 @@ def encode(doc: AigerDoc) -> Encoding:
     diagram into a few branches sharing the observed design's
     sub-diagrams, where below them it would leave its own copy of its
     function at the end of every path through the design.
+
+    Each AND-gate variable in ``cut_vars`` gets its own level, a cut,
+    right below the inputs: every function above reads the cut instead
+    of the gate's cone, and ``define`` is the conjunction of ``cut ↔
+    gate function``, built with the cuts mapped so that nested cuts are
+    defined over each other.  With no cuts ``define`` is true and the
+    levels are those of the plain encoding.
 
     Old-format documents read the disjunction of their outputs as bad,
     with no constraints and no justice.  A document without a justice
@@ -122,12 +134,21 @@ def encode(doc: AigerDoc) -> Encoding:
         input_levels[i] = ref.level
     u_levels = [lvl for lvl, c in zip(input_levels, controllable) if not c]
     c_levels = [lvl for lvl, c in zip(input_levels, controllable) if c]
+    cut_levels = []
+    for var in cut_vars:
+        var_map[var] = ref = mgr.add_var(f"cut{var}")
+        cut_levels.append(ref.level)
     latch_levels = []
     for (lit, _, _), label in zip(doc.latches, doc.latch_names()):
         var_map[lit_var(lit)] = ref = mgr.add_var(label)
         latch_levels.append(ref.level)
 
     cone = AigCone(mgr, doc, var_map)
+    define = mgr.true
+    for var, lvl in zip(cut_vars, cut_levels):
+        rhs0, rhs1 = doc.aig.and_node(var)
+        func = cone.lit(rhs0) & cone.lit(rhs1)
+        define = define & ~(mgr.var(lvl) ^ func)
     delta = {lvl: cone.lit(next_lit)
              for (_, next_lit, _), lvl in zip(doc.latches, latch_levels)}
     bad = mgr.false
@@ -147,7 +168,7 @@ def encode(doc: AigerDoc) -> Encoding:
     return Encoding(mgr=mgr, latch_levels=latch_levels,
                     input_levels=input_levels, u_levels=u_levels,
                     c_levels=c_levels, delta=delta, bad=bad, inv=inv,
-                    just=just)
+                    just=just, cut_levels=cut_levels, define=define)
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Model checking of AIGER documents and the explicit-state oracle.
+"""Model checking of AIGER documents.
 
 The symbolic checks treat every input existentially while searching for
 violations, which is the dual of checking the property for all input
@@ -23,16 +23,29 @@ set E[inv U recur] of one νZ iteration's candidate region ``recur``:
 the region only shrinks, so no later stem set holds the initial state
 again.
 
-``solve_explicit`` computes the winning region of the full objective by
-literal fixpoint iteration over enumerated states; it is the reference
-implementation the symbolic game solver is tested against.
+A synthesized model names each strategy function by an output and
+substitutes it into every latch that reads it, so its next-state
+functions are far larger than the game's.  The checker keeps such an
+output as a cut (Kuehlmann & Krohm, DAC 1997): a variable of its own,
+quantified like an input, with ``c ↔ f(x, u)`` folded into ``inv``.
+Since ∃c. (c ↔ f(x,u)) ∧ φ(x,u,c) ≡ φ(x,u,f(x,u)) and every step
+predicate contains ``inv``, each pre-image and each ring is the same
+set of states as without cuts.  The traces are the same too.
+``sat_one`` walks the inputs first, since the cut levels sit below
+them, and at each input takes 0 exactly when the predicate restricted
+to the state so far is satisfiable with that input 0.  That question
+has the same answer with or without the cuts, because the cuts are
+determined by the inputs and the state, so ``pick_input`` makes the
+same choices.
+
+The oracle ``solve_explicit`` lives in ``aigsynt.oracle``; the name
+``aigsynt.mc.solve_explicit`` still resolves to it, on first use, so
+that importing this module does not import numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
 from .bdd import BddRef
@@ -41,6 +54,13 @@ from .game import encode
 
 class McError(Exception):
     pass
+
+
+def __getattr__(name: str):
+    if name == "solve_explicit":
+        from .oracle import solve_explicit
+        return solve_explicit
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # traces ----------------------------------------------------------------
@@ -79,20 +99,50 @@ class FairResult:
 # symbolic machinery ------------------------------------------------------
 
 
+def _cut_vars(doc: AigerDoc) -> list[int]:
+    """The AND gates named by outputs that a checked function reads.
+
+    In output order, each gate once.  Old-format outputs are the bad
+    signals themselves, so they get no cuts.
+    """
+    if doc.fmt == "old" or not doc.outputs:
+        return []
+    roots = [nxt for _, nxt, _ in doc.latches]
+    roots += [lit for lit, _ in doc.bad + doc.constraints]
+    jlit = doc.justice_literal()
+    if jlit is not None:
+        roots.append(jlit)
+    cone: set[int] = set()
+    stack = [lit_var(lit) for lit in roots]
+    while stack:
+        var = stack.pop()
+        if var in cone or not doc.aig.is_and(var):
+            continue
+        cone.add(var)
+        stack.extend(lit_var(rhs) for rhs in doc.aig.and_node(var))
+    cuts = dict.fromkeys(lit_var(lit) for lit, _ in doc.outputs)
+    return [var for var in cuts if var in cone]
+
+
 class _SymbolicModel:
     """State space over the latches; all inputs quantified existentially.
 
-    The encoding is ``game.encode``, so the inputs sit above the latches.
+    The encoding is ``game.encode`` with the outputs' gates cut, so the
+    inputs sit above the cuts and the cuts above the latches.  ``inv``
+    includes the cuts' definitions, and every ∃inputs also quantifies
+    the cuts.
     """
 
     def __init__(self, doc: AigerDoc):
         self.doc = doc
-        enc = encode(doc)
+        enc = encode(doc, _cut_vars(doc))
         self.mgr = enc.mgr
         self.latch_levels = enc.latch_levels
         self.input_levels = enc.input_levels  # doc order: trace columns
+        self.quantified = enc.input_levels + enc.cut_levels
         self.delta = enc.delta
-        self.bad, self.inv, self.just = enc.bad, enc.inv, enc.just
+        self.bad, self.just = enc.bad, enc.just
+        self.inv = enc.inv & enc.define
         self.init_state = tuple(False for _ in doc.latches)
 
     # state/set helpers
@@ -113,10 +163,10 @@ class _SymbolicModel:
     def pre_exists(self, region: BddRef, step_pred: BddRef) -> BddRef:
         """States with an input making step_pred hold and moving into region."""
         moved = region.compose(self.delta)
-        return (step_pred & moved).exists(self.input_levels)
+        return (step_pred & moved).exists(self.quantified)
 
     def now_exists(self, pred: BddRef) -> BddRef:
-        return pred.exists(self.input_levels)
+        return pred.exists(self.quantified)
 
     def pick_input(self, state: tuple[bool, ...], pred: BddRef) -> tuple[bool, ...]:
         """A deterministic input assignment satisfying pred at state."""
@@ -246,201 +296,3 @@ def find_fair_trace(doc: AigerDoc) -> FairResult:
     sm = _SymbolicModel(doc)
     trace = _fair_lasso(sm, sm.inv, sm.inv & sm.just)
     return FairResult(found=trace is not None, trace=trace)
-
-
-# explicit-state oracle ----------------------------------------------------
-
-
-@dataclass
-class ExplicitResult:
-    latch_names: list[str]
-    states: np.ndarray          # sorted int64 state codes
-    winning: np.ndarray         # bool per state
-    realizable: bool
-    mode: str
-
-    def winning_set(self) -> set[int]:
-        return set(int(s) for s in self.states[self.winning])
-
-    def is_winning(self, state_code: int) -> bool:
-        idx = int(np.searchsorted(self.states, state_code))
-        if idx >= len(self.states) or self.states[idx] != state_code:
-            return False
-        return bool(self.winning[idx])
-
-
-class _ExplicitCircuit:
-    """Vectorized evaluation of a document over batches of state codes."""
-
-    def __init__(self, doc: AigerDoc):
-        self.doc = doc
-        self.latch_bit = {lit_var(lit): i
-                          for i, (lit, _, _) in enumerate(doc.latches)}
-        u_inputs = [lit for lit, _ in doc.uncontrollable_inputs()]
-        c_inputs = [lit for lit, _ in doc.controllable_inputs()]
-        self.nu = len(u_inputs)
-        self.nc = len(c_inputs)
-        # combo index = u_value * 2^nc + c_value
-        self.input_bit = {}
-        for i, lit in enumerate(u_inputs):
-            self.input_bit[lit_var(lit)] = self.nc + i
-        for i, lit in enumerate(c_inputs):
-            self.input_bit[lit_var(lit)] = i
-        self.n_combos = 1 << (self.nu + self.nc)
-        if doc.fmt == "old":
-            self.bad_lits = [lit for lit, _ in doc.outputs]
-            self.constraint_lits = []
-            self.just_lit = None
-        else:
-            self.bad_lits = [lit for lit, _ in doc.bad]
-            self.constraint_lits = [lit for lit, _ in doc.constraints]
-            self.just_lit = doc.justice_literal()
-
-    def eval_combo(self, states: np.ndarray, combo: int) -> dict[int, np.ndarray]:
-        """Values of every variable as bool arrays over the state batch."""
-        values: dict[int, np.ndarray] = {0: np.zeros(len(states), dtype=bool)}
-        for var, bit in self.latch_bit.items():
-            values[var] = ((states >> bit) & 1).astype(bool)
-        for var, bit in self.input_bit.items():
-            values[var] = np.full(len(states), bool((combo >> bit) & 1))
-        for var, rhs0, rhs1 in self.doc.aig.nodes():
-            v0 = values[lit_var(rhs0)]
-            if rhs0 & 1:
-                v0 = ~v0
-            v1 = values[lit_var(rhs1)]
-            if rhs1 & 1:
-                v1 = ~v1
-            values[var] = v0 & v1
-        return values
-
-    @staticmethod
-    def _lit_array(values: dict[int, np.ndarray], lit: int) -> np.ndarray:
-        arr = values[lit_var(lit)]
-        return ~arr if lit & 1 else arr
-
-    _CHUNK = 1 << 15
-
-    def step_table(self, states: np.ndarray):
-        """(next_code, bad, inv, just) arrays of shape [n_combos, len(states)].
-
-        Evaluation runs in state chunks to bound transient memory.
-        """
-        n = len(states)
-        next_code = np.zeros((self.n_combos, n), dtype=np.int64)
-        bad = np.zeros((self.n_combos, n), dtype=bool)
-        inv = np.ones((self.n_combos, n), dtype=bool)
-        just = np.ones((self.n_combos, n), dtype=bool)
-        for start in range(0, n, self._CHUNK):
-            chunk = states[start:start + self._CHUNK]
-            sl = slice(start, start + len(chunk))
-            for combo in range(self.n_combos):
-                values = self.eval_combo(chunk, combo)
-                code = np.zeros(len(chunk), dtype=np.int64)
-                for i, (_, next_lit, _) in enumerate(self.doc.latches):
-                    code |= self._lit_array(values, next_lit).astype(np.int64) << i
-                next_code[combo, sl] = code
-                acc = np.zeros(len(chunk), dtype=bool)
-                for lit in self.bad_lits:
-                    acc |= self._lit_array(values, lit)
-                bad[combo, sl] = acc
-                acc = np.ones(len(chunk), dtype=bool)
-                for lit in self.constraint_lits:
-                    acc &= self._lit_array(values, lit)
-                inv[combo, sl] = acc
-                if self.just_lit is not None:
-                    just[combo, sl] = self._lit_array(values, self.just_lit)
-        return next_code, bad, inv, just
-
-
-def _discover_states(circ: _ExplicitCircuit, max_states: int,
-                     safe_only: bool) -> np.ndarray:
-    known = np.array([0], dtype=np.int64)
-    frontier = known
-    while len(frontier):
-        next_code, bad, inv, just = circ.step_table(frontier)
-        if safe_only:
-            # moves on which the output fires lose immediately; their
-            # successors cannot matter for the verdict
-            successors = next_code[~bad]
-        else:
-            successors = next_code.reshape(-1)
-        new = np.setdiff1d(np.unique(successors), known, assume_unique=False)
-        if len(new) == 0:
-            break
-        known = np.union1d(known, new)
-        if len(known) > max_states:
-            raise McError(
-                f"state space too large: more than {max_states} reachable states")
-        frontier = new
-    return known
-
-
-def solve_explicit(doc: AigerDoc, max_states: int = 4096,
-                   mode: str = "full") -> ExplicitResult:
-    """Winning region of the full objective by explicit fixpoint iteration.
-
-    ``mode``: "full" enumerates every latch valuation, "reachable"
-    restricts to states reachable under arbitrary play, and
-    "safe_reachable" (old format only) additionally stops exploring
-    behind output-raising moves; all three agree on the verdict at the
-    initial state.
-    """
-    circ = _ExplicitCircuit(doc)
-    n_latches = len(doc.latches)
-    if mode == "full":
-        if (1 << n_latches) > max_states:
-            raise McError(
-                f"state space too large: 2^{n_latches} states exceeds {max_states}")
-        states = np.arange(1 << n_latches, dtype=np.int64)
-    elif mode == "reachable":
-        states = _discover_states(circ, max_states, safe_only=False)
-    elif mode == "safe_reachable":
-        if doc.fmt != "old":
-            raise McError("safe_reachable mode applies to old-format documents")
-        states = _discover_states(circ, max_states, safe_only=True)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-
-    next_code, bad, inv, just = circ.step_table(states)
-    next_idx = np.searchsorted(states, next_code)
-    # successors outside the enumerated set only occur behind losing moves
-    outside = (next_idx >= len(states)) | (states[np.minimum(
-        next_idx, len(states) - 1)] != next_code)
-    next_idx = np.minimum(next_idx, len(states) - 1).astype(np.int32)
-
-    if circ.just_lit is None:
-        just_state = np.ones(len(states), dtype=bool)
-    else:
-        if not (just == just[0]).all():
-            raise McError(
-                "justice literal depends on inputs; delay it into a latch first")
-        just_state = just[0]
-
-    shape = (1 << circ.nu, 1 << circ.nc, len(states))
-    next_idx = next_idx.reshape(shape)
-    bad = bad.reshape(shape)
-    inv = inv.reshape(shape)
-    outside = outside.reshape(shape)
-
-    def cpre(target: np.ndarray) -> np.ndarray:
-        tgt = target[next_idx] & ~outside
-        ok = ~inv | (~bad & tgt)
-        return ok.any(axis=1).all(axis=0)
-
-    z = np.ones(len(states), dtype=bool)
-    while True:
-        core = just_state & z
-        y = np.zeros(len(states), dtype=bool)
-        while True:
-            y_next = cpre(core | y)
-            if (y_next == y).all():
-                break
-            y = y_next
-        if (y == z).all():
-            break
-        z = y
-
-    init_idx = int(np.searchsorted(states, 0))
-    realizable = bool(states[init_idx] == 0 and z[init_idx])
-    return ExplicitResult(latch_names=doc.latch_names(), states=states,
-                          winning=z, realizable=realizable, mode=mode)

@@ -260,6 +260,37 @@ def random_game_doc(seed: int, n_latches: int = 4, n_u: int = 2, n_c: int = 2,
     return doc
 
 
+def with_random_outputs(doc: AigerDoc, seed: int) -> AigerDoc:
+    """A copy of doc with outputs on 1-3 of its own AND gates.
+
+    Most gates are drawn from the fan-in of the next-state and bad
+    literals, so they nest inside each other; the rest from the whole
+    table, where some feed nothing.  Each output may be negated, and
+    one gate may be named twice, once per polarity or twice in one.  A
+    latch literal and a constant are named as well.
+    """
+    rng = random.Random(seed)
+    gates = [var for var, _, _ in doc.aig.nodes()]
+    fan_in: set[int] = set()
+    stack = [nxt >> 1 for _, nxt, _ in doc.latches]
+    stack += [lit >> 1 for lit, _ in doc.bad]
+    while stack:
+        var = stack.pop()
+        if doc.aig.is_and(var) and var not in fan_in:
+            fan_in.add(var)
+            stack.extend(rhs >> 1 for rhs in doc.aig.and_node(var))
+    near = sorted(fan_in) or gates
+    outputs = [((rng.choice(near if rng.random() < 0.8 else gates) << 1)
+                ^ rng.randint(0, 1), f"o{i}")
+               for i in range(rng.randint(1, 3))]
+    if rng.random() < 0.5:
+        outputs.append((outputs[0][0] ^ rng.randint(0, 1), "again"))
+    outputs.append((rng.choice(doc.latches)[0], "latch"))
+    outputs.append((rng.randint(0, 1), "const"))
+    rng.shuffle(outputs)
+    return doc.copy(outputs=outputs)
+
+
 # explicit lasso oracles ----------------------------------------------------
 
 

@@ -8,7 +8,6 @@ oracle is computed by that oracle inside this suite.
 """
 
 import time
-from itertools import product
 from pathlib import Path
 
 import pytest
@@ -16,15 +15,15 @@ import pytest
 from aigsynt.aiger import (
     Simulator, read_aiger, values_lit, write_aiger,
 )
-from aigsynt.automata import enumerate_assignments, parse_gff, to_monitor, \
-    validate_for_role
+from aigsynt.automata import parse_gff, to_monitor, validate_for_role
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import build_game, is_realizable, solve, synthesize
-from aigsynt.mc import check_justice_universal, check_safety, solve_explicit
+from aigsynt.mc import check_justice_universal, check_safety
+from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import justice_to_safety, reverse_justice
 
 from helpers import enumerate_lasso_fg_not_just, random_game_doc
-from test_automata import FIXTURES
+from test_automata import FIXTURES, assert_monitor_faithful
 
 ROOT = Path(__file__).resolve().parent.parent
 BENCH = ROOT / "benchmarks" / "huffman4" / "huffman4.smv"
@@ -172,18 +171,7 @@ def test_criterion_6_monitor_faithfulness():
         aut = validate_for_role(parse_gff(FIXTURES[name]), role)
         monitor = to_monitor(aut)
         assert monitor.n_states <= 6 and len(monitor.props) <= 4
-        assert monitor.state_ids[monitor.init_index] == aut.initial, name
-        letters = enumerate_assignments(sorted(aut.alphabet_props))
-        for word in product(letters, repeat=8):
-            direct = aut.run(list(word))
-            state = monitor.init_index
-            for i, letter in enumerate(word):
-                state = monitor.step(state, letter)
-                assert monitor.state_ids[state] == direct[i + 1], name
-            words_checked += 1
-        for bad_state in monitor.bad_states:
-            for letter in letters:
-                assert monitor.step(bad_state, letter) in monitor.bad_states
+        words_checked += assert_monitor_faithful(aut, monitor, 8, name)
     report(6, True,
            f"monitor runs equal automaton runs on {words_checked} words "
            f"of length 8 (covering all shorter words); bad absorbing")

@@ -1,5 +1,7 @@
 """GFF parsing, role validation and monitor compilation."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,29 @@ def test_acceptance_swap_involution():
     assert {s for s in twice.accepting} == {"ok"}
 
 
+def test_trap_kept_for_unreachable_incomplete_state():
+    # s2 is unreachable and loops on p only; on ~p it steps into the
+    # completion trap, so the trap stays and s2 stays complete
+    aut = gff(["s0", "s2"], "s0", [("s0", "True", "s0"), ("s2", "p", "s2")],
+              ["s0"], props=["p"])
+    v = validate_for_role(parse_gff(aut), "guarantee")
+    assert v.states == ("s0", "s2", TRAP_ID)
+    m = to_monitor(v)
+    assert m.bad_states == {2}
+    assert assert_monitor_faithful(v, m, 4, "unreachable s2") == 16
+
+
+def test_assumption_with_two_traps_accepted():
+    # t1 is a trap of the document; completion adds a second one
+    aut = gff(["ok", "t1"], "ok",
+              [("ok", "~e ~f", "ok"), ("ok", "e", "t1"), ("t1", "True", "t1")],
+              ["ok"], props=["e", "f"])
+    v = validate_for_role(parse_gff(aut), "assumption")
+    m = to_monitor(v)
+    assert m.bad_states == {1, 2}
+    assert_monitor_faithful(v, m, 4, "two traps")
+
+
 def test_completion_prunes_unreachable_trap():
     aut = parse_gff(GF_DONE)
     completed = complete(aut)
@@ -227,6 +252,59 @@ def test_monitor_safety_trap_is_bad_and_absorbing():
     assert m.bad_states == {trap_idx}
     for letter in enumerate_assignments(m.props):
         assert m.step(trap_idx, letter) == trap_idx
+
+
+def assert_monitor_faithful(aut, monitor, length: int, label: str) -> int:
+    """Acceptance criterion 6's check; returns the number of words run.
+
+    The monitor starts in the automaton's initial state, runs through
+    the same states as the automaton on every word of ``length``
+    letters, hence on every shorter word, and never leaves its bad
+    states.
+    """
+    assert monitor.state_ids[monitor.init_index] == aut.initial, label
+    letters = enumerate_assignments(sorted(aut.alphabet_props))
+    words = 0
+    for word in product(letters, repeat=length):
+        direct = aut.run(list(word))
+        state = monitor.init_index
+        for i, letter in enumerate(word):
+            state = monitor.step(state, letter)
+            assert monitor.state_ids[state] == direct[i + 1], label
+        words += 1
+    for bad_state in monitor.bad_states:
+        for letter in letters:
+            assert monitor.step(bad_state, letter) in monitor.bad_states
+    return words
+
+
+@st.composite
+def random_gff(draw):
+    """A GFF automaton of 1-5 states over 1-2 propositions."""
+    props = ["p", "q"][:draw(st.integers(1, 2))]
+    states = [f"s{i}" for i in range(draw(st.integers(1, 5)))]
+    label = st.lists(st.sampled_from([None, "", "~"]), min_size=len(props),
+                     max_size=len(props)).map(
+        lambda signs: " ".join(sign + p for sign, p in zip(signs, props)
+                               if sign is not None) or "True")
+    transitions = draw(st.lists(
+        st.tuples(st.sampled_from(states), label, st.sampled_from(states)),
+        max_size=3 * len(states)))
+    accepting = draw(st.sets(st.sampled_from(states)))
+    return gff(states, states[0], transitions, sorted(accepting), props)
+
+
+@given(random_gff())
+@settings(max_examples=300, deadline=None)
+def test_every_accepted_automaton_compiles_faithfully(text):
+    """Whatever ``validate_for_role`` accepts, in any role and either
+    polarity, compiles to a monitor that passes criterion 6's check."""
+    for role, negated in product(("guarantee", "assumption"), (False, True)):
+        try:
+            aut = validate_for_role(parse_gff(text), role, negated=negated)
+        except AutomatonError:
+            continue
+        assert_monitor_faithful(aut, to_monitor(aut), 3, f"{role} {negated}")
 
 
 FIXTURES = {

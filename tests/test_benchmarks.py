@@ -13,8 +13,8 @@ from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
 from aigsynt.mc import (
     CheckResult, FairResult, check_justice_universal, check_safety,
-    solve_explicit,
 )
+from aigsynt.oracle import solve_explicit
 
 ROOT = Path(__file__).resolve().parent.parent / "benchmarks"
 

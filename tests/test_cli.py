@@ -1,9 +1,13 @@
 """Command-line pipeline behavior and exit codes."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aigsynt
 from aigsynt.aiger import AigerDoc, read_aiger, write_aiger
 from aigsynt.cli import main
 
@@ -213,3 +217,32 @@ def test_automaton_paths_resolve_relative_to_spec(tmp_path):
     out = tmp_path / "out.aag"
     assert main(["spec2aag", str(nested / "huffman4.smv"),
                  "-o", str(out), "--extended"]) == 0
+
+
+def test_spec2aag_accepts_guarantee_with_unreachable_incomplete_state(
+        tmp_path, capsys):
+    """The guarantee's unreachable state s2 loops on p alone; its move on
+    ~p into the completion trap keeps the trap, so the spec compiles."""
+    from test_automata import gff
+
+    (tmp_path / "spec.smv").write_text(
+        "MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"
+        "  q: boolean;\n\nSYS_AUTOMATON_SPEC\n  guarantee.gff;\n")
+    (tmp_path / "guarantee.gff").write_text(gff(
+        ["s0", "s2"], "s0", [("s0", "True", "s0"), ("s2", "p", "s2")],
+        ["s0"], props=["p"]))
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out),
+                 "--extended"]) == 0
+    assert capsys.readouterr().err == ""
+    assert main(["synth", str(out), "-o", str(tmp_path / "model.aag")]) == 0
+
+
+def test_cli_import_leaves_numpy_out():
+    """Only the explicit-state oracle needs numpy, and no command runs it."""
+    src = str(Path(aigsynt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = "import sys, aigsynt.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"

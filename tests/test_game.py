@@ -14,9 +14,8 @@ from aigsynt.game import (
     is_realizable, justice_depends_on_inputs, move_relation, mu_levels,
     solve, strategy_to_circuit, synthesize,
 )
-from aigsynt.mc import (
-    check_justice_universal, check_safety, find_fair_trace, solve_explicit,
-)
+from aigsynt.mc import check_justice_universal, check_safety, find_fair_trace
+from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import justice_to_safety
 
 from helpers import random_game_doc

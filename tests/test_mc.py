@@ -1,16 +1,22 @@
 """Model checker verdicts, trace validity, and the explicit oracle."""
 
-import numpy as np
 import pytest
 
+from pathlib import Path
+
 from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit
+from aigsynt.cli import build_spec_doc
+from aigsynt.game import synthesize
 from aigsynt.mc import (
-    McError, _SymbolicModel, check_justice_universal, check_safety,
-    find_fair_trace, solve_explicit,
+    McError, _SymbolicModel, _cut_vars, check_justice_universal,
+    check_safety, find_fair_trace,
 )
+from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import reverse_justice
 
-from helpers import enumerate_lasso_fg_not_just, random_game_doc
+from helpers import (
+    enumerate_lasso_fg_not_just, random_game_doc, with_random_outputs,
+)
 from test_game import doc_with
 from test_transforms import closed_doc
 
@@ -251,7 +257,73 @@ def test_trace_render_format():
     assert lines[2] == "00 0"
 
 
+# cut outputs -------------------------------------------------------------
+
+HUFFMAN4 = Path(__file__).resolve().parent.parent / "benchmarks" / \
+    "huffman4" / "huffman4.smv"
+
+
+def _check_renders(doc: AigerDoc) -> list:
+    """Verdict and trace render of every check, both fair readings too."""
+    checks = [check_safety(doc), check_justice_universal(doc)]
+    fairs = [find_fair_trace(doc), find_fair_trace(reverse_justice(doc))]
+    return ([r.holds for r in checks] + [r.found for r in fairs] +
+            [r.trace and r.trace.render() for r in checks + fairs])
+
+
+def test_cut_outputs_keep_every_verdict_and_trace():
+    """Outputs on gates of the checked cones become cuts; the checks
+    give the same verdicts and the same traces as without outputs."""
+    with_cuts = traces = 0
+    for seed in range(300):
+        doc = random_game_doc(seed + 1000, n_latches=4, n_u=2, n_c=1,
+                              n_gates=10)
+        named = with_random_outputs(doc, seed)
+        renders = _check_renders(doc)
+        assert _check_renders(named) == renders, seed
+        with_cuts += bool(_cut_vars(named))
+        traces += sum(render is not None for render in renders[4:])
+    assert with_cuts >= 250
+    assert traces >= 500
+
+
+def test_synthesized_outputs_are_cut():
+    """Each strategy output read by the model gets one cut level, and
+    the next-state functions shrink to a fraction of the inlined ones."""
+    ok, model, _ = synthesize(build_spec_doc(HUFFMAN4))
+    assert ok
+    cut = _SymbolicModel(model)
+    plain = _SymbolicModel(model.copy(outputs=[]))
+    assert [name for _, name in model.outputs] == ["cipher", "done"]
+    assert len(cut.quantified) == len(cut.input_levels) + 2
+    assert plain.quantified == plain.input_levels
+    biggest = max(f.dag_size() for f in cut.delta.values())
+    assert 4 * biggest <= max(f.dag_size() for f in plain.delta.values())
+
+
+def test_output_outside_the_checked_cones_is_not_cut():
+    def nexts(aig, u, c, l):
+        return [aig.and_(u[0], l[0])]
+
+    doc = doc_with(next_of=nexts, bad=lambda aig, u, c, l: l[0])
+    read = doc.latches[0][1]
+    unread = doc.aig.and_(doc.inputs[1][0], doc.latches[0][0] ^ 1)
+    doc.outputs = [(unread, "unread"), (read ^ 1, "read"), (read, "again")]
+    assert _cut_vars(doc) == [read >> 1]
+    assert len(_SymbolicModel(doc).quantified) == len(doc.inputs) + 1
+    old = AigerDoc(fmt="old")
+    old.outputs.append((old.aig.and_(old.add_input("u"), old.add_latch("l")),
+                        "bad"))
+    assert _cut_vars(old) == []
+
+
 # explicit oracle ---------------------------------------------------------
+
+
+def test_oracle_still_importable_from_mc():
+    import aigsynt.mc
+    import aigsynt.oracle
+    assert aigsynt.mc.solve_explicit is aigsynt.oracle.solve_explicit
 
 
 def test_explicit_trivial_safe_game_all_states():

@@ -5,7 +5,8 @@ import pytest
 from aigsynt.aiger import (
     AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, values_lit, write_aiger,
 )
-from aigsynt.mc import find_fair_trace, solve_explicit
+from aigsynt.mc import find_fair_trace
+from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import (
     TransformError, fold_constraints_into_bad, justice_to_safety,
     reverse_justice,
