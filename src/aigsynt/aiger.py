@@ -67,6 +67,20 @@ class Aig:
     def and_node(self, var: int) -> tuple[int, int]:
         return self._ands[var]
 
+    def cone(self, lits) -> set[int]:
+        """The variables in the transitive fan-in of ``lits``, theirs too."""
+        ands = self._ands
+        seen: set[int] = set()
+        stack = [lit >> 1 for lit in lits]
+        while stack:
+            var = stack.pop()
+            if var not in seen:
+                seen.add(var)
+                node = ands.get(var)
+                if node is not None:
+                    stack += (node[0] >> 1, node[1] >> 1)
+        return seen
+
     def nodes(self):
         for var in self._and_order:
             rhs0, rhs1 = self._ands[var]

@@ -44,20 +44,8 @@ def justice_depends_on_inputs(doc: AigerDoc) -> bool:
     jlit = doc.justice_literal()
     if jlit is None:
         return False
-    input_vars = {lit_var(lit) for lit, _ in doc.inputs}
-    seen: set[int] = set()
-    stack = [lit_var(jlit)]
-    while stack:
-        var = stack.pop()
-        if var in seen:
-            continue
-        seen.add(var)
-        if var in input_vars:
-            return True
-        if doc.aig.is_and(var):
-            rhs0, rhs1 = doc.aig.and_node(var)
-            stack.extend((lit_var(rhs0), lit_var(rhs1)))
-    return False
+    cone = doc.aig.cone([jlit])
+    return any(lit_var(lit) in cone for lit, _ in doc.inputs)
 
 
 def delay_justice(doc: AigerDoc) -> AigerDoc:

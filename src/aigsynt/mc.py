@@ -105,23 +105,19 @@ def _cut_vars(doc: AigerDoc) -> list[int]:
     In output order, each gate once.  Old-format outputs are the bad
     signals themselves, so they get no cuts.
     """
-    if doc.fmt == "old" or not doc.outputs:
+    if doc.fmt == "old":
+        return []
+    gates = [var for var in dict.fromkeys(lit_var(lit) for lit, _ in doc.outputs)
+             if doc.aig.is_and(var)]
+    if not gates:
         return []
     roots = [nxt for _, nxt, _ in doc.latches]
     roots += [lit for lit, _ in doc.bad + doc.constraints]
     jlit = doc.justice_literal()
     if jlit is not None:
         roots.append(jlit)
-    cone: set[int] = set()
-    stack = [lit_var(lit) for lit in roots]
-    while stack:
-        var = stack.pop()
-        if var in cone or not doc.aig.is_and(var):
-            continue
-        cone.add(var)
-        stack.extend(lit_var(rhs) for rhs in doc.aig.and_node(var))
-    cuts = dict.fromkeys(lit_var(lit) for lit, _ in doc.outputs)
-    return [var for var in cuts if var in cone]
+    cone = doc.aig.cone(roots)
+    return [var for var in gates if var in cone]
 
 
 class _SymbolicModel:
