@@ -68,7 +68,7 @@ class Aig:
         return self._ands[var]
 
     def cone(self, lits) -> set[int]:
-        """The variables in the transitive fan-in of ``lits``, theirs too."""
+        """The variables of ``lits`` and of every gate in their fan-in."""
         ands = self._ands
         seen: set[int] = set()
         stack = [lit >> 1 for lit in lits]
