@@ -271,15 +271,9 @@ def with_random_outputs(doc: AigerDoc, seed: int) -> AigerDoc:
     """
     rng = random.Random(seed)
     gates = [var for var, _, _ in doc.aig.nodes()]
-    fan_in: set[int] = set()
-    stack = [nxt >> 1 for _, nxt, _ in doc.latches]
-    stack += [lit >> 1 for lit, _ in doc.bad]
-    while stack:
-        var = stack.pop()
-        if doc.aig.is_and(var) and var not in fan_in:
-            fan_in.add(var)
-            stack.extend(rhs >> 1 for rhs in doc.aig.and_node(var))
-    near = sorted(fan_in) or gates
+    fan_in = doc.aig.cone([nxt for _, nxt, _ in doc.latches] +
+                          [lit for lit, _ in doc.bad])
+    near = [var for var in gates if var in fan_in] or gates
     outputs = [((rng.choice(near if rng.random() < 0.8 else gates) << 1)
                 ^ rng.randint(0, 1), f"o{i}")
                for i in range(rng.randint(1, 3))]
