@@ -186,3 +186,153 @@ def test_round_trip_random_docs(doc):
     text = write_aiger(doc)
     parsed = read_aiger(text)
     assert write_aiger(parsed) == text
+
+
+# One malformed text per error path of the reader and the validator, with
+# the exact message each raises.
+MALFORMED = {
+    # truncated sections
+    "empty_file": ("", "unexpected end of file while reading header"),
+    "truncated_inputs": ("aag 1 1 0 0 0\n",
+                         "unexpected end of file while reading inputs"),
+    "truncated_latches": ("aag 1 0 1 0 0\n",
+                          "unexpected end of file while reading latches"),
+    "truncated_outputs": ("aag 1 1 0 1 0\n2\n",
+                          "unexpected end of file while reading outputs"),
+    "truncated_bad": ("aag 1 1 0 0 0 1 0 0 0\n2\n",
+                      "unexpected end of file while reading bad"),
+    "truncated_constraints": ("aag 1 1 0 0 0 0 1 0 0\n2\n",
+                              "unexpected end of file while reading constraints"),
+    "truncated_justice_sizes": ("aag 1 1 0 0 0 0 0 1 0\n2\n",
+                                "unexpected end of file while reading justice sizes"),
+    "truncated_justice_literals": (
+        "aag 1 1 0 0 0 0 0 1 0\n2\n2\n2\n",
+        "unexpected end of file while reading justice literals"),
+    "truncated_ands": ("aag 3 2 0 0 1\n2\n4\n",
+                       "unexpected end of file while reading AND nodes"),
+    # the header
+    "not_aag": ("aig 1 0 0 0 0\n",
+                "not an ASCII AIGER file (missing 'aag' header)"),
+    "header_too_few": ("aag 1 1 0 0\n",
+                       "malformed header: expected 5 to 9 counts, got 4"),
+    "header_too_many": ("aag 1 1 0 0 0 0 0 0 0 0\n",
+                        "malformed header: expected 5 to 9 counts, got 10"),
+    "header_not_integer": (
+        "aag 1 x 0 0 0\n",
+        "malformed header: invalid literal for int() with base 10: 'x'"),
+    "header_negative": ("aag 1 -1 0 0 0\n", "malformed header: negative count"),
+    "header_fairness": ("aag 1 1 0 0 0 0 0 0 1\n2\n",
+                        "fairness sections are not supported"),
+    "header_m_too_small": ("aag 1 2 0 0 0\n2\n4\n",
+                           "malformed header: M=1 smaller than I+L+A=2"),
+    # non-integer tokens
+    "input_not_integer": ("aag 1 1 0 0 0\nx\n", "input 0: not a literal: 'x'"),
+    "latch_not_integer": ("aag 1 0 1 0 0\nl 2\n", "latch 0: not a literal: 'l'"),
+    "latch_next_not_integer": ("aag 1 0 1 0 0\n2 n\n",
+                               "latch 0 next: not a literal: 'n'"),
+    "output_not_integer": ("aag 1 1 0 1 0\n2\no\n",
+                           "output 0: not a literal: 'o'"),
+    "bad_not_integer": ("aag 1 1 0 0 0 1 0 0 0\n2\nb\n",
+                        "bad 0: not a literal: 'b'"),
+    "constraint_not_integer": ("aag 1 1 0 0 0 0 1 0 0\n2\nc\n",
+                               "constraint 0: not a literal: 'c'"),
+    "justice_size_not_integer": ("aag 1 1 0 0 0 0 0 1 0\n2\nz\n",
+                                 "justice group 0: malformed size"),
+    "justice_not_integer": ("aag 1 1 0 0 0 0 0 1 0\n2\n1\nj\n",
+                            "justice 0: not a literal: 'j'"),
+    "and_lhs_not_integer": ("aag 3 2 0 0 1\n2\n4\nx 2 4\n",
+                            "AND 0: not a literal: 'x'"),
+    "and_operand_not_integer": ("aag 3 2 0 0 1\n2\n4\n6 2 y\n",
+                                "AND 0: not a literal: 'y'"),
+    "and_first_error_wins": ("aag 3 2 0 0 1\n2\n4\n9 x y\n",
+                             "AND 0: literal 9 out of range (max 7)"),
+    # wrong token counts
+    "latch_one_token": ("aag 1 0 1 0 0\n2\n", "latch 0: expected 'lit next'"),
+    "latch_four_tokens": ("aag 1 0 1 0 0\n2 2 0 0\n",
+                          "latch 0: expected 'lit next'"),
+    "and_two_tokens": ("aag 3 2 0 0 1\n2\n4\n6 2\n",
+                       "AND 0: expected 'lhs rhs0 rhs1'"),
+    "and_four_tokens": ("aag 3 2 0 0 1\n2\n4\n6 2 4 4\n",
+                        "AND 0: expected 'lhs rhs0 rhs1'"),
+    # even/odd and range
+    "input_odd": ("aag 1 1 0 0 0\n3\n",
+                  "input 0: literal 3 must be a positive even literal"),
+    "input_zero": ("aag 1 1 0 0 0\n0\n",
+                   "input 0: literal 0 must be a positive even literal"),
+    "input_out_of_range": ("aag 1 1 0 0 0\n4\n",
+                           "input 0: literal 4 out of range (max 3)"),
+    "input_negative": ("aag 1 1 0 0 0\n-2\n",
+                       "input 0: literal -2 out of range (max 3)"),
+    "latch_odd": ("aag 1 0 1 0 0\n3 2\n",
+                  "latch 0: literal 3 must be a positive even literal"),
+    "latch_out_of_range": ("aag 1 0 1 0 0\n6 2\n",
+                           "latch 0: literal 6 out of range (max 3)"),
+    "latch_next_out_of_range": ("aag 1 0 1 0 0\n2 4\n",
+                                "latch 0 next: literal 4 out of range (max 3)"),
+    "output_out_of_range": ("aag 1 1 0 1 0\n2\n9\n",
+                            "output 0: literal 9 out of range (max 3)"),
+    "bad_out_of_range": ("aag 1 1 0 0 0 1 0 0 0\n2\n4\n",
+                         "bad 0: literal 4 out of range (max 3)"),
+    "constraint_out_of_range": ("aag 1 1 0 0 0 0 1 0 0\n2\n4\n",
+                                "constraint 0: literal 4 out of range (max 3)"),
+    "justice_out_of_range": ("aag 1 1 0 0 0 0 0 1 0\n2\n1\n4\n",
+                             "justice 0: literal 4 out of range (max 3)"),
+    "and_lhs_odd": ("aag 3 2 0 0 1\n2\n4\n7 2 4\n",
+                    "AND 0: lhs 7 must be a positive even literal"),
+    "and_lhs_zero": ("aag 3 2 0 0 1\n2\n4\n0 2 4\n",
+                     "AND 0: lhs 0 must be a positive even literal"),
+    "and_lhs_out_of_range": ("aag 3 2 0 0 1\n2\n4\n8 2 4\n",
+                             "AND 0: literal 8 out of range (max 7)"),
+    "and_operand_out_of_range": ("aag 3 2 0 0 1\n2\n4\n6 2 9\n",
+                                 "AND 0: literal 9 out of range (max 7)"),
+    "and_operand_negative": ("aag 3 2 0 0 1\n2\n4\n6 -1 4\n",
+                             "AND 0: literal -1 out of range (max 7)"),
+    # undefined operands, order, reset values
+    "and_operand_undefined": ("aag 3 1 0 0 1\n2\n6 2 4\n",
+                              "AND 3: literal 4 is undefined"),
+    "latch_next_undefined": ("aag 2 0 1 0 0\n2 4\n",
+                             "latch next: literal 4 is undefined"),
+    "output_undefined": ("aag 2 1 0 1 0\n2\n5\n", "output: literal 5 is undefined"),
+    "bad_undefined": ("aag 2 1 0 0 0 1 0 0 0\n2\n4\n",
+                      "bad: literal 4 is undefined"),
+    "constraint_undefined": ("aag 2 1 0 0 0 0 1 0 0\n2\n4\n",
+                             "constraint: literal 4 is undefined"),
+    "justice_undefined": ("aag 2 1 0 0 0 0 0 1 0\n2\n1\n4\n",
+                          "justice: literal 4 is undefined"),
+    "and_not_topological": ("aag 2 0 0 1 2\n2\n2 4 4\n4 0 1\n",
+                            "AND 1: operand 4 is not topological"),
+    "and_self_reference": ("aag 1 0 0 0 1\n2 2 1\n",
+                           "AND 1: operand 2 is not topological"),
+    "latch_reset_one": ("aag 1 0 1 0 0\n2 2 1\n",
+                        "latch 0: only reset value 0 is supported"),
+    # variables defined twice
+    "two_inputs": ("aag 2 2 0 0 0\n2\n2\n", "variable 1 is defined more than once"),
+    "input_and_latch": ("aag 2 1 1 0 0\n2\n2 3\n",
+                        "variable 1 is defined more than once"),
+    "input_and_gate": ("aag 2 1 0 0 1\n2\n2 1 1\n",
+                       "variable 1 is defined more than once"),
+    "two_gates": ("aag 3 1 0 0 2\n2\n4 2 2\n4 2 2\n", "AND node 2 defined twice"),
+    # symbol table
+    "symbol_unknown_kind": ("aag 1 1 0 0 0\n2\nx0 foo\n",
+                            "unexpected line in symbol table: 'x0 foo'"),
+    "symbol_empty_line": ("aag 1 1 0 0 0\n2\n\n",
+                          "unexpected line in symbol table: ''"),
+    "symbol_no_name": ("aag 1 1 0 0 0\n2\ni0\n", "malformed symbol entry: 'i0'"),
+    "symbol_no_index": ("aag 1 1 0 0 0\n2\ni name\n",
+                        "malformed symbol entry: 'i name'"),
+    "symbol_bad_index": ("aag 1 1 0 0 0\n2\nix name\n",
+                         "malformed symbol entry: 'ix name'"),
+    "symbol_out_of_range": ("aag 1 1 0 0 0\n2\ni1 name\n",
+                            "symbol entry 'i1 name' out of range"),
+    "symbol_negative_index": ("aag 1 1 0 0 0\n2\ni-1 name\n",
+                              "symbol entry 'i-1 name' out of range"),
+    "symbol_empty_section": ("aag 1 1 0 0 0\n2\nl0 name\n",
+                             "symbol entry 'l0 name' out of range"),
+}
+
+
+@pytest.mark.parametrize("text, message", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_text_error_messages(text, message):
+    with pytest.raises(AigError) as info:
+        read_aiger(text)
+    assert str(info.value) == message
