@@ -29,7 +29,8 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
-from aigsynt.mc import check_justice_universal, check_safety, find_fair_trace
+from aigsynt.mc import _SymbolicModel, check_justice_universal, check_safety, \
+    find_fair_trace
 from aigsynt.transforms import reverse_justice
 from workloads import WEIGHTS, stress_codes, write_stress_spec
 
@@ -81,8 +82,9 @@ def main() -> int:
     print(f"realizable; {elapsed:.1f}s, {peak_rss()}, model has "
           f"{model.aig.num_ands} AND gates (reported, not asserted)")
     t0 = time.monotonic()
-    safety = check_safety(model)
-    justice = check_justice_universal(model)
+    symbolic = _SymbolicModel(model)  # one encoding for both checks, as `mc`
+    safety = check_safety(symbolic)
+    justice = check_justice_universal(symbolic)
     print(f"model check in {time.monotonic() - t0:.1f}s, {peak_rss()}: "
           f"safety {'holds' if safety.holds else 'VIOLATED'}, "
           f"justice {'holds' if justice.holds else 'VIOLATED'}")

@@ -49,8 +49,8 @@ class Aig:
 
     def __init__(self) -> None:
         self.max_var = 0
+        # var -> (rhs0, rhs1), in definition order
         self._ands: dict[int, tuple[int, int]] = {}
-        self._and_order: list[int] = []
         self._hash: dict[tuple[int, int], int] = {}
 
     def new_var(self) -> int:
@@ -82,20 +82,18 @@ class Aig:
         return seen
 
     def nodes(self):
-        for var in self._and_order:
-            rhs0, rhs1 = self._ands[var]
+        for var, (rhs0, rhs1) in self._ands.items():
             yield var, rhs0, rhs1
 
     @property
     def num_ands(self) -> int:
-        return len(self._and_order)
+        return len(self._ands)
 
     def add_and_raw(self, var: int, rhs0: int, rhs1: int) -> None:
         """Record a node as read from a file, without folding or dedup."""
         if var in self._ands:
             raise AigError(f"AND node {var} defined twice")
         self._ands[var] = (rhs0, rhs1)
-        self._and_order.append(var)
         self.declare_var(var)
         self._hash.setdefault((rhs0, rhs1), 2 * var)
 
@@ -117,7 +115,6 @@ class Aig:
             return cached
         var = self.new_var()
         self._ands[var] = key
-        self._and_order.append(var)
         lit = 2 * var
         self._hash[key] = lit
         return lit
@@ -152,7 +149,6 @@ class Aig:
         other = Aig.__new__(Aig)
         other.max_var = self.max_var
         other._ands = dict(self._ands)
-        other._and_order = list(self._and_order)
         other._hash = dict(self._hash)
         return other
 
@@ -231,24 +227,27 @@ class AigerDoc:
         return self.justice[0][0][0]
 
     def validate(self) -> None:
+        """Raise AigError at the first structural fault of the document.
+
+        Every literal is checked inline; a message is formatted only
+        for a literal that fails.
+        """
         if self.fmt not in ("old", "new"):
             raise AigError(f"unknown format {self.fmt!r}")
         if self.fmt == "old" and (self.bad or self.constraints or self.justice):
             raise AigError("old format cannot carry bad/constraint/justice sections")
-        defined = {0}
+        ands = self.aig._ands
         defining = [lit_var(lit) for lit, _ in self.inputs]
         defining += [lit_var(lit) for lit, _, _ in self.latches]
-        defining += [var for var, _, _ in self.aig.nodes()]
-        for var in defining:
-            if var in defined:
-                raise AigError(f"variable {var} is defined more than once")
-            defined.add(var)
-
-        def check(lit: int, what: str) -> None:
-            if lit_var(lit) > self.aig.max_var:
-                raise AigError(f"{what}: literal {lit} out of range")
-            if lit_var(lit) not in defined:
-                raise AigError(f"{what}: literal {lit} is undefined")
+        defining += ands
+        defined = set(defining)
+        defined.add(0)
+        if len(defined) <= len(defining):  # some variable is defined twice
+            seen = {0}
+            for var in defining:
+                if var in seen:
+                    raise AigError(f"variable {var} is defined more than once")
+                seen.add(var)
 
         for lit, _ in self.inputs:
             if is_negated(lit):
@@ -256,22 +255,31 @@ class AigerDoc:
         for lit, _, _ in self.latches:
             if is_negated(lit):
                 raise AigError(f"latch literal {lit} must be even")
-        for var, rhs0, rhs1 in self.aig.nodes():
-            for rhs in (rhs0, rhs1):
-                check(rhs, f"AND {var}")
-                if self.aig.is_and(lit_var(rhs)) and lit_var(rhs) >= var:
+        max_var = self.aig.max_var
+        for var, operands in ands.items():
+            for rhs in operands:
+                rhs_var = rhs >> 1
+                if rhs_var > max_var or rhs_var not in defined:
+                    _check_defined(rhs, f"AND {var}", max_var, defined)
+                if rhs_var >= var and rhs_var in ands:
                     raise AigError(f"AND {var}: operand {rhs} is not topological")
-        for _, next_lit, _ in self.latches:
-            check(next_lit, "latch next")
-        for lit, _ in self.outputs:
-            check(lit, "output")
-        for lit, _ in self.bad:
-            check(lit, "bad")
-        for lit, _ in self.constraints:
-            check(lit, "constraint")
-        for group, _ in self.justice:
-            for lit in group:
-                check(lit, "justice")
+        sections = (("latch next", [nxt for _, nxt, _ in self.latches]),
+                    ("output", [lit for lit, _ in self.outputs]),
+                    ("bad", [lit for lit, _ in self.bad]),
+                    ("constraint", [lit for lit, _ in self.constraints]),
+                    ("justice", [lit for group, _ in self.justice
+                                 for lit in group]))
+        for what, lits in sections:
+            for lit in lits:
+                if lit >> 1 > max_var or lit >> 1 not in defined:
+                    _check_defined(lit, what, max_var, defined)
+
+
+def _check_defined(lit: int, what: str, max_var: int, defined: set[int]) -> None:
+    if lit_var(lit) > max_var:
+        raise AigError(f"{what}: literal {lit} out of range")
+    if lit_var(lit) not in defined:
+        raise AigError(f"{what}: literal {lit} is undefined")
 
 
 def write_aiger(doc: AigerDoc) -> str:
@@ -313,19 +321,61 @@ def write_aiger(doc: AigerDoc) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _parse_lit(tok: str, what: str, max_lit: int) -> int:
+    try:
+        lit = int(tok)
+    except ValueError:
+        raise AigError(f"{what}: not a literal: {tok!r}") from None
+    if lit < 0 or lit > max_lit:
+        raise AigError(f"{what}: literal {lit} out of range (max {max_lit})")
+    return lit
+
+
+def _parse_defining_lit(tok: str, what: str, max_lit: int,
+                        role: str = "literal") -> int:
+    lit = _parse_lit(tok, what, max_lit)
+    if is_negated(lit) or lit == 0:
+        raise AigError(f"{what}: {role} {lit} must be a positive even literal")
+    return lit
+
+
+def _parse_latch(parts: list[str], i: int, max_lit: int) -> tuple[int, int]:
+    if len(parts) == 3:
+        if parts[2] != "0":
+            raise AigError(f"latch {i}: only reset value 0 is supported")
+        parts = parts[:2]
+    if len(parts) != 2:
+        raise AigError(f"latch {i}: expected 'lit next'")
+    return (_parse_defining_lit(parts[0], f"latch {i}", max_lit),
+            _parse_lit(parts[1], f"latch {i} next", max_lit))
+
+
+def _parse_and(parts: list[str], i: int, max_lit: int) -> tuple[int, int, int]:
+    if len(parts) != 3:
+        raise AigError(f"AND {i}: expected 'lhs rhs0 rhs1'")
+    return (_parse_defining_lit(parts[0], f"AND {i}", max_lit, role="lhs"),
+            _parse_lit(parts[1], f"AND {i}", max_lit),
+            _parse_lit(parts[2], f"AND {i}", max_lit))
+
+
+def _truncated(what: str) -> AigError:
+    return AigError(f"unexpected end of file while reading {what}")
+
+
 def read_aiger(text: str) -> AigerDoc:
-    raw_lines = text.splitlines()
-    pos = 0
+    """Parse ASCII AIGER in one pass over its lines, then validate it.
 
-    def next_line(what: str) -> str:
-        nonlocal pos
-        if pos >= len(raw_lines):
-            raise AigError(f"unexpected end of file while reading {what}")
-        line = raw_lines[pos]
-        pos += 1
-        return line
-
-    header = next_line("header").split()
+    Each line is converted and range-checked inline.  A line failing
+    that check is parsed again by the ``_parse_*`` helpers, which check
+    its tokens in order and raise the first fault; they are the
+    reference for what a valid line is.  A truncated section raises
+    after the lines it does have are read, so an earlier fault wins.
+    """
+    lines = text.splitlines()
+    n_lines = len(lines)
+    if not lines:
+        raise _truncated("header")
+    header = lines[0].split()
     if not header or header[0] != "aag":
         raise AigError("not an ASCII AIGER file (missing 'aag' header)")
     fields = header[1:]
@@ -343,92 +393,114 @@ def read_aiger(text: str) -> AigerDoc:
         raise AigError("fairness sections are not supported")
     if m < ni + nl + na:
         raise AigError(f"malformed header: M={m} smaller than I+L+A={ni + nl + na}")
-    fmt = "new" if len(fields) > 5 else "old"
 
-    doc = AigerDoc(fmt=fmt)
+    doc = AigerDoc(fmt="new" if len(fields) > 5 else "old")
     doc.aig.declare_var(m)
     max_lit = 2 * m + 1
+    pos = 1
 
-    def parse_lit(tok: str, what: str) -> int:
+    end = pos + ni
+    for i, line in enumerate(lines[pos:end]):
         try:
-            lit = int(tok)
+            lit = int(line)
         except ValueError:
-            raise AigError(f"{what}: not a literal: {tok!r}") from None
-        if lit < 0 or lit > max_lit:
-            raise AigError(f"{what}: literal {lit} out of range (max {max_lit})")
-        return lit
-
-    for i in range(ni):
-        lit = parse_lit(next_line("inputs").strip(), f"input {i}")
-        if is_negated(lit) or lit == 0:
-            raise AigError(f"input {i}: literal {lit} must be a positive even literal")
+            lit = 0
+        if lit & 1 or not 0 < lit <= max_lit:
+            lit = _parse_defining_lit(line.strip(), f"input {i}", max_lit)
         doc.inputs.append((lit, None))
-    for i in range(nl):
-        parts = next_line("latches").split()
-        if len(parts) == 3:
-            if parts[2] != "0":
-                raise AigError(f"latch {i}: only reset value 0 is supported")
-            parts = parts[:2]
-        if len(parts) != 2:
-            raise AigError(f"latch {i}: expected 'lit next'")
-        lit = parse_lit(parts[0], f"latch {i}")
-        if is_negated(lit) or lit == 0:
-            raise AigError(f"latch {i}: literal {lit} must be a positive even literal")
-        nxt = parse_lit(parts[1], f"latch {i} next")
+    if end > n_lines:
+        raise _truncated("inputs")
+    pos = end
+
+    end = pos + nl
+    for i, line in enumerate(lines[pos:end]):
+        parts = line.split()
+        try:
+            lit, nxt = map(int, parts)
+            valid = not lit & 1 and 0 < lit <= max_lit and 0 <= nxt <= max_lit
+        except ValueError:
+            valid = False
+        if not valid:
+            lit, nxt = _parse_latch(parts, i, max_lit)
         doc.latches.append((lit, nxt, None))
-    for i in range(no):
-        doc.outputs.append((parse_lit(next_line("outputs").strip(), f"output {i}"), None))
-    for i in range(nb):
-        doc.bad.append((parse_lit(next_line("bad").strip(), f"bad {i}"), None))
-    for i in range(nc):
-        doc.constraints.append((parse_lit(next_line("constraints").strip(), f"constraint {i}"), None))
+    if end > n_lines:
+        raise _truncated("latches")
+    pos = end
+
+    for count, entries, what, section in (
+            (no, doc.outputs, "output", "outputs"), (nb, doc.bad, "bad", "bad"),
+            (nc, doc.constraints, "constraint", "constraints")):
+        end = pos + count
+        for i, line in enumerate(lines[pos:end]):
+            try:
+                lit = int(line)
+            except ValueError:
+                lit = -1
+            if not 0 <= lit <= max_lit:
+                lit = _parse_lit(line.strip(), f"{what} {i}", max_lit)
+            entries.append((lit, None))
+        if end > n_lines:
+            raise _truncated(section)
+        pos = end
+
     group_sizes = []
     for i in range(nj):
+        if pos >= n_lines:
+            raise _truncated("justice sizes")
         try:
-            group_sizes.append(int(next_line("justice sizes").strip()))
+            size = int(lines[pos])
         except ValueError:
-            raise AigError(f"justice group {i}: malformed size") from None
+            size = -1
+        if size < 0:
+            raise AigError(f"justice group {i}: malformed size")
+        group_sizes.append(size)
+        pos += 1
     for i, size in enumerate(group_sizes):
-        group = [parse_lit(next_line("justice literals").strip(), f"justice {i}")
-                 for _ in range(size)]
+        group = []
+        for line in lines[pos:pos + size]:
+            group.append(_parse_lit(line.strip(), f"justice {i}", max_lit))
+        if pos + size > n_lines:
+            raise _truncated("justice literals")
+        pos += size
         doc.justice.append((group, None))
-    for i in range(na):
-        parts = next_line("AND nodes").split()
-        if len(parts) != 3:
-            raise AigError(f"AND {i}: expected 'lhs rhs0 rhs1'")
-        lhs = parse_lit(parts[0], f"AND {i}")
-        if is_negated(lhs) or lhs == 0:
-            raise AigError(f"AND {i}: lhs {lhs} must be a positive even literal")
-        rhs0 = parse_lit(parts[1], f"AND {i}")
-        rhs1 = parse_lit(parts[2], f"AND {i}")
-        doc.aig.add_and_raw(lit_var(lhs), rhs0, rhs1)
+
+    end = pos + na
+    add_and = doc.aig.add_and_raw
+    for i, line in enumerate(lines[pos:end]):
+        parts = line.split()
+        try:
+            lhs, rhs0, rhs1 = map(int, parts)
+            valid = not lhs & 1 and 0 < lhs <= max_lit and \
+                0 <= rhs0 <= max_lit and 0 <= rhs1 <= max_lit
+        except ValueError:
+            valid = False
+        if not valid:
+            lhs, rhs0, rhs1 = _parse_and(parts, i, max_lit)
+        add_and(lhs >> 1, rhs0, rhs1)
+    if end > n_lines:
+        raise _truncated("AND nodes")
+    pos = end
 
     sections = {"i": doc.inputs, "l": doc.latches, "o": doc.outputs,
                 "b": doc.bad, "c": doc.constraints, "j": doc.justice}
-    while pos < len(raw_lines):
-        line = raw_lines[pos]
+    for k in range(pos, n_lines):
+        line = lines[k]
         if line == "c":
-            pos += 1
-            doc.comments = raw_lines[pos:]
-            pos = len(raw_lines)
+            doc.comments = lines[k + 1:]
             break
-        kind = line[:1]
-        if kind not in sections:
+        entries = sections.get(line[:1])
+        if entries is None:
             raise AigError(f"unexpected line in symbol table: {line!r}")
-        body = line[1:]
-        sep = body.find(" ")
-        if sep < 1:
+        sep = line.find(" ", 1)
+        if sep < 2:
             raise AigError(f"malformed symbol entry: {line!r}")
         try:
-            idx = int(body[:sep])
+            idx = int(line[1:sep])
         except ValueError:
             raise AigError(f"malformed symbol entry: {line!r}") from None
-        name = body[sep + 1:]
-        entries = sections[kind]
         if idx < 0 or idx >= len(entries):
             raise AigError(f"symbol entry {line!r} out of range")
-        entries[idx] = (*entries[idx][:-1], name)
-        pos += 1
+        entries[idx] = (*entries[idx][:-1], line[sep + 1:])
 
     doc.validate()
     return doc

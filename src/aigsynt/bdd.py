@@ -10,9 +10,11 @@ All operations share one cache, ``_cache``, so the keys of different
 operations must never be equal; each operation has its own key shape.
 ``_ite`` keys on the triple of node ids ``(f, g, h)``, ``_neg`` on the
 bare node id, ``_compose`` on the pair ``(f, sub_id)``, where
-``sub_id`` is a small per-manager id interned once per
-``BddRef.compose`` call, and ``_quantify`` on ``(f, exists, levels)``
-with a frozenset last.  ``_ite`` first rewrites ``ite(f, f, h)`` to
+``sub_id`` is the small per-manager id of a ``Substitution``, and
+``_quantify`` on ``(f, exists, levels)`` with a frozenset last.  A
+substitution used over and over, such as a transition function, is
+made once with ``BddManager.substitution``; a plain mapping passed to
+``BddRef.compose`` is interned on each call.  ``_ite`` first rewrites ``ite(f, f, h)`` to
 ``ite(f, 1, h)`` and ``ite(f, g, f)`` to ``ite(f, g, 0)`` (Brace, Rudell
 & Bryant, DAC 1990), so equal calls share one cache entry, and it
 resolves terminal cofactor triples without a recursive call.
@@ -27,7 +29,7 @@ One manager per thread; handles must never cross managers.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from collections.abc import Iterable, Mapping
 
 _TERMINAL_LEVEL = 1 << 30
 
@@ -78,6 +80,17 @@ class BddManager:
     @property
     def node_count(self) -> int:
         return len(self._level)
+
+    def cube(self, assignment: Mapping[int, bool]) -> "BddRef":
+        """The conjunction of the literals ``level = value``."""
+        node = 1
+        for level, value in sorted(assignment.items(), reverse=True):
+            node = self._mk(level, 0, node) if value else self._mk(level, node, 0)
+        return BddRef(self, node)
+
+    def substitution(self, submap: Mapping[int, "BddRef"]) -> "Substitution":
+        """``submap`` interned once, for any number of ``compose`` calls."""
+        return Substitution(self, submap)
 
     # core construction ---------------------------------------------------
 
@@ -196,11 +209,6 @@ class BddManager:
         return r
 
     # composition ---------------------------------------------------------
-
-    def _sub_id(self, sub: dict[int, int]) -> int:
-        """A small id naming one substitution for this manager's lifetime."""
-        sub_key = tuple(sorted(sub.items()))
-        return self._sub_ids.setdefault(sub_key, len(self._sub_ids))
 
     def _compose(self, f: int, sub: dict[int, int], sub_id: int) -> int:
         if f <= 1:
@@ -325,12 +333,19 @@ class BddRef:
                                                    max(levels)))
 
     def compose(self, submap: Mapping[int, "BddRef"]) -> "BddRef":
-        """Simultaneous substitution of variables by functions."""
+        """Simultaneous substitution of variables by functions.
+
+        ``submap`` is a plain mapping or a ``Substitution`` of this
+        manager.
+        """
         if not submap:
             return self
-        sub = {lvl: ref.node for lvl, ref in submap.items()}
-        return BddRef(self.mgr, self.mgr._compose(self.node, sub,
-                                                  self.mgr._sub_id(sub)))
+        if not isinstance(submap, Substitution):
+            submap = Substitution(self.mgr, submap)
+        elif submap.mgr is not self.mgr:
+            raise BddError("mixing BDDs from different managers")
+        return BddRef(self.mgr, self.mgr._compose(self.node, submap.nodes,
+                                                  submap.sub_id))
 
     def cofactor(self, level: int, value: bool) -> "BddRef":
         target = self.mgr.true if value else self.mgr.false
@@ -374,6 +389,33 @@ class BddRef:
             stack.append(self.mgr._lo[n])
             stack.append(self.mgr._hi[n])
         return len(seen) + 2
+
+
+class Substitution(Mapping):
+    """A read-only map from levels to functions, interned in its manager.
+
+    ``sub_id`` is a small id naming the substitution for the manager's
+    lifetime; equal maps get the same id, so ``_compose`` cache entries
+    are shared between them.
+    """
+
+    __slots__ = ("mgr", "_refs", "nodes", "sub_id")
+
+    def __init__(self, mgr: BddManager, submap: Mapping[int, BddRef]):
+        self.mgr = mgr
+        self._refs = dict(submap)
+        self.nodes = {lvl: ref.node for lvl, ref in self._refs.items()}
+        key = tuple(sorted(self.nodes.items()))
+        self.sub_id = mgr._sub_ids.setdefault(key, len(mgr._sub_ids))
+
+    def __getitem__(self, level: int) -> BddRef:
+        return self._refs[level]
+
+    def __iter__(self):
+        return iter(self._refs)
+
+    def __len__(self) -> int:
+        return len(self._refs)
 
 
 class AigCone:

@@ -24,8 +24,8 @@ from .aiger import AigError, AigerDoc, read_aiger, write_aiger
 from .automata import AutomatonError, parse_gff, to_monitor, validate_for_role
 from .circuit import CircuitError, compile_model
 from .game import GameError, build_game, is_realizable, solve, synthesize
-from .mc import CheckResult, McError, check_justice_universal, check_safety, \
-    find_fair_trace
+from .mc import CheckResult, McError, _SymbolicModel, check_justice_universal, \
+    check_safety, find_fair_trace
 from .smv import SmvError, flatten, parse_smv, resolve
 from .transforms import TransformError, fold_constraints_into_bad, \
     justice_to_safety, reverse_justice
@@ -136,10 +136,11 @@ def cmd_mc(args) -> int:
             return 1
         print("NO FAIR TRACE")
         return 0
-    safety = check_safety(doc)
+    model = _SymbolicModel(doc)  # one encoding for both checks
+    safety = check_safety(model)
     justice: CheckResult | None = None
     if safety.holds:
-        justice = check_justice_universal(doc)
+        justice = check_justice_universal(model)
     if safety.holds and justice.holds:
         print("SAFETY: holds; JUSTICE: holds")
         return 0

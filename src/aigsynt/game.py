@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var
-from .bdd import AigCone, BddManager, BddRef
+from .bdd import AigCone, BddManager, BddRef, Substitution
 
 
 class GameError(Exception):
@@ -80,7 +80,7 @@ class Encoding:
     input_levels: list[int]  # in doc.inputs order
     u_levels: list[int]
     c_levels: list[int]
-    delta: dict[int, BddRef]  # latch level -> next-state function over (L,U,C)
+    delta: Substitution  # latch level -> next-state function over (L,U,C)
     bad: BddRef
     inv: BddRef
     just: BddRef  # true without a justice literal
@@ -137,8 +137,8 @@ def encode(doc: AigerDoc, cut_vars: Sequence[int] = ()) -> Encoding:
         rhs0, rhs1 = doc.aig.and_node(var)
         func = cone.lit(rhs0) & cone.lit(rhs1)
         define = define & ~(mgr.var(lvl) ^ func)
-    delta = {lvl: cone.lit(next_lit)
-             for (_, next_lit, _), lvl in zip(doc.latches, latch_levels)}
+    delta = mgr.substitution({lvl: cone.lit(next_lit) for (_, next_lit, _), lvl
+                              in zip(doc.latches, latch_levels)})
     bad = mgr.false
     inv = mgr.true
     just = mgr.true

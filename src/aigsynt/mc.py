@@ -38,6 +38,13 @@ has the same answer with or without the cuts, because the cuts are
 determined by the inputs and the state, so ``pick_input`` makes the
 same choices.
 
+The checks take a document or a ``_SymbolicModel`` of one; the ``mc``
+command runs both universal checks on one model, so the justice check
+reuses the encoding, the manager and the operation cache of the safety
+check.  A check reads only the functions it builds, never node ids,
+and a reduced ordered diagram is canonical, so a shared model gives
+the same verdicts and traces as a model per check.
+
 The oracle ``solve_explicit`` lives in ``aigsynt.oracle``; the name
 ``aigsynt.mc.solve_explicit`` still resolves to it, on first use, so
 that importing this module does not import numpy.
@@ -144,11 +151,7 @@ class _SymbolicModel:
     # state/set helpers
 
     def state_cube(self, state: tuple[bool, ...]) -> BddRef:
-        cube = self.mgr.true
-        for lvl, bit in zip(self.latch_levels, state):
-            v = self.mgr.var(lvl)
-            cube = cube & (v if bit else ~v)
-        return cube
+        return self.mgr.cube(dict(zip(self.latch_levels, state)))
 
     def contains(self, region: BddRef, state: tuple[bool, ...]) -> bool:
         assignment = dict(zip(self.latch_levels, state))
@@ -213,14 +216,20 @@ def _walk_to_ring0(sm: _SymbolicModel, rings: list[BddRef],
     return state
 
 
-def check_safety(doc: AigerDoc) -> CheckResult:
+def _model(doc: AigerDoc | _SymbolicModel) -> _SymbolicModel:
+    return doc if isinstance(doc, _SymbolicModel) else _SymbolicModel(doc)
+
+
+def check_safety(doc: AigerDoc | _SymbolicModel) -> CheckResult:
     """Search for a finite violation of the weak-until safety part.
+
+    ``doc`` is a document or a model built from one.
 
     The backward rings stop at the first one holding the initial state;
     the counterexample walks down from that ring, so it is a shortest one
     and needs no ring beyond it.
     """
-    sm = _SymbolicModel(doc)
+    sm = _model(doc)
     violate_now = sm.now_exists(sm.inv & sm.bad)
     rings = _rings(sm, violate_now, sm.inv, sm.init_state)
     if not sm.contains(rings[-1], sm.init_state):
@@ -272,14 +281,16 @@ def _fair_lasso(sm: _SymbolicModel, loop_step: BddRef,
     return sm.make_trace(steps, loop_start=seen[state])
 
 
-def check_justice_universal(doc: AigerDoc) -> CheckResult:
+def check_justice_universal(doc: AigerDoc | _SymbolicModel) -> CheckResult:
     """Search for a lasso with constraints forever and justice finitely often.
 
-    Vacuously holds without a justice section.
+    Vacuously holds without a justice section.  ``doc`` is a document
+    or a model, as for ``check_safety``.
     """
-    if not doc.justice:
+    source = doc.doc if isinstance(doc, _SymbolicModel) else doc
+    if not source.justice:
         return CheckResult(holds=True)
-    sm = _SymbolicModel(doc)
+    sm = _model(doc)
     quiet = sm.inv & ~sm.just
     trace = _fair_lasso(sm, quiet, quiet)
     return CheckResult(holds=trace is None, trace=trace)

@@ -128,6 +128,15 @@ def test_variable_defined_twice_rejected(text):
         read_aiger(text)
 
 
+NEGATIVE_JUSTICE_SIZE = "aag 1 1 0 0 0 0 0 1 0\n2\n-1\n"
+
+
+def test_negative_justice_group_size_rejected():
+    with pytest.raises(AigError) as info:
+        read_aiger(NEGATIVE_JUSTICE_SIZE)
+    assert str(info.value) == "justice group 0: malformed size"
+
+
 def test_controllable_partition():
     text = ("aag 3 3 0 0 0\n2\n4\n6\n"
             "i0 up\ni1 controllable_a\ni2 controllable_b\n")

@@ -11,7 +11,7 @@ import aigsynt
 from aigsynt.aiger import AigerDoc, read_aiger, write_aiger
 from aigsynt.cli import main
 
-from test_aiger import TWICE_DEFINED
+from test_aiger import NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED
 from test_game import doc_with
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "huffman4"
@@ -134,6 +134,18 @@ def test_variable_defined_twice_is_an_input_error(tmp_path, capsys, text, comman
     path.write_text(text)
     assert main(command.split() + [str(path)]) == 2
     assert "defined more than once" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    "synth", "synth --print-realizability-only", "mc", "mc --existential",
+    "synt2hwmcc -o out.aag", "just2safe --k 1 -o out.aag"])
+def test_negative_justice_size_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "negative.aag"
+    path.write_text(NEGATIVE_JUSTICE_SIZE)
+    argv = [str(tmp_path / a) if a == "out.aag" else a for a in command.split()]
+    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert capsys.readouterr().err == "error: justice group 0: malformed size\n"
+    assert not (tmp_path / "out.aag").exists()
 
 
 def test_resource_exhaustion_is_never_a_verdict(tmp_path, capsys):

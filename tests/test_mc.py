@@ -4,8 +4,8 @@ import pytest
 
 from pathlib import Path
 
-from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit
-from aigsynt.cli import build_spec_doc
+from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit, write_aiger
+from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import synthesize
 from aigsynt.mc import (
     McError, _SymbolicModel, _cut_vars, check_justice_universal,
@@ -285,6 +285,38 @@ def test_cut_outputs_keep_every_verdict_and_trace():
         traces += sum(render is not None for render in renders[4:])
     assert with_cuts >= 250
     assert traces >= 500
+
+
+def _separate_checks(doc: AigerDoc) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``mc`` from two checks, each on
+    a model of its own."""
+    safety, justice = check_safety(doc), check_justice_universal(doc)
+    if not safety.holds:
+        return 1, "VIOLATED (safety)\n", safety.trace.render()
+    if not justice.holds:
+        return 1, "VIOLATED (justice)\n", justice.trace.render()
+    return 0, "SAFETY: holds; JUSTICE: holds\n", ""
+
+
+def test_mc_command_shares_one_model_between_its_checks(tmp_path, capsys):
+    """``mc`` runs both checks on one model and prints what two checks
+    on models of their own would."""
+    verdicts = []
+    path = tmp_path / "doc.aag"
+    for seed in range(300):
+        doc = random_game_doc(seed + 1000, n_latches=4, n_u=2, n_c=1,
+                              n_gates=10)
+        for variant in (doc, with_random_outputs(doc, seed)):
+            path.write_text(write_aiger(variant))
+            code = main(["mc", str(path)])
+            out, err = capsys.readouterr()
+            expected = _separate_checks(variant)
+            assert (code, out, err) == expected, seed
+            verdicts.append(expected[1])
+    # safety holds and justice fails on 19 of the 300 documents
+    assert verdicts.count("VIOLATED (justice)\n") >= 30
+    assert verdicts.count("VIOLATED (safety)\n") >= 300
+    assert verdicts.count("SAFETY: holds; JUSTICE: holds\n") >= 150
 
 
 def test_synthesized_outputs_are_cut():
