@@ -41,6 +41,13 @@ def peak_rss() -> str:
     return f"peak RSS {kib / 1024:.0f} MB"
 
 
+def model_check(model):
+    """Both universal checks on one symbolic model, as ``aigsynt mc`` runs
+    them; the model is released on return, before the fair-trace search."""
+    symbolic = _SymbolicModel(model)
+    return check_safety(symbolic), check_justice_universal(symbolic)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out-dir", type=Path,
@@ -82,9 +89,7 @@ def main() -> int:
     print(f"realizable; {elapsed:.1f}s, {peak_rss()}, model has "
           f"{model.aig.num_ands} AND gates (reported, not asserted)")
     t0 = time.monotonic()
-    symbolic = _SymbolicModel(model)  # one encoding for both checks, as `mc`
-    safety = check_safety(symbolic)
-    justice = check_justice_universal(symbolic)
+    safety, justice = model_check(model)
     print(f"model check in {time.monotonic() - t0:.1f}s, {peak_rss()}: "
           f"safety {'holds' if safety.holds else 'VIOLATED'}, "
           f"justice {'holds' if justice.holds else 'VIOLATED'}")

@@ -229,8 +229,8 @@ class AigerDoc:
     def validate(self) -> None:
         """Raise AigError at the first structural fault of the document.
 
-        Every literal is checked inline; a message is formatted only
-        for a literal that fails.
+        AND operands, the bulk of a document, are checked inline; the
+        message naming the gate is formatted only for one that fails.
         """
         if self.fmt not in ("old", "new"):
             raise AigError(f"unknown format {self.fmt!r}")
@@ -271,8 +271,7 @@ class AigerDoc:
                                  for lit in group]))
         for what, lits in sections:
             for lit in lits:
-                if lit >> 1 > max_var or lit >> 1 not in defined:
-                    _check_defined(lit, what, max_var, defined)
+                _check_defined(lit, what, max_var, defined)
 
 
 def _check_defined(lit: int, what: str, max_var: int, defined: set[int]) -> None:

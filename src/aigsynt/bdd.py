@@ -13,11 +13,12 @@ bare node id, ``_compose`` on the pair ``(f, sub_id)``, where
 ``sub_id`` is the small per-manager id of a ``Substitution``, and
 ``_quantify`` on ``(f, exists, levels)`` with a frozenset last.  A
 substitution used over and over, such as a transition function, is
-made once with ``BddManager.substitution``; a plain mapping passed to
-``BddRef.compose`` is interned on each call.  ``_ite`` first rewrites ``ite(f, f, h)`` to
-``ite(f, 1, h)`` and ``ite(f, g, f)`` to ``ite(f, g, 0)`` (Brace, Rudell
-& Bryant, DAC 1990), so equal calls share one cache entry, and it
-resolves terminal cofactor triples without a recursive call.
+made once as a ``Substitution``; a plain mapping passed to
+``BddRef.compose`` is interned on each call.  ``_ite`` first rewrites
+``ite(f, f, h)`` to ``ite(f, 1, h)`` and ``ite(f, g, f)`` to
+``ite(f, g, 0)`` (Brace, Rudell & Bryant, DAC 1990), so equal calls
+share one cache entry, and it resolves terminal cofactor triples
+without a recursive call.
 
 The toolchain allocates input-first (``game.encode``): uncontrollable
 inputs, then controllable inputs, then latches.  The quantified inputs
@@ -87,10 +88,6 @@ class BddManager:
         for level, value in sorted(assignment.items(), reverse=True):
             node = self._mk(level, 0, node) if value else self._mk(level, node, 0)
         return BddRef(self, node)
-
-    def substitution(self, submap: Mapping[int, "BddRef"]) -> "Substitution":
-        """``submap`` interned once, for any number of ``compose`` calls."""
-        return Substitution(self, submap)
 
     # core construction ---------------------------------------------------
 

@@ -137,8 +137,8 @@ def encode(doc: AigerDoc, cut_vars: Sequence[int] = ()) -> Encoding:
         rhs0, rhs1 = doc.aig.and_node(var)
         func = cone.lit(rhs0) & cone.lit(rhs1)
         define = define & ~(mgr.var(lvl) ^ func)
-    delta = mgr.substitution({lvl: cone.lit(next_lit) for (_, next_lit, _), lvl
-                              in zip(doc.latches, latch_levels)})
+    delta = Substitution(mgr, {lvl: cone.lit(next_lit) for (_, next_lit, _), lvl
+                               in zip(doc.latches, latch_levels)})
     bad = mgr.false
     inv = mgr.true
     just = mgr.true

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aigsynt.aiger import AigerDoc
-from aigsynt.bdd import AigCone, BddError, BddManager
+from aigsynt.bdd import AigCone, BddError, BddManager, Substitution
 
 
 def fresh(n=5):
@@ -147,6 +147,9 @@ def test_vector_compose_then_apply_matches_truth_table(f, sub_a, sub_b, h,
     ca, cb = (fn.compose({lvl: build_formula(mgr, refs, g)
                           for lvl, g in sub.items()})
               for sub in (sub_a, sub_b))
+    interned = Substitution(mgr, {lvl: build_formula(mgr, refs, g)
+                                  for lvl, g in sub_a.items()})
+    assert fn.compose(interned) == ca
     mixed = ca.ite(cb, hn)
     ex = mixed.exists(qvars)
     fa = mixed.forall(qvars)
@@ -212,6 +215,18 @@ def test_managers_do_not_mix():
     b = m2.add_var("b")
     with pytest.raises(BddError):
         _ = a & b
+    with pytest.raises(BddError):
+        a.compose(Substitution(m2, {0: b}))
+
+
+def test_cube_is_the_conjunction_of_its_literals():
+    mgr, refs = fresh()
+    assignment = {3: True, 0: False, 4: True}
+    chain = mgr.true
+    for lvl, value in assignment.items():
+        chain = chain & (refs[lvl] if value else ~refs[lvl])
+    assert mgr.cube(assignment) == chain
+    assert mgr.cube({}).is_true
 
 
 def test_cofactor_and_support():
