@@ -226,6 +226,17 @@ class AigerDoc:
             raise AigError("expected a single one-literal justice group")
         return self.justice[0][0][0]
 
+    def checked_lits(self) -> tuple[list[int], list[int], int | None]:
+        """The checked literals: (bad, constraints, justice literal).
+
+        Old-format documents read their outputs as bad signals, with no
+        constraints and no justice.
+        """
+        if self.fmt == "old":
+            return [lit for lit, _ in self.outputs], [], None
+        return ([lit for lit, _ in self.bad],
+                [lit for lit, _ in self.constraints], self.justice_literal())
+
     def validate(self) -> None:
         """Raise AigError at the first structural fault of the document.
 
@@ -513,9 +524,6 @@ class Simulator:
         self.latch_values = [False] * len(doc.latches)
         self._input_index = {name: i for i, (_, name) in enumerate(doc.inputs)
                              if name is not None}
-
-    def reset(self) -> None:
-        self.latch_values = [False] * len(self.doc.latches)
 
     def step(self, inputs) -> dict[int, bool]:
         """Evaluate one step and advance the latches.

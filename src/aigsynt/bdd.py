@@ -20,7 +20,7 @@ made once as a ``Substitution``; a plain mapping passed to
 share one cache entry, and it resolves terminal cofactor triples
 without a recursive call.
 
-The toolchain allocates input-first (``game.encode``): uncontrollable
+The toolchain allocates input-first (``game.Encoding``): uncontrollable
 inputs, then controllable inputs, then latches.  The quantified inputs
 then sit on top, so ``∃C ∀U`` and ``∃inputs`` strip the top of each
 diagram and leave the latch subdiagrams below shared.

@@ -14,7 +14,7 @@ is stored inverted; its symbol name carries the suffix ``.__neg``.
 
 Latch order: the round-robin counter comes first, then the monitor
 states (guarantees, then assumptions), then the model's latches.
-``game.encode`` gives latches their decision-diagram levels in document
+``game.Encoding`` gives latches their decision-diagram levels in document
 order, so observers sit above the latches they read.  An observer has
 only a few modes; on top, each diagram splits into a few mode branches
 that share the model's sub-diagrams, where at the bottom every path

@@ -70,6 +70,9 @@ def _doc_summary(doc: AigerDoc) -> str:
 
 
 def cmd_spec2aag(args) -> int:
+    if args.k is not None and not args.standard:
+        print("error: --k applies only with --standard", file=sys.stderr)
+        return 2
     doc = build_spec_doc(Path(args.spec))
     if args.standard:
         if doc.justice:

@@ -13,7 +13,7 @@ raised at the same step.
 A game owns one decision-diagram manager and solves single-threaded;
 independent games may run in parallel on their own managers.
 
-``encode`` is the one symbolic encoding of a document, shared by the
+``Encoding`` is the one symbolic model of a document, shared by the
 game solver and the model checker.  Its static variable order is
 input-first: uncontrollable inputs, then controllable inputs, then
 latches; the model checker's cut variables sit between the inputs and
@@ -65,31 +65,14 @@ def delay_justice(doc: AigerDoc) -> AigerDoc:
     return new
 
 
-@dataclass
 class Encoding:
-    """One document's symbolic transition system on its own manager.
+    """One document's symbolic model on its own manager.
 
-    Levels are allocated input-first: uncontrollable inputs, then
-    controllable inputs, then cuts, then latches; inputs and latches
-    in document order, cuts in the order given.  See the module
-    docstring and ``encode`` for why.
-    """
-
-    mgr: BddManager
-    latch_levels: list[int]  # in doc.latches order
-    input_levels: list[int]  # in doc.inputs order
-    u_levels: list[int]
-    c_levels: list[int]
-    delta: Substitution  # latch level -> next-state function over (L,U,C)
-    bad: BddRef
-    inv: BddRef
-    just: BddRef  # true without a justice literal
-    cut_levels: list[int]  # in cut_vars order
-    define: BddRef  # each cut equals its gate's function; true without cuts
-
-
-def encode(doc: AigerDoc, cut_vars: Sequence[int] = ()) -> Encoding:
-    """Build the manager, the levels and every one-step function of doc.
+    The game solver and the model checker both read a document through
+    this class.  Levels are allocated input-first: uncontrollable
+    inputs, then controllable inputs, then cuts, then latches; inputs
+    and latches in document order, cuts in the order given (see the
+    module docstring for why).
 
     Latch levels follow document order, so the document fixes the latch
     order.  Producers list observers first: ``compile_model`` puts the
@@ -102,70 +85,61 @@ def encode(doc: AigerDoc, cut_vars: Sequence[int] = ()) -> Encoding:
 
     Each AND-gate variable in ``cut_vars`` gets its own level, a cut,
     right below the inputs: every function above reads the cut instead
-    of the gate's cone, and ``define`` is the conjunction of ``cut ↔
-    gate function``, built with the cuts mapped so that nested cuts are
-    defined over each other.  With no cuts ``define`` is true and the
-    levels are those of the plain encoding.
+    of the gate's cone, and ``inv`` includes ``cut ↔ gate function``
+    for each cut, built with the cuts mapped so that nested cuts are
+    defined over each other.  ``quantified`` lists the inputs, then the
+    cuts.  With no cuts the levels are those of the plain encoding.
 
-    Old-format documents read the disjunction of their outputs as bad,
-    with no constraints and no justice.  A document without a justice
-    literal reads ``just`` as true, as the game does.
+    ``bad``, ``inv`` and ``just`` read ``doc.checked_lits()``; without
+    a justice literal ``just`` is true, as the game reads it.
     """
-    mgr = BddManager()
-    var_map: dict[int, BddRef] = {}
-    controllable = [is_controllable(name) for _, name in doc.inputs]
-    input_names = doc.input_names()
-    input_levels = [0] * len(doc.inputs)
-    # a stable sort keeps document order within each group
-    for i in sorted(range(len(doc.inputs)), key=controllable.__getitem__):
-        var_map[lit_var(doc.inputs[i][0])] = ref = mgr.add_var(input_names[i])
-        input_levels[i] = ref.level
-    u_levels = [lvl for lvl, c in zip(input_levels, controllable) if not c]
-    c_levels = [lvl for lvl, c in zip(input_levels, controllable) if c]
-    cut_levels = []
-    for var in cut_vars:
-        var_map[var] = ref = mgr.add_var(f"cut{var}")
-        cut_levels.append(ref.level)
-    latch_levels = []
-    for (lit, _, _), label in zip(doc.latches, doc.latch_names()):
-        var_map[lit_var(lit)] = ref = mgr.add_var(label)
-        latch_levels.append(ref.level)
 
-    cone = AigCone(mgr, doc, var_map)
-    define = mgr.true
-    for var, lvl in zip(cut_vars, cut_levels):
-        rhs0, rhs1 = doc.aig.and_node(var)
-        func = cone.lit(rhs0) & cone.lit(rhs1)
-        define = define & ~(mgr.var(lvl) ^ func)
-    delta = Substitution(mgr, {lvl: cone.lit(next_lit) for (_, next_lit, _), lvl
-                               in zip(doc.latches, latch_levels)})
-    bad = mgr.false
-    inv = mgr.true
-    just = mgr.true
-    if doc.fmt == "old":
-        for lit, _ in doc.outputs:
-            bad = bad | cone.lit(lit)
-    else:
-        for lit, _ in doc.bad:
-            bad = bad | cone.lit(lit)
-        for lit, _ in doc.constraints:
+    def __init__(self, doc: AigerDoc, cut_vars: Sequence[int] = ()):
+        self.doc = doc
+        self.mgr = mgr = BddManager()
+        var_map: dict[int, BddRef] = {}
+        controllable = [is_controllable(name) for _, name in doc.inputs]
+        input_names = doc.input_names()
+        self.input_levels = [0] * len(doc.inputs)  # in doc.inputs order
+        # a stable sort keeps document order within each group
+        for i in sorted(range(len(doc.inputs)), key=controllable.__getitem__):
+            var_map[lit_var(doc.inputs[i][0])] = ref = mgr.add_var(input_names[i])
+            self.input_levels[i] = ref.level
+        self.u_levels = [lvl for lvl, c in zip(self.input_levels, controllable)
+                         if not c]
+        self.c_levels = [lvl for lvl, c in zip(self.input_levels, controllable)
+                         if c]
+        self.quantified = list(self.input_levels)
+        for var in cut_vars:
+            var_map[var] = ref = mgr.add_var(f"cut{var}")
+            self.quantified.append(ref.level)
+        self.latch_levels = []  # in doc.latches order
+        for (lit, _, _), label in zip(doc.latches, doc.latch_names()):
+            var_map[lit_var(lit)] = ref = mgr.add_var(label)
+            self.latch_levels.append(ref.level)
+
+        cone = AigCone(mgr, doc, var_map)
+        define = mgr.true
+        for var in cut_vars:
+            rhs0, rhs1 = doc.aig.and_node(var)
+            func = cone.lit(rhs0) & cone.lit(rhs1)
+            define = define & ~(var_map[var] ^ func)
+        # latch level -> next-state function over (L, U, C)
+        self.delta = Substitution(mgr, {
+            lvl: cone.lit(next_lit)
+            for (_, next_lit, _), lvl in zip(doc.latches, self.latch_levels)})
+        bad_lits, constraint_lits, jlit = doc.checked_lits()
+        self.bad = mgr.false
+        for lit in bad_lits:
+            self.bad = self.bad | cone.lit(lit)
+        inv = mgr.true
+        for lit in constraint_lits:
             inv = inv & cone.lit(lit)
-        jlit = doc.justice_literal()
-        if jlit is not None:
-            just = cone.lit(jlit)
-    return Encoding(mgr=mgr, latch_levels=latch_levels,
-                    input_levels=input_levels, u_levels=u_levels,
-                    c_levels=c_levels, delta=delta, bad=bad, inv=inv,
-                    just=just, cut_levels=cut_levels, define=define)
+        self.just = mgr.true if jlit is None else cone.lit(jlit)
+        self.inv = inv & define
 
 
-@dataclass
-class Game(Encoding):
-    doc: AigerDoc
-    c_names: list[str]
-
-
-def build_game(doc: AigerDoc) -> Game:
+def build_game(doc: AigerDoc) -> Encoding:
     """Interpret a document as a game; inputs partition by name prefix.
 
     Old-format documents play the pure safety game over the disjunction
@@ -175,11 +149,10 @@ def build_game(doc: AigerDoc) -> Game:
     """
     if justice_depends_on_inputs(doc):
         doc = delay_justice(doc)
-    return Game(**vars(encode(doc)), doc=doc,
-                c_names=[name for _, name in doc.controllable_inputs()])
+    return Encoding(doc)
 
 
-def cpre(game: Game, target: BddRef) -> BddRef:
+def cpre(game: Encoding, target: BddRef) -> BddRef:
     """States from which, for every environment move, some system move
     either discharges the constraints now or avoids bad and enters the
     target."""
@@ -188,7 +161,7 @@ def cpre(game: Game, target: BddRef) -> BddRef:
     return good.exists(game.c_levels).forall(game.u_levels)
 
 
-def solve(game: Game) -> BddRef:
+def solve(game: Encoding) -> BddRef:
     """Winning region of the recurrence objective.
 
     Greatest fixpoint over Z of the least fixpoint over Y of
@@ -204,7 +177,7 @@ def solve(game: Game) -> BddRef:
         z = y
 
 
-def mu_levels(game: Game, z: BddRef) -> list[BddRef]:
+def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
     """Iterates of the least fixpoint of cpre((just and z) or Y).
 
     The list runs from empty up to the fixpoint.  At the winning region
@@ -219,7 +192,7 @@ def mu_levels(game: Game, z: BddRef) -> list[BddRef]:
         levels.append(y)
 
 
-def is_realizable(game: Game, winning: BddRef) -> bool:
+def is_realizable(game: Encoding, winning: BddRef) -> bool:
     return winning.evaluate({lvl: False for lvl in range(game.mgr.var_count)})
 
 
@@ -229,7 +202,7 @@ class Strategy:
     funcs: dict[str, BddRef]  # controllable input name -> function over (L, U)
 
 
-def move_relation(game: Game, winning: BddRef) -> BddRef:
+def move_relation(game: Encoding, winning: BddRef) -> BddRef:
     """Nondeterministic winning moves, rank-respecting toward the justice core.
 
     From states in the i+1st attractor level difference the system
@@ -250,7 +223,7 @@ def move_relation(game: Game, winning: BddRef) -> BddRef:
     return ~game.inv | (~game.bad & rank_ok)
 
 
-def extract_strategy(game: Game, winning: BddRef) -> Strategy:
+def extract_strategy(game: Encoding, winning: BddRef) -> Strategy:
     """Determinize the move relation controllable by controllable.
 
     Each bit resolves by cofactor comparison: pick 1 only where the
@@ -262,7 +235,8 @@ def extract_strategy(game: Game, winning: BddRef) -> Strategy:
         raise GameError("cannot extract a strategy: initial state is losing")
     relation = move_relation(game, winning)
     funcs: dict[str, BddRef] = {}
-    for idx, (name, lvl) in enumerate(zip(game.c_names, game.c_levels)):
+    c_names = [name for _, name in game.doc.controllable_inputs()]
+    for idx, (name, lvl) in enumerate(zip(c_names, game.c_levels)):
         later = game.c_levels[idx + 1:]
         arena = relation.exists(later)
         can_true = arena.cofactor(lvl, True)
@@ -274,7 +248,7 @@ def extract_strategy(game: Game, winning: BddRef) -> Strategy:
     return Strategy(winning=winning, funcs=funcs)
 
 
-def strategy_to_circuit(doc: AigerDoc, game: Game, strategy: Strategy) -> AigerDoc:
+def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> AigerDoc:
     """Replace each controllable input by an AND-gate cone of its function.
 
     The cone is the Shannon expansion along the function's BDD, one
@@ -345,7 +319,7 @@ def strategy_to_circuit(doc: AigerDoc, game: Game, strategy: Strategy) -> AigerD
     return new
 
 
-def synthesize(doc: AigerDoc) -> tuple[bool, AigerDoc | None, Game]:
+def synthesize(doc: AigerDoc) -> tuple[bool, AigerDoc | None, Encoding]:
     """Full solve-and-extract; returns (realizable, model, game)."""
     game = build_game(doc)
     winning = solve(game)

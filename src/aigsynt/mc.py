@@ -56,7 +56,7 @@ from dataclasses import dataclass
 
 from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
 from .bdd import BddRef
-from .game import encode
+from .game import Encoding
 
 
 class McError(Exception):
@@ -118,34 +118,25 @@ def _cut_vars(doc: AigerDoc) -> list[int]:
              if doc.aig.is_and(var)]
     if not gates:
         return []
-    roots = [nxt for _, nxt, _ in doc.latches]
-    roots += [lit for lit, _ in doc.bad + doc.constraints]
-    jlit = doc.justice_literal()
+    bad_lits, constraint_lits, jlit = doc.checked_lits()
+    roots = [nxt for _, nxt, _ in doc.latches] + bad_lits + constraint_lits
     if jlit is not None:
         roots.append(jlit)
     cone = doc.aig.cone(roots)
     return [var for var in gates if var in cone]
 
 
-class _SymbolicModel:
+class _SymbolicModel(Encoding):
     """State space over the latches; all inputs quantified existentially.
 
-    The encoding is ``game.encode`` with the outputs' gates cut, so the
-    inputs sit above the cuts and the cuts above the latches.  ``inv``
-    includes the cuts' definitions, and every ∃inputs also quantifies
-    the cuts.
+    The encoding is ``game.Encoding`` with the outputs' gates cut, so
+    the inputs sit above the cuts and the cuts above the latches.
+    ``inv`` includes the cuts' definitions, and every ∃inputs also
+    quantifies the cuts.
     """
 
     def __init__(self, doc: AigerDoc):
-        self.doc = doc
-        enc = encode(doc, _cut_vars(doc))
-        self.mgr = enc.mgr
-        self.latch_levels = enc.latch_levels
-        self.input_levels = enc.input_levels  # doc order: trace columns
-        self.quantified = enc.input_levels + enc.cut_levels
-        self.delta = enc.delta
-        self.bad, self.just = enc.bad, enc.just
-        self.inv = enc.inv & enc.define
+        super().__init__(doc, _cut_vars(doc))
         self.init_state = tuple(False for _ in doc.latches)
 
     # state/set helpers

@@ -53,14 +53,7 @@ class _ExplicitCircuit:
         for i, lit in enumerate(c_inputs):
             self.input_bit[lit_var(lit)] = i
         self.n_combos = 1 << (self.nu + self.nc)
-        if doc.fmt == "old":
-            self.bad_lits = [lit for lit, _ in doc.outputs]
-            self.constraint_lits = []
-            self.just_lit = None
-        else:
-            self.bad_lits = [lit for lit, _ in doc.bad]
-            self.constraint_lits = [lit for lit, _ in doc.constraints]
-            self.just_lit = doc.justice_literal()
+        self.bad_lits, self.constraint_lits, self.just_lit = doc.checked_lits()
 
     def eval_combo(self, states: np.ndarray, combo: int) -> dict[int, np.ndarray]:
         """Values of every variable as bool arrays over the state batch."""
@@ -118,18 +111,14 @@ class _ExplicitCircuit:
         return next_code, bad, inv, just
 
 
-def _discover_states(circ: _ExplicitCircuit, max_states: int,
-                     safe_only: bool) -> np.ndarray:
+def _discover_states(circ: _ExplicitCircuit, max_states: int) -> np.ndarray:
     known = np.array([0], dtype=np.int64)
     frontier = known
     while len(frontier):
         next_code, bad, inv, just = circ.step_table(frontier)
-        if safe_only:
-            # moves on which the output fires lose immediately; their
-            # successors cannot matter for the verdict
-            successors = next_code[~bad]
-        else:
-            successors = next_code.reshape(-1)
+        # moves on which the output fires lose immediately; their
+        # successors cannot matter for the verdict
+        successors = next_code[~bad]
         new = np.setdiff1d(np.unique(successors), known, assume_unique=False)
         if len(new) == 0:
             break
@@ -145,11 +134,9 @@ def solve_explicit(doc: AigerDoc, max_states: int = 4096,
                    mode: str = "full") -> ExplicitResult:
     """Winning region of the full objective by explicit fixpoint iteration.
 
-    ``mode``: "full" enumerates every latch valuation, "reachable"
-    restricts to states reachable under arbitrary play, and
-    "safe_reachable" (old format only) additionally stops exploring
-    behind output-raising moves; all three agree on the verdict at the
-    initial state.
+    ``mode``: "full" enumerates every latch valuation, and
+    "safe_reachable" (old format only) the states reachable without an
+    output-raising move; both agree on the verdict at the initial state.
     """
     circ = _ExplicitCircuit(doc)
     n_latches = len(doc.latches)
@@ -158,12 +145,10 @@ def solve_explicit(doc: AigerDoc, max_states: int = 4096,
             raise McError(
                 f"state space too large: 2^{n_latches} states exceeds {max_states}")
         states = np.arange(1 << n_latches, dtype=np.int64)
-    elif mode == "reachable":
-        states = _discover_states(circ, max_states, safe_only=False)
     elif mode == "safe_reachable":
         if doc.fmt != "old":
             raise McError("safe_reachable mode applies to old-format documents")
-        states = _discover_states(circ, max_states, safe_only=True)
+        states = _discover_states(circ, max_states)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

@@ -13,7 +13,7 @@ violations.
 
 Every latch a rewrite adds observes the copied ones (the window counter,
 ``env_broken``, the ``aux`` watcher), so it is listed ahead of them and
-the copied latches keep their relative order.  ``game.encode`` gives
+the copied latches keep their relative order.  ``game.Encoding`` gives
 latches their decision-diagram levels in document order, and an
 observer with few modes placed on top splits each diagram into a few
 branches that share the copied design's sub-diagrams; see

@@ -375,13 +375,3 @@ def enumerate_fair_lasso(doc: AigerDoc) -> bool:
             return True
     return False
 
-
-def simulate_doc_steps(doc: AigerDoc, input_seq) -> list[dict[int, bool]]:
-    """Variable valuations along a run from the all-zero latch state."""
-    latch_vals = [False] * len(doc.latches)
-    out = []
-    for inputs in input_seq:
-        values = evaluate_vars(doc, latch_vals, inputs)
-        out.append(values)
-        latch_vals = [values_lit(values, nxt) for _, nxt, _ in doc.latches]
-    return out

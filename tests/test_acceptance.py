@@ -48,7 +48,8 @@ def test_criterion_1_desk_huffman_end_to_end():
     start = time.monotonic()
     doc = build_spec_doc(BENCH)
     game_view = build_game(doc)
-    assert game_view.c_names == ["controllable_cipher", "controllable_done"]
+    assert [name for _, name in game_view.doc.controllable_inputs()] == \
+        ["controllable_cipher", "controllable_done"]
     ok, model, _ = synthesize(doc)
     elapsed = time.monotonic() - start
     assert ok, "desk benchmark must be realizable"

@@ -4,13 +4,15 @@ from itertools import product
 
 import pytest
 
-from aigsynt.aiger import CONTROLLABLE_PREFIX, evaluate_vars, values_lit
+from aigsynt.aiger import (
+    CONTROLLABLE_PREFIX, Simulator, evaluate_vars, values_lit,
+)
 from aigsynt.automata import parse_gff, to_monitor, validate_for_role
 from aigsynt.circuit import CircuitError, compile_model
-from aigsynt.game import encode
+from aigsynt.game import Encoding
 from aigsynt.smv import flatten, parse_smv, resolve
 
-from helpers import FlatSim, simulate_doc_steps, typed_value_to_bits
+from helpers import FlatSim, typed_value_to_bits
 from test_automata import ALL_TRUE, GF_DONE, SAFETY_NO_E, gff
 
 
@@ -171,8 +173,8 @@ def test_monitor_state_tracks_automaton_in_circuit():
     doc = compile_model(model, [monitor(GF_DONE)], [])
     just = doc.justice[0][0][0]
     word = [True, False, False, True, True]
-    runs = simulate_doc_steps(
-        doc, [[d, False] for d in word])
+    sim = Simulator(doc)
+    runs = [sim.step([d]) for d in word]
     # fair (the justice literal) holds exactly when done held one step earlier
     fair_seq = [values_lit(v, just) for v in runs]
     assert fair_seq == [False] + word[:-1]
@@ -206,7 +208,8 @@ def test_two_liveness_guarantees_round_robin():
 
     # hand trace over 8 steps: a then b then both then neither ...
     word = [(1, 0), (0, 1), (1, 1), (0, 0), (0, 1), (1, 0), (1, 1), (1, 1)]
-    runs = simulate_doc_steps(doc, [[a, b, False] for a, b in word])
+    sim = Simulator(doc)
+    runs = [sim.step([a, b]) for a, b in word]
     got = [values_lit(v, just) for v in runs]
     # fair_a / fair_b are one-step delayed views of a / b; the counter
     # awaits fair_a then fair_b and emits just the step fair_b lands:
@@ -224,7 +227,7 @@ def test_observer_latches_listed_first():
     assert doc.latch_names() == ["counting_justice.__bit0",
                                  "sys_prop0.state.__bit0",
                                  "sys_prop1.state.__bit0", "x"]
-    levels = encode(doc).latch_levels
+    levels = Encoding(doc).latch_levels
     assert levels[:3] == sorted(levels)[:3]
 
 

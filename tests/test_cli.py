@@ -42,6 +42,17 @@ def test_spec2aag_standard_needs_k(tmp_path, capsys):
     assert "needs --k" in capsys.readouterr().err
 
 
+def test_spec2aag_k_without_standard_rejected(tmp_path, capsys):
+    out = tmp_path / "spec.aag"
+    code = main(["spec2aag", str(BENCH / "huffman4.smv"), "-o", str(out),
+                 "--k", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --k applies only with --standard\n"
+    assert not out.exists()
+
+
 def test_options_do_not_leak_between_calls(tmp_path, spec_aag, capsys):
     # one process, one parser: each call starts from the defaults
     k2 = tmp_path / "k2.aag"

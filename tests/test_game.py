@@ -10,15 +10,17 @@ from aigsynt.aiger import (
     values_lit, write_aiger,
 )
 from aigsynt.game import (
-    GameError, build_game, cpre, delay_justice, encode, extract_strategy,
+    Encoding, GameError, build_game, cpre, delay_justice, extract_strategy,
     is_realizable, justice_depends_on_inputs, move_relation, mu_levels,
     solve, strategy_to_circuit, synthesize,
 )
-from aigsynt.mc import check_justice_universal, check_safety, find_fair_trace
+from aigsynt.mc import (
+    _cut_vars, check_justice_universal, check_safety, find_fair_trace,
+)
 from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import justice_to_safety
 
-from helpers import random_game_doc
+from helpers import random_game_doc, with_random_outputs
 
 
 def doc_with(next_of=None, bad=None, constraint=None, justice=None,
@@ -57,7 +59,7 @@ def test_encode_orders_inputs_above_latches():
         doc.add_input(f"u{i}")
     for i in range(3):
         doc.add_latch(f"l{i}")
-    enc = encode(doc)
+    enc = Encoding(doc)
     assert max(enc.u_levels) < min(enc.c_levels)
     assert max(enc.input_levels) < min(enc.latch_levels)
     assert [enc.mgr.var_name(lvl) for lvl in enc.input_levels] == \
@@ -69,6 +71,10 @@ def test_encode_orders_inputs_above_latches():
 
 
 def test_encode_agrees_with_simulation():
+    """Every function of the encoding matches simulation, with and
+    without the outputs' gates cut; a cut set off its gate's simulated
+    value makes inv false."""
+    with_cuts = 0
     for seed in range(30):
         rng = random.Random(seed)
         doc = random_game_doc(seed, n_latches=rng.randint(1, 4),
@@ -77,27 +83,43 @@ def test_encode_agrees_with_simulation():
         rng.shuffle(doc.inputs)
         if seed % 5 == 1 and doc.justice:
             doc = justice_to_safety(doc, 2)  # old format: bad is the output
-        bad_lits = doc.outputs if doc.fmt == "old" else doc.bad
-        enc = encode(doc)
-        for _ in range(16):
-            latches = [rng.random() < 0.5 for _ in doc.latches]
-            inputs = [rng.random() < 0.5 for _ in doc.inputs]
-            assignment = dict(zip(enc.latch_levels, latches))
-            assignment.update(zip(enc.input_levels, inputs))
-            values = evaluate_vars(doc, latches, inputs)
-            for (_, nxt, _), lvl in zip(doc.latches, enc.latch_levels):
-                assert enc.delta[lvl].evaluate(assignment) == \
-                    values_lit(values, nxt), seed
-            assert enc.bad.evaluate(assignment) == \
-                any(values_lit(values, lit) for lit, _ in bad_lits), seed
-            assert enc.inv.evaluate(assignment) == \
-                all(values_lit(values, lit) for lit, _ in doc.constraints), seed
-            jlit = doc.justice_literal()
-            if jlit is None:
-                assert enc.just.is_true
-            else:
-                assert enc.just.evaluate(assignment) == \
-                    values_lit(values, jlit), seed
+        variants = [doc]
+        if doc.aig.num_ands:
+            variants.append(with_random_outputs(doc, seed))
+        for variant in variants:
+            cuts = _cut_vars(variant)
+            with_cuts += bool(cuts)
+            _assert_encoding_simulates(variant, cuts, rng, seed)
+    assert with_cuts >= 10
+
+
+def _assert_encoding_simulates(doc, cuts, rng, seed):
+    bad_lits = doc.outputs if doc.fmt == "old" else doc.bad
+    enc = Encoding(doc, cuts)
+    cut_levels = enc.quantified[len(doc.inputs):]
+    assert len(cut_levels) == len(cuts)
+    for _ in range(16):
+        latches = [rng.random() < 0.5 for _ in doc.latches]
+        inputs = [rng.random() < 0.5 for _ in doc.inputs]
+        values = evaluate_vars(doc, latches, inputs)
+        assignment = dict(zip(enc.latch_levels, latches))
+        assignment.update(zip(enc.input_levels, inputs))
+        assignment.update((lvl, values[var]) for var, lvl in zip(cuts, cut_levels))
+        for (_, nxt, _), lvl in zip(doc.latches, enc.latch_levels):
+            assert enc.delta[lvl].evaluate(assignment) == \
+                values_lit(values, nxt), seed
+        assert enc.bad.evaluate(assignment) == \
+            any(values_lit(values, lit) for lit, _ in bad_lits), seed
+        assert enc.inv.evaluate(assignment) == \
+            all(values_lit(values, lit) for lit, _ in doc.constraints), seed
+        jlit = doc.justice_literal()
+        if jlit is None:
+            assert enc.just.is_true
+        else:
+            assert enc.just.evaluate(assignment) == \
+                values_lit(values, jlit), seed
+        for lvl in cut_levels:
+            assert not enc.inv.evaluate({**assignment, lvl: not assignment[lvl]})
 
 
 def test_justice_on_input_gets_delay_latch():
@@ -311,7 +333,8 @@ def test_determinized_relation_valid_on_winning_region():
             continue
         strategy = extract_strategy(game, w)
         relation = move_relation(game, w)
-        for name, lvl in zip(game.c_names, game.c_levels):
+        c_names = [name for _, name in game.doc.controllable_inputs()]
+        for name, lvl in zip(c_names, game.c_levels):
             relation = relation.compose({lvl: strategy.funcs[name]})
         assert (w & ~relation.forall(game.u_levels)).is_false, seed
 
@@ -326,8 +349,9 @@ def test_strategy_step_from_winning_stays_winning_or_discharged():
         if not is_realizable(game, w):
             continue
         strategy = extract_strategy(game, w)
+        c_names = [name for _, name in game.doc.controllable_inputs()]
         sub = {lvl: strategy.funcs[name]
-               for name, lvl in zip(game.c_names, game.c_levels)}
+               for name, lvl in zip(c_names, game.c_levels)}
         delta_strategized = {lvl: d.compose(sub)
                              for lvl, d in game.delta.items()}
         next_in_w = w.compose(delta_strategized)

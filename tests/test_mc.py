@@ -402,18 +402,6 @@ def test_explicit_too_many_states_rejected():
         solve_explicit(doc, max_states=4096)
 
 
-def test_explicit_reachable_agrees_on_verdict():
-    for seed in range(10):
-        doc = random_game_doc(seed + 700, n_latches=4)
-        full = solve_explicit(doc, mode="full")
-        reach = solve_explicit(doc, mode="reachable")
-        assert full.realizable == reach.realizable, seed
-        # reachable winning states agree with the full analysis
-        for code in reach.states:
-            assert bool(full.is_winning(int(code))) == \
-                bool(reach.is_winning(int(code))), (seed, code)
-
-
 def test_explicit_safe_reachable_old_format_only():
     doc = doc_with(justice=lambda aig, u, c, l: l[0])
     with pytest.raises(McError, match="old-format"):

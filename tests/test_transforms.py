@@ -3,7 +3,8 @@
 import pytest
 
 from aigsynt.aiger import (
-    AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, values_lit, write_aiger,
+    AigerDoc, CONTROLLABLE_PREFIX, Simulator, evaluate_vars, values_lit,
+    write_aiger,
 )
 from aigsynt.mc import find_fair_trace
 from aigsynt.oracle import solve_explicit
@@ -14,7 +15,6 @@ from aigsynt.transforms import (
 
 from helpers import (
     enumerate_fair_lasso, enumerate_lasso_fg_not_just, random_game_doc,
-    simulate_doc_steps,
 )
 from test_game import doc_with
 
@@ -57,7 +57,8 @@ def test_k0_flags_one_quiet_step():
                    justice=lambda aig, u, c, l: l[0])
     out = justice_to_safety(doc, 0)
     bad_lit = out.outputs[0][0]
-    runs = simulate_doc_steps(out, [[False, False]] * 3)
+    sim = Simulator(out)
+    runs = [sim.step([False, False]) for _ in range(3)]
     flags = [values_lit(v, bad_lit) for v in runs]
     # counter>0 needs one elapsed quiet step, so the flag rises at step 1
     assert flags == [False, True, True]
@@ -73,7 +74,8 @@ def test_just_constant_true_reduces_to_plain_bad():
         values = evaluate_vars(out, [False] * len(out.latches), [u_val, False])
         assert values_lit(values, bad_lit) == u_val
     # and the counter never exceeds zero along any run
-    runs = simulate_doc_steps(out, [[True, False]] * 5)
+    sim = Simulator(out)
+    runs = [sim.step([True, False]) for _ in range(5)]
     counter_bits = [i for i, (_, _, n) in enumerate(out.latches)
                     if n.startswith("justice_wait")]
     for values in runs:
