@@ -75,14 +75,16 @@ def cmd_spec2aag(args) -> int:
         return 2
     doc = build_spec_doc(Path(args.spec))
     if args.standard:
-        if doc.justice:
-            if args.k is None:
-                print("error: --standard with a liveness objective needs --k",
-                      file=sys.stderr)
-                return 2
-            doc = justice_to_safety(doc, args.k)
-        else:
-            doc = fold_constraints_into_bad(doc)
+        if doc.justice and args.k is None:
+            print("error: --standard with a liveness objective needs --k",
+                  file=sys.stderr)
+            return 2
+        if not doc.justice and args.k is not None:
+            print("error: --k applies only to a specification with a "
+                  "liveness objective", file=sys.stderr)
+            return 2
+        doc = (justice_to_safety(doc, args.k) if doc.justice
+               else fold_constraints_into_bad(doc))
     _write(args.output, doc)
     print(f"wrote {args.output}: {_doc_summary(doc)}")
     return 0

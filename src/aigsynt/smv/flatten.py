@@ -8,6 +8,10 @@ named ``v.__bit<i>`` (booleans keep their plain name).  Next-state and
 init expressions only ever produce valid codes, so out-of-encoding
 patterns are unreachable by construction.
 
+One compiler, ``compile_bits``, turns an expression of a given type
+into its bits; a boolean is a one-bit word.  Integers compared without
+a variable on either side are encoded over the range of their values.
+
 Flattening is a pure transformation; the produced values are immutable
 and safe to share across threads.
 """
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 from .. import boolexpr as bx
 from ..boolexpr import BoolExpr, BVar
 from .ast import (
-    Binary, BoolLit, BoolType, Case, EnumType, Expr, InstanceType, IntLit,
+    BOOL, Binary, BoolLit, BoolType, Case, EnumType, Expr, InstanceType, IntLit,
     Name, RangeType, SmvFlattenError, Unary, VarType,
 )
 from .resolve import (
@@ -29,6 +33,11 @@ from .resolve import (
 )
 
 log = logging.getLogger(__name__)
+
+_CONNECTIVES = {
+    "&": bx.band, "|": bx.bor, "xor": bx.bxor, "<->": bx.biff,
+    "->": lambda l, r: bx.bor(bx.bnot(l), r),
+}
 
 
 @dataclass(frozen=True)
@@ -99,7 +108,7 @@ class _Flattener:
         self.inputs_c: list[str] = []
         self.latches: list[FlatLatch] = []
         self.defines: list[tuple[str, BoolExpr]] = []
-        self._define_state: dict[tuple[int, str], str] = {}
+        self._visited_defines: set[tuple[int, str]] = set()
 
     # naming ------------------------------------------------------------
 
@@ -141,22 +150,19 @@ class _Flattener:
                 self._emit_defines(ctx.children[v.name])
 
     def _ensure_define(self, ctx: ModuleCtx, name: str) -> None:
-        """Emit a define (and its dependencies) exactly once, post-order."""
+        """Emit a define once, after the defines it reads.
+
+        ``resolve`` has rejected circular defines, so the recursion ends.
+        """
         key = (id(ctx), name)
-        state = self._define_state.get(key)
-        if state == "done":
+        if key in self._visited_defines:
             return
-        if state == "busy":
-            raise SmvFlattenError(
-                f"circular define {self.signal(ctx, name)!r}")
-        self._define_state[key] = "busy"
-        decl = ctx.module.define_decl(name)
+        self._visited_defines.add(key)
         dtype = ctx.define_types[name]
         # constant-typed defines are inlined at their use sites
         if isinstance(dtype, (BoolType, RangeType, EnumType)):
-            bits = self.compile_bits(ctx, decl.expr, dtype)
+            bits = self.compile_bits(ctx, ctx.module.define_decl(name).expr, dtype)
             self.defines.extend(zip(self.bit_names(ctx, name, dtype), bits))
-        self._define_state[key] = "done"
 
     def _walk_vars(self, ctx: ModuleCtx) -> None:
         module = ctx.module
@@ -270,83 +276,76 @@ class _Flattener:
 
     # expression compilation ---------------------------------------------
 
-    def compile_bool(self, ctx: ModuleCtx, expr: Expr) -> BoolExpr:
+    def _bool(self, ctx: ModuleCtx, expr: Expr) -> BoolExpr:
+        return self.compile_bits(ctx, expr, BOOL)[0]
+
+    def compile_bits(self, ctx: ModuleCtx, expr: Expr, t: VarType) -> list[BoolExpr]:
+        """The signals of an expression of type ``t``, one per bit name."""
         if isinstance(expr, BoolLit):
-            return bx.TRUE if expr.value else bx.FALSE
+            return [bx.TRUE if expr.value else bx.FALSE]
+        if isinstance(expr, IntLit):
+            return code_bits(value_code(t, expr.value), nbits(t.size))
         if isinstance(expr, Name):
             b = ctx.bindings[id(expr)]
-            if isinstance(b, VarBinding):
-                assert isinstance(b.type, BoolType), expr
-                return BVar(self.signal(b.ctx, b.name))
-            if isinstance(b, DefineBinding):
-                assert isinstance(b.ctx.define_types[b.name], BoolType), expr
-                self._ensure_define(b.ctx, b.name)
-                return BVar(self.signal(b.ctx, b.name))
+            if isinstance(b, SymbolBinding):
+                return code_bits(value_code(t, b.name), nbits(t.size))
             if isinstance(b, ParamBinding):
-                return self.compile_bool(b.parent, b.actual)
-            raise AssertionError(f"non-boolean name {expr} reached flatten")
+                return self.compile_bits(b.parent, b.actual, t)
+            if isinstance(b, VarBinding):
+                btype = b.type
+            else:
+                btype = b.ctx.define_types[b.name]
+                if isinstance(btype, (IntConstType, SymConstType)):
+                    decl = b.ctx.module.define_decl(b.name)
+                    return self.compile_bits(b.ctx, decl.expr, t)
+                self._ensure_define(b.ctx, b.name)
+            if btype != t:
+                raise SmvFlattenError(
+                    f"{self.signal(b.ctx, b.name)!r} has type {btype}, "
+                    f"context requires {t}", expr.line)
+            return [BVar(n) for n in self.bit_names(b.ctx, b.name, t)]
         if isinstance(expr, Unary):
-            return bx.bnot(self.compile_bool(ctx, expr.arg))
+            return [bx.bnot(self._bool(ctx, expr.arg))]
+        if isinstance(expr, Binary) and expr.op in _CONNECTIVES:
+            l = self._bool(ctx, expr.left)
+            r = self._bool(ctx, expr.right)
+            return [_CONNECTIVES[expr.op](l, r)]
         if isinstance(expr, Binary):
-            op = expr.op
-            if op in ("&", "|", "xor", "->", "<->"):
-                l = self.compile_bool(ctx, expr.left)
-                r = self.compile_bool(ctx, expr.right)
-                if op == "&":
-                    return bx.band(l, r)
-                if op == "|":
-                    return bx.bor(l, r)
-                if op == "xor":
-                    return bx.bxor(l, r)
-                if op == "->":
-                    return bx.bor(bx.bnot(l), r)
-                return bx.biff(l, r)
-            return self._compile_comparison(ctx, expr)
+            return [self._compile_comparison(ctx, expr)]
         if isinstance(expr, Case):
-            self._check_case_default(expr)
-            result = self.compile_bool(ctx, expr.branches[-1][1])
+            last_cond, last_value = expr.branches[-1]
+            if not (isinstance(last_cond, BoolLit) and last_cond.value):
+                raise SmvFlattenError(
+                    "unsupported construct: case without a final TRUE branch",
+                    expr.line)
+            result = self.compile_bits(ctx, last_value, t)
             for cond, value in reversed(expr.branches[:-1]):
-                c = self.compile_bool(ctx, cond)
-                v = self.compile_bool(ctx, value)
-                result = bx.bite(c, v, result)
+                c = self._bool(ctx, cond)
+                vbits = self.compile_bits(ctx, value, t)
+                result = [bx.bite(c, v, r) for v, r in zip(vbits, result)]
             return result
         raise AssertionError(f"unexpected expression {expr!r}")
-
-    def _check_case_default(self, expr: Case) -> None:
-        last_cond = expr.branches[-1][0]
-        if not (isinstance(last_cond, BoolLit) and last_cond.value):
-            raise SmvFlattenError(
-                "unsupported construct: case without a final TRUE branch",
-                expr.line)
 
     def _compile_comparison(self, ctx: ModuleCtx, expr: Binary) -> BoolExpr:
         op = expr.op
         t = ctx.cmp_types[id(expr)]
+        if isinstance(t, IntConstType):  # no variable: the range of the values
+            t = RangeType(min(t.values), max(t.values))
+        lbits = self.compile_bits(ctx, expr.left, t)
+        rbits = self.compile_bits(ctx, expr.right, t)
         if isinstance(t, BoolType):
-            l = self.compile_bool(ctx, expr.left)
-            r = self.compile_bool(ctx, expr.right)
-            return bx.biff(l, r) if op == "=" else bx.bxor(l, r)
-        if isinstance(t, IntConstType):
-            # both sides constant; fold through the integer values
-            lv = self._const_eval(ctx, expr.left)
-            rv = self._const_eval(ctx, expr.right)
-            result = {"=": lv == rv, "!=": lv != rv, "<": lv < rv,
-                      "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[op]
-            return bx.TRUE if result else bx.FALSE
-        lbits = self.compile_word(ctx, expr.left, t)
-        rbits = self.compile_word(ctx, expr.right, t)
+            return (bx.biff if op == "=" else bx.bxor)(lbits[0], rbits[0])
         if op == "=":
             return bx.band(*[bx.biff(a, b) for a, b in zip(lbits, rbits)])
         if op == "!=":
             return bx.bnot(bx.band(*[bx.biff(a, b) for a, b in zip(lbits, rbits)]))
-        lt = self._unsigned_less(lbits, rbits)
         if op == "<":
-            return lt
+            return self._unsigned_less(lbits, rbits)
         if op == ">":
             return self._unsigned_less(rbits, lbits)
         if op == "<=":
             return bx.bnot(self._unsigned_less(rbits, lbits))
-        return bx.bnot(lt)  # >=
+        return bx.bnot(self._unsigned_less(lbits, rbits))  # >=
 
     @staticmethod
     def _unsigned_less(a: list[BoolExpr], b: list[BoolExpr]) -> BoolExpr:
@@ -354,52 +353,6 @@ class _Flattener:
         for ai, bi in zip(a, b):  # LSB to MSB
             result = bx.bite(bx.biff(ai, bi), result, bx.band(bx.bnot(ai), bi))
         return result
-
-    def compile_bits(self, ctx: ModuleCtx, expr: Expr, t: VarType) -> list[BoolExpr]:
-        """The signals of an expression of type ``t``, one per bit name."""
-        if isinstance(t, BoolType):
-            return [self.compile_bool(ctx, expr)]
-        return self.compile_word(ctx, expr, t)
-
-    def compile_word(self, ctx: ModuleCtx, expr: Expr, t: VarType) -> list[BoolExpr]:
-        width = nbits(t.size)
-        if isinstance(expr, IntLit):
-            return code_bits(value_code(t, expr.value), width)
-        if isinstance(expr, Name):
-            b = ctx.bindings[id(expr)]
-            if isinstance(b, SymbolBinding):
-                return code_bits(value_code(t, b.name), width)
-            if isinstance(b, VarBinding):
-                if b.type != t:
-                    raise SmvFlattenError(
-                        f"{self.signal(b.ctx, b.name)!r} has type {b.type}, "
-                        f"context requires {t}", expr.line)
-                return [BVar(n) for n in self.bit_names(b.ctx, b.name, t)]
-            if isinstance(b, DefineBinding):
-                dtype = b.ctx.define_types[b.name]
-                if isinstance(dtype, (IntConstType, SymConstType)):
-                    decl = b.ctx.module.define_decl(b.name)
-                    return self.compile_word(b.ctx, decl.expr, t)
-                if dtype != t:
-                    raise SmvFlattenError(
-                        f"define {self.signal(b.ctx, b.name)!r} has type {dtype}, "
-                        f"context requires {t}", expr.line)
-                self._ensure_define(b.ctx, b.name)
-                return [BVar(n) for n in self.bit_names(b.ctx, b.name, t)]
-            if isinstance(b, ParamBinding):
-                return self.compile_word(b.parent, b.actual, t)
-            raise AssertionError(b)
-        if isinstance(expr, Case):
-            self._check_case_default(expr)
-            result = self.compile_word(ctx, expr.branches[-1][1], t)
-            for cond, value in reversed(expr.branches[:-1]):
-                c = self.compile_bool(ctx, cond)
-                vbits = self.compile_word(ctx, value, t)
-                result = [bx.bite(c, v, r) for v, r in zip(vbits, result)]
-            return result
-        raise SmvFlattenError(
-            f"unsupported construct in a {t}-typed position: {expr}",
-            getattr(expr, "line", None))
 
 
 def flatten(resolved: ResolvedSpec) -> FlatModel:

@@ -267,18 +267,21 @@ def with_random_outputs(doc: AigerDoc, seed: int) -> AigerDoc:
     literals, so they nest inside each other; the rest from the whole
     table, where some feed nothing.  Each output may be negated, and
     one gate may be named twice, once per polarity or twice in one.  A
-    latch literal and a constant are named as well.
+    latch literal and a constant are named as well; with no gate, only
+    these two are.
     """
     rng = random.Random(seed)
     gates = [var for var, _, _ in doc.aig.nodes()]
-    fan_in = doc.aig.cone([nxt for _, nxt, _ in doc.latches] +
-                          [lit for lit, _ in doc.bad])
-    near = [var for var in gates if var in fan_in] or gates
-    outputs = [((rng.choice(near if rng.random() < 0.8 else gates) << 1)
-                ^ rng.randint(0, 1), f"o{i}")
-               for i in range(rng.randint(1, 3))]
-    if rng.random() < 0.5:
-        outputs.append((outputs[0][0] ^ rng.randint(0, 1), "again"))
+    outputs = []
+    if gates:
+        fan_in = doc.aig.cone([nxt for _, nxt, _ in doc.latches] +
+                              [lit for lit, _ in doc.bad])
+        near = [var for var in gates if var in fan_in] or gates
+        outputs = [((rng.choice(near if rng.random() < 0.8 else gates) << 1)
+                    ^ rng.randint(0, 1), f"o{i}")
+                   for i in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            outputs.append((outputs[0][0] ^ rng.randint(0, 1), "again"))
     outputs.append((rng.choice(doc.latches)[0], "latch"))
     outputs.append((rng.randint(0, 1), "const"))
     rng.shuffle(outputs)

@@ -1,5 +1,6 @@
 """Command-line pipeline behavior and exit codes."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -51,6 +52,53 @@ def test_spec2aag_k_without_standard_rejected(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == "error: --k applies only with --standard\n"
     assert not out.exists()
+
+
+def test_spec2aag_standard_k_without_liveness_rejected(tmp_path, capsys):
+    from test_automata import gff
+
+    (tmp_path / "spec.smv").write_text(
+        "MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"
+        "  q: boolean;\n\nSYS_AUTOMATON_SPEC\n  guarantee.gff;\n")
+    (tmp_path / "guarantee.gff").write_text(gff(
+        ["ok"], "ok", [("ok", "~p", "ok"), ("ok", "p q", "ok")], ["ok"],
+        props=["p", "q"]))
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out)]) == 0
+    assert capsys.readouterr().out.endswith(", justice no\n")  # safety only
+    out.unlink()
+    code = main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out),
+                 "--standard", "--k", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: --k applies only to a specification "
+                            "with a liveness objective\n")
+    assert not out.exists()
+
+
+# SHA-256 of each bundled specification compiled by ``spec2aag``: a
+# frontend change that alters a written game byte fails here
+SPEC2AAG_SHA256 = [
+    ("huffman4", [],
+     "96b655a669245e2d13986e8fb4013b775d90336b21041c177c77620ad501c288"),
+    ("huffman4", ["--standard", "--k", "3"],
+     "09bcd5bc5bab88f889250ada834d7a75db958b06b3ab85dd641f78f5e30dd395"),
+    ("arbiter", [],
+     "0abaaac687a7cd33c54a9337f2d6b2f2d60dddaedef7948b6e422e14fecfdef4"),
+    ("arbiter", ["--standard", "--k", "3"],
+     "e426d07ab16a25e739d8b5b88dda19bc39a69737e98512abf71746fdc2a90206"),
+]
+
+
+@pytest.mark.parametrize("name, options, digest", SPEC2AAG_SHA256,
+                         ids=["-".join([n, *(x.lstrip("-") for x in o)])
+                              for n, o, _ in SPEC2AAG_SHA256])
+def test_spec2aag_bundled_specs_pinned(tmp_path, name, options, digest):
+    out = tmp_path / "game.aag"
+    spec = BENCH.parent / name / f"{name}.smv"
+    assert main(["spec2aag", str(spec), "-o", str(out), *options]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_options_do_not_leak_between_calls(tmp_path, spec_aag, capsys):

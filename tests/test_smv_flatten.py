@@ -315,6 +315,34 @@ def test_semantics_order_comparisons():
     """, max_len=6)
 
 
+def test_semantics_constant_comparisons():
+    # both sides of each comparison are integer constants, folded when flattened
+    _agreement_case("""
+    MODULE cell(n)
+    VAR x: boolean;
+    ASSIGN
+      init(x) := FALSE;
+      next(x) := (n = 2) | (n < 1);
+
+    MODULE main
+    VAR go: boolean;
+        two: cell(2);
+        three: cell(3);
+    DEFINE d := 3 >= 4; e := go & (d | two.x); f := three.x;
+    """, max_len=4)
+
+
+def test_semantics_integer_comparisons_on_a_case():
+    # the compared integers are constants, but which one depends on an input
+    _agreement_case("""
+    MODULE main
+    VAR go: boolean;
+    DEFINE
+      pick := case go : 1; TRUE : 2; esac;
+      eq := pick = 2; ne := 2 != pick; lt := pick < 2; ge := pick >= 1;
+    """, max_len=2)
+
+
 @given(st.lists(st.booleans(), min_size=1, max_size=8))
 @settings(max_examples=40, deadline=None)
 def test_semantics_listing_random_walk(flips):
