@@ -64,21 +64,14 @@ class Aig:
     def is_and(self, var: int) -> bool:
         return var in self._ands
 
-    def and_node(self, var: int) -> tuple[int, int]:
-        return self._ands[var]
-
     def cone(self, lits) -> set[int]:
-        """The variables of ``lits`` and of every gate in their fan-in."""
-        ands = self._ands
-        seen: set[int] = set()
-        stack = [lit >> 1 for lit in lits]
-        while stack:
-            var = stack.pop()
-            if var not in seen:
-                seen.add(var)
-                node = ands.get(var)
-                if node is not None:
-                    stack += (node[0] >> 1, node[1] >> 1)
+        """The variables of ``lits`` and of every gate in their fan-in,
+        found in one backward pass: a gate is defined after its operands."""
+        seen = {lit >> 1 for lit in lits}
+        for var, (rhs0, rhs1) in reversed(self._ands.items()):
+            if var in seen:
+                seen.add(rhs0 >> 1)
+                seen.add(rhs1 >> 1)
         return seen
 
     def nodes(self):
@@ -237,11 +230,18 @@ class AigerDoc:
         return ([lit for lit, _ in self.bad],
                 [lit for lit, _ in self.constraints], self.justice_literal())
 
+    def root_lits(self) -> list[int]:
+        """The literals a symbolic model reads: next-state, then checked."""
+        bad_lits, constraint_lits, jlit = self.checked_lits()
+        roots = [nxt for _, nxt, _ in self.latches] + bad_lits + constraint_lits
+        return roots if jlit is None else roots + [jlit]
+
     def validate(self) -> None:
         """Raise AigError at the first structural fault of the document.
 
         AND operands, the bulk of a document, are checked inline; the
         message naming the gate is formatted only for one that fails.
+        A gate must be defined after every gate it reads.
         """
         if self.fmt not in ("old", "new"):
             raise AigError(f"unknown format {self.fmt!r}")
@@ -267,13 +267,15 @@ class AigerDoc:
             if is_negated(lit):
                 raise AigError(f"latch literal {lit} must be even")
         max_var = self.aig.max_var
+        above: set[int] = set()  # the gates defined so far
         for var, operands in ands.items():
             for rhs in operands:
                 rhs_var = rhs >> 1
                 if rhs_var > max_var or rhs_var not in defined:
                     _check_defined(rhs, f"AND {var}", max_var, defined)
-                if rhs_var >= var and rhs_var in ands:
+                if rhs_var in ands and rhs_var not in above:
                     raise AigError(f"AND {var}: operand {rhs} is not topological")
+            above.add(var)
         sections = (("latch next", [nxt for _, nxt, _ in self.latches]),
                     ("output", [lit for lit, _ in self.outputs]),
                     ("bad", [lit for lit, _ in self.bad]),

@@ -20,10 +20,9 @@ made once as a ``Substitution``; a plain mapping passed to
 share one cache entry, and it resolves terminal cofactor triples
 without a recursive call.
 
-The toolchain allocates input-first (``game.Encoding``): uncontrollable
-inputs, then controllable inputs, then latches.  The quantified inputs
-then sit on top, so ``∃C ∀U`` and ``∃inputs`` strip the top of each
-diagram and leave the latch subdiagrams below shared.
+Every recursion here is at most as deep as the number of variables.
+Callers build a diagram one connective at a time; ``game.Encoding``
+translates a circuit gate by gate in one loop.
 
 One manager per thread; handles must never cross managers.
 """
@@ -414,36 +413,3 @@ class Substitution(Mapping):
     def __len__(self) -> int:
         return len(self._refs)
 
-
-class AigCone:
-    """Translates literals of one AIGER document into BDDs.
-
-    ``var_map`` sends each input/latch AIG variable to a BDD variable
-    reference; gate cones are translated on demand and memoized.
-    """
-
-    def __init__(self, mgr: BddManager, doc, var_map: Mapping[int, BddRef]):
-        self.mgr = mgr
-        self.doc = doc
-        self._var_map = {v: ref.node for v, ref in var_map.items()}
-        self._memo: dict[int, int] = {0: 0}
-
-    def lit(self, literal: int) -> BddRef:
-        return BddRef(self.mgr, self._node(literal))
-
-    def _node(self, literal: int) -> int:
-        cached = self._memo.get(literal)
-        if cached is not None:
-            return cached
-        var = literal >> 1
-        if literal & 1:
-            result = self.mgr._neg(self._node(literal ^ 1))
-        elif var in self._var_map:
-            result = self._var_map[var]
-        elif self.doc.aig.is_and(var):
-            rhs0, rhs1 = self.doc.aig.and_node(var)
-            result = self.mgr._ite(self._node(rhs0), self._node(rhs1), 0)
-        else:
-            raise BddError(f"literal {literal} is not mapped and not a gate")
-        self._memo[literal] = result
-        return result

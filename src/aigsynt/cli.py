@@ -9,7 +9,8 @@ polarity of a model for standard fair-trace checkers, and ``mc`` runs
 the built-in model checker.
 
 Exit codes: 0 success / holds, 1 unrealizable or violated, 2 usage or
-input errors and resource exhaustion (RecursionError, MemoryError).
+input errors (an unreadable or non-UTF-8 input file among them) and
+resource exhaustion (RecursionError, MemoryError).
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ from .transforms import TransformError, fold_constraints_into_bad, \
     justice_to_safety, reverse_justice
 
 PIPELINE_ERRORS = (AigError, AutomatonError, CircuitError, GameError,
-                   McError, SmvError, TransformError, OSError)
+                   McError, SmvError, TransformError, OSError,
+                   UnicodeDecodeError)
 
 
 def build_spec_doc(spec_path: Path) -> AigerDoc:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var
-from .bdd import AigCone, BddManager, BddRef, Substitution
+from .bdd import BddManager, BddRef, Substitution
 
 
 class GameError(Exception):
@@ -83,12 +83,16 @@ class Encoding:
     sub-diagrams, where below them it would leave its own copy of its
     function at the end of every path through the design.
 
-    Each AND-gate variable in ``cut_vars`` gets its own level, a cut,
-    right below the inputs: every function above reads the cut instead
-    of the gate's cone, and ``inv`` includes ``cut ↔ gate function``
-    for each cut, built with the cuts mapped so that nested cuts are
-    defined over each other.  ``quantified`` lists the inputs, then the
-    cuts.  With no cuts the levels are those of the plain encoding.
+    One loop translates the gates in the cone of ``doc.root_lits()`` in
+    definition order (topological, see ``validate``), never recursing.
+
+    Each AND-gate variable in ``cut_vars`` (all in that cone) gets its
+    own level, a cut, right below the inputs: every function above reads
+    the cut instead of the gate's cone, and ``inv`` includes ``cut ↔
+    gate function`` for each cut, built with the cuts mapped so that
+    nested cuts are defined over each other.  ``quantified`` lists the
+    inputs, then the cuts.  With no cuts the levels are those of the
+    plain encoding.
 
     ``bad``, ``inv`` and ``just`` read ``doc.checked_lits()``; without
     a justice literal ``just`` is true, as the game reads it.
@@ -97,13 +101,13 @@ class Encoding:
     def __init__(self, doc: AigerDoc, cut_vars: Sequence[int] = ()):
         self.doc = doc
         self.mgr = mgr = BddManager()
-        var_map: dict[int, BddRef] = {}
+        refs: dict[int, BddRef] = {0: mgr.false}  # AIG literal -> variable
         controllable = [is_controllable(name) for _, name in doc.inputs]
         input_names = doc.input_names()
         self.input_levels = [0] * len(doc.inputs)  # in doc.inputs order
         # a stable sort keeps document order within each group
         for i in sorted(range(len(doc.inputs)), key=controllable.__getitem__):
-            var_map[lit_var(doc.inputs[i][0])] = ref = mgr.add_var(input_names[i])
+            refs[doc.inputs[i][0]] = ref = mgr.add_var(input_names[i])
             self.input_levels[i] = ref.level
         self.u_levels = [lvl for lvl, c in zip(self.input_levels, controllable)
                          if not c]
@@ -111,31 +115,46 @@ class Encoding:
                          if c]
         self.quantified = list(self.input_levels)
         for var in cut_vars:
-            var_map[var] = ref = mgr.add_var(f"cut{var}")
+            refs[2 * var] = ref = mgr.add_var(f"cut{var}")
             self.quantified.append(ref.level)
         self.latch_levels = []  # in doc.latches order
         for (lit, _, _), label in zip(doc.latches, doc.latch_names()):
-            var_map[lit_var(lit)] = ref = mgr.add_var(label)
+            refs[lit] = ref = mgr.add_var(label)
             self.latch_levels.append(ref.level)
 
-        cone = AigCone(mgr, doc, var_map)
+        # gates as node ids: a handle per gate is slower on large circuits
+        nodes = {literal: ref.node for literal, ref in refs.items()}
+
+        def node(literal: int) -> int:
+            n = nodes.get(literal)
+            if n is None:  # a negation, made on first use
+                n = nodes[literal] = mgr._neg(nodes[literal ^ 1])
+            return n
+
+        read = doc.aig.cone(doc.root_lits())
+        cut_funcs: dict[int, int] = {}
+        for var, rhs0, rhs1 in doc.aig.nodes():
+            if var in read:
+                func = mgr._ite(node(rhs0), node(rhs1), 0)
+                if 2 * var in nodes:  # a cut keeps its own variable
+                    cut_funcs[var] = func
+                else:
+                    nodes[2 * var] = func
         define = mgr.true
-        for var in cut_vars:
-            rhs0, rhs1 = doc.aig.and_node(var)
-            func = cone.lit(rhs0) & cone.lit(rhs1)
-            define = define & ~(var_map[var] ^ func)
+        for var in cut_vars:  # cut order, whatever the gates' order
+            define = define & ~(refs[2 * var] ^ BddRef(mgr, cut_funcs[var]))
         # latch level -> next-state function over (L, U, C)
         self.delta = Substitution(mgr, {
-            lvl: cone.lit(next_lit)
+            lvl: BddRef(mgr, node(next_lit))
             for (_, next_lit, _), lvl in zip(doc.latches, self.latch_levels)})
         bad_lits, constraint_lits, jlit = doc.checked_lits()
         self.bad = mgr.false
         for lit in bad_lits:
-            self.bad = self.bad | cone.lit(lit)
+            self.bad = self.bad | BddRef(mgr, node(lit))
         inv = mgr.true
         for lit in constraint_lits:
-            inv = inv & cone.lit(lit)
-        self.just = mgr.true if jlit is None else cone.lit(jlit)
+            inv = inv & BddRef(mgr, node(lit))
+        self.just = mgr.true if jlit is None else BddRef(mgr, node(jlit))
         self.inv = inv & define
 
 

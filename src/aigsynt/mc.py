@@ -118,11 +118,7 @@ def _cut_vars(doc: AigerDoc) -> list[int]:
              if doc.aig.is_and(var)]
     if not gates:
         return []
-    bad_lits, constraint_lits, jlit = doc.checked_lits()
-    roots = [nxt for _, nxt, _ in doc.latches] + bad_lits + constraint_lits
-    if jlit is not None:
-        roots.append(jlit)
-    cone = doc.aig.cone(roots)
+    cone = doc.aig.cone(doc.root_lits())
     return [var for var in gates if var in cone]
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aigsynt.aiger import (
-    Aig, AigError, AigerDoc, Simulator, read_aiger, write_aiger,
+    Aig, AigError, AigerDoc, Simulator, evaluate_vars, read_aiger, write_aiger,
 )
 
 
@@ -114,6 +114,15 @@ def test_duplicate_and_definition_rejected():
     text = "aag 3 1 0 0 2\n2\n4 2 2\n4 2 2\n"
     with pytest.raises(AigError):
         read_aiger(text)
+
+
+def test_gate_reading_a_higher_gate_defined_above_it_accepted():
+    # AND 2 reads AND 3, which is defined first; one pass in definition
+    # order evaluates it
+    doc = read_aiger("aag 3 1 0 1 2\n2\n4\n6 2 2\n4 7 2\n")
+    assert [var for var, _, _ in doc.aig.nodes()] == [3, 2]
+    for u in (False, True):
+        assert evaluate_vars(doc, [], [u])[2] is False
 
 
 TWICE_DEFINED = {
@@ -312,6 +321,10 @@ MALFORMED = {
                             "AND 1: operand 4 is not topological"),
     "and_self_reference": ("aag 1 0 0 0 1\n2 2 1\n",
                            "AND 1: operand 2 is not topological"),
+    # AND 5 reads AND 4, which the file defines below it
+    "and_operand_defined_below": ("aag 5 2 1 0 2 1\n2\n4\n6 10\n6\n"
+                                  "10 8 2\n8 2 4\n",
+                                  "AND 5: operand 8 is not topological"),
     "latch_reset_one": ("aag 1 0 1 0 0\n2 2 1\n",
                         "latch 0: only reset value 0 is supported"),
     # variables defined twice

@@ -5,8 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aigsynt.aiger import AigerDoc
-from aigsynt.bdd import AigCone, BddError, BddManager, Substitution
+from aigsynt.bdd import BddError, BddManager, Substitution
 
 
 def fresh(n=5):
@@ -241,41 +240,3 @@ def test_sat_one_deterministic():
     mgr, (x, y, *_) = fresh()
     f = (x & ~y) | (x & y)
     assert f.sat_one() == {0: True}
-
-
-# AIG translation --------------------------------------------------------------
-
-
-def test_from_aig_constants_and_gates():
-    doc = AigerDoc(fmt="new")
-    a = doc.add_input("a")
-    b = doc.add_input("b")
-    g = doc.aig.and_(a, b ^ 1)
-    mgr = BddManager()
-    var_map = {a >> 1: mgr.add_var("a"), b >> 1: mgr.add_var("b")}
-    cone = AigCone(mgr, doc, var_map)
-    assert cone.lit(0).is_false
-    assert cone.lit(1).is_true
-    node = cone.lit(g)
-    for va, vb in product([False, True], repeat=2):
-        assert node.evaluate([va, vb]) == (va and not vb)
-
-
-def test_from_aig_matches_simulation():
-    from aigsynt.aiger import evaluate_vars, values_lit
-    import random
-    rng = random.Random(7)
-    doc = AigerDoc(fmt="new")
-    lits = [doc.add_input(f"i{k}") for k in range(6)]
-    pool = list(lits)
-    for _ in range(25):
-        a = rng.choice(pool) ^ rng.randint(0, 1)
-        b = rng.choice(pool) ^ rng.randint(0, 1)
-        pool.append(doc.aig.and_(a, b))
-    top = pool[-1]
-    mgr = BddManager()
-    var_map = {lit >> 1: mgr.add_var(f"i{k}") for k, lit in enumerate(lits)}
-    node = AigCone(mgr, doc, var_map).lit(top)
-    for bits in product([False, True], repeat=6):
-        values = evaluate_vars(doc, [], list(bits))
-        assert node.evaluate(list(bits)) == values_lit(values, top)

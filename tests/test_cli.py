@@ -1,19 +1,28 @@
 """Command-line pipeline behavior and exit codes."""
 
+import contextlib
 import hashlib
+import io
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import aigsynt
-from aigsynt.aiger import AigerDoc, read_aiger, write_aiger
+from aigsynt.aiger import AigerDoc, read_aiger, values_lit, write_aiger
 from aigsynt.cli import main
+from aigsynt.game import delay_justice
+from aigsynt.mc import _cut_vars
+from aigsynt.oracle import solve_explicit
 
+from helpers import enumerate_fair_lasso, enumerate_lasso_fg_not_just
 from test_aiger import NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED
-from test_game import doc_with
+from test_game import all_states, assert_encoding_simulates, doc_with
+from test_mc import replay
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "huffman4"
 
@@ -195,16 +204,66 @@ def test_variable_defined_twice_is_an_input_error(tmp_path, capsys, text, comman
     assert "defined more than once" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", [
-    "synth", "synth --print-realizability-only", "mc", "mc --existential",
-    "synt2hwmcc -o out.aag", "just2safe --k 1 -o out.aag"])
+# every command that reads an AIGER file; ``out.aag`` is a written file
+AIGER_COMMANDS = [
+    "synth", "synth -o out.aag", "synth --print-realizability-only", "mc",
+    "mc --existential", "synt2hwmcc -o out.aag", "just2safe --k 1 -o out.aag"]
+
+
+def aiger_argv(command, path, out_dir):
+    argv = [str(out_dir / a) if a == "out.aag" else a for a in command.split()]
+    return argv[:1] + [str(path)] + argv[1:]
+
+
+@pytest.mark.parametrize("command", AIGER_COMMANDS)
 def test_negative_justice_size_is_an_input_error(tmp_path, capsys, command):
     path = tmp_path / "negative.aag"
     path.write_text(NEGATIVE_JUSTICE_SIZE)
-    argv = [str(tmp_path / a) if a == "out.aag" else a for a in command.split()]
-    assert main(argv[:1] + [str(path)] + argv[1:]) == 2
+    assert main(aiger_argv(command, path, tmp_path)) == 2
     assert capsys.readouterr().err == "error: justice group 0: malformed size\n"
     assert not (tmp_path / "out.aag").exists()
+
+
+# the start of a binary AIGER file, SYNTCOMP's default format
+BINARY_AIGER = b"aig 200 1 0 1 199\n400\n\x82\x01\x05\x03"
+
+
+@pytest.mark.parametrize("command", AIGER_COMMANDS)
+def test_binary_aiger_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "game.aig"
+    path.write_bytes(BINARY_AIGER)
+    assert main(aiger_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "can't decode byte 0x82" in err
+    assert not (tmp_path / "out.aag").exists()
+
+
+@pytest.mark.parametrize("corrupt", ["spec.smv", "guarantee.gff"])
+def test_spec2aag_non_utf8_input_is_an_input_error(tmp_path, capsys, corrupt):
+    from test_automata import gff
+
+    (tmp_path / "spec.smv").write_text(
+        "-- cafe\nMODULE main\nVAR\n  p: boolean;\n\n"
+        "VAR --controllable\n  q: boolean;\n\n"
+        "SYS_AUTOMATON_SPEC\n  guarantee.gff;\n")
+    (tmp_path / "guarantee.gff").write_text(gff(
+        ["ok"], "ok", [("ok", "~p", "ok"), ("ok", "p q", "ok")], ["ok"],
+        props=["p", "q"]) + "\n<!-- cafe -->\n")
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out)]) == 0
+    out.unlink()
+    capsys.readouterr()
+    # the comment's e becomes a Latin-1 e-acute
+    path = tmp_path / corrupt
+    path.write_bytes(path.read_bytes().replace(b"cafe", b"caf\xe9"))
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "can't decode byte 0xe9" in captured.err
+    assert not out.exists()
 
 
 def test_resource_exhaustion_is_never_a_verdict(tmp_path, capsys):
@@ -317,3 +376,123 @@ def test_cli_import_leaves_numpy_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+# deep gate chains ----------------------------------------------------------
+
+
+CHAIN_GATES = 3000
+
+
+def chain_doc(fmt):
+    """A chain of 3 000 gates over one input and one latch, each gate
+    reading the one before; the top gate is ``l & !u``, and next(l) = u."""
+    doc = AigerDoc(fmt=fmt)
+    u = doc.add_input("u")
+    l = doc.add_latch("l")
+    doc.set_latch_next(l, u)
+    gate = doc.aig.and_(u, l ^ 1)
+    for k in range(CHAIN_GATES - 2):
+        gate = doc.aig.and_(gate ^ 1, (l if k % 2 else u) ^ (k % 3 == 0))
+    top = doc.aig.and_(gate ^ 1, u ^ 1)  # gate is !u & !l here
+    assert doc.aig.num_ands == CHAIN_GATES
+    return doc, top
+
+
+def parse_trace(rendered):
+    """The steps of a trace as ``Trace.render`` writes it."""
+    steps = []
+    for line in rendered.splitlines():
+        if not line.startswith("#"):
+            inputs, latches = line.split(" ")
+            steps.append((tuple(c == "1" for c in inputs),
+                          tuple(c == "1" for c in latches)))
+    return SimpleNamespace(steps=steps)
+
+
+def run(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_deep_gate_chain_safety(tmp_path, capsys):
+    doc, top = chain_doc("old")
+    doc.outputs = [(top, "bad")]
+    assert_encoding_simulates(doc, [], all_states(doc))
+    path = tmp_path / "chain.aag"
+    path.write_text(write_aiger(doc))
+    # no controllable input, so the game is won iff the safety check holds
+    assert not solve_explicit(doc).realizable
+    code, out, err = run(["mc", str(path)], capsys)
+    assert (code, out) == (1, "VIOLATED (safety)\n")
+    values, _ = replay(doc, parse_trace(err))
+    assert values_lit(values[-1], top)
+    assert run(["mc", str(path), "--existential"], capsys)[:2] == \
+        (0, "NO FAIR TRACE\n")
+    assert run(["synth", str(path), "--print-realizability-only"],
+               capsys)[:2] == (1, "UNREALIZABLE\n")
+
+
+def test_deep_gate_chain_justice(tmp_path, capsys):
+    doc, top = chain_doc("new")
+    doc.justice = [([top], None)]
+    # an output inside the chain, which the model checker cuts
+    doc.outputs = [(2 * (CHAIN_GATES // 2 + 2), "mid")]
+    cuts = _cut_vars(doc)
+    assert cuts == [CHAIN_GATES // 2 + 2]
+    assert_encoding_simulates(doc, cuts, all_states(doc))
+    path = tmp_path / "chain.aag"
+    path.write_text(write_aiger(doc))
+    assert enumerate_lasso_fg_not_just(doc)
+    assert run(["mc", str(path)], capsys)[:2] == (1, "VIOLATED (justice)\n")
+    assert enumerate_fair_lasso(doc)
+    assert run(["mc", str(path), "--existential"], capsys)[:2] == \
+        (1, "FAIR TRACE FOUND\n")
+    assert not solve_explicit(delay_justice(doc)).realizable
+    assert run(["synth", str(path), "--print-realizability-only"],
+               capsys)[:2] == (1, "UNREALIZABLE\n")
+
+
+# the exit-code contract ----------------------------------------------------
+
+
+GOLDEN_AIGER = [path.read_bytes() for path in sorted(
+    (Path(__file__).resolve().parent / "data" / "golden").glob("*.aag"))]
+# AIGER's own characters, NUL, a stray UTF-8 continuation byte (0x80)
+# and 0xFF, which UTF-8 never uses
+MUTATION_BYTES = b"0123456789 \n-acgijlo\x00\x80\xff"
+
+
+@st.composite
+def mutated_aiger(draw):
+    data = bytearray(draw(st.sampled_from(GOLDEN_AIGER)))
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(data) - 1))
+        byte = draw(st.sampled_from(MUTATION_BYTES))
+        op = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if op == "replace":
+            data[pos] = byte
+        elif op == "insert":
+            data.insert(pos, byte)
+        else:
+            del data[pos]
+    return bytes(data)
+
+
+@given(mutated_aiger())
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_exit_code_contract_on_mutated_aiger(tmp_path, data):
+    """Every AIGER command exits 0, 1 or 2, and an error is one line."""
+    path = tmp_path / "game.aag"
+    path.write_bytes(data)
+    for command in AIGER_COMMANDS:
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main(aiger_argv(command, path, tmp_path))
+        assert code in (0, 1, 2)
+        if code == 2:
+            assert err.getvalue().startswith("error: ")
+            assert err.getvalue().count("\n") == 1

@@ -86,18 +86,63 @@ def test_encode_agrees_with_simulation():
         for variant in (doc, with_random_outputs(doc, seed)):
             cuts = _cut_vars(variant)
             with_cuts += bool(cuts)
-            _assert_encoding_simulates(variant, cuts, rng, seed)
+            states = [([rng.random() < 0.5 for _ in variant.latches],
+                       [rng.random() < 0.5 for _ in variant.inputs])
+                      for _ in range(16)]
+            assert_encoding_simulates(variant, cuts, states, seed)
     assert with_cuts >= 10
 
 
-def _assert_encoding_simulates(doc, cuts, rng, seed):
+def _constants_doc():
+    # the constant next-state functions 0 and 1, and bad = a & !b
+    doc = AigerDoc(fmt="new")
+    a = doc.add_input("a")
+    b = doc.add_input("b")
+    doc.add_latch("zero", next_lit=0)
+    doc.add_latch("one", next_lit=1)
+    doc.bad.append((doc.aig.and_(a, b ^ 1), None))
+    return doc
+
+
+def _random_cone_doc():
+    # bad at the top of a 25-gate random cone over 6 inputs; that gate
+    # is constant false, so the constraint and justice read the two
+    # gates below it
+    rng = random.Random(7)
+    doc = AigerDoc(fmt="new")
+    pool = [doc.add_input(f"i{k}") for k in range(6)]
+    for _ in range(25):
+        a = rng.choice(pool) ^ rng.randint(0, 1)
+        b = rng.choice(pool) ^ rng.randint(0, 1)
+        pool.append(doc.aig.and_(a, b))
+    doc.bad.append((pool[-1], None))
+    doc.constraints.append((pool[-2], None))
+    doc.justice.append(([pool[-3]], None))
+    return doc
+
+
+@pytest.mark.parametrize("make_doc", [_constants_doc, _random_cone_doc],
+                         ids=["constants", "random_cone"])
+def test_encode_agrees_with_simulation_on_every_state(make_doc):
+    doc = make_doc()
+    assert_encoding_simulates(doc, [], all_states(doc))
+
+
+def all_states(doc):
+    """Every (latch values, input values) pair of a document."""
+    return [(list(bits[:len(doc.latches)]), list(bits[len(doc.latches):]))
+            for bits in product([False, True],
+                                repeat=len(doc.latches) + len(doc.inputs))]
+
+
+def assert_encoding_simulates(doc, cuts, states, seed=None):
+    """Each function of ``Encoding(doc, cuts)`` matches simulation at
+    each (latch values, input values) pair of ``states``."""
     bad_lits = doc.outputs if doc.fmt == "old" else doc.bad
     enc = Encoding(doc, cuts)
     cut_levels = enc.quantified[len(doc.inputs):]
     assert len(cut_levels) == len(cuts)
-    for _ in range(16):
-        latches = [rng.random() < 0.5 for _ in doc.latches]
-        inputs = [rng.random() < 0.5 for _ in doc.inputs]
+    for latches, inputs in states:
         values = evaluate_vars(doc, latches, inputs)
         assignment = dict(zip(enc.latch_levels, latches))
         assignment.update(zip(enc.input_levels, inputs))
