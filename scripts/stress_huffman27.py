@@ -81,7 +81,9 @@ def main() -> int:
           "collection) and may need many gigabytes or fail to finish",
           file=sys.stderr)
     t0 = time.monotonic()
-    ok, model, _ = synthesize(doc)
+    # bind only the model, so the game and its manager are freed
+    # before the checks run
+    ok, model = synthesize(doc)[:2]
     elapsed = time.monotonic() - t0
     if not ok:
         print(f"UNREALIZABLE after {elapsed:.1f}s, {peak_rss()}")

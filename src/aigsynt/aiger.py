@@ -287,6 +287,44 @@ class AigerDoc:
                 _check_defined(lit, what, max_var, defined)
 
 
+def sweep(doc: AigerDoc) -> AigerDoc:
+    """The document without the AND gates that none of its literals read.
+
+    The roots are the next-state, output, bad, constraint and justice
+    literals.  Inputs and latches keep their variables; the live gates
+    are renumbered above them in definition order, so each still follows
+    its operands.  A document with no dead gate is returned as it is.
+    """
+    roots = [nxt for _, nxt, _ in doc.latches]
+    roots += [lit for lit, _ in doc.outputs + doc.bad + doc.constraints]
+    roots += [lit for group, _ in doc.justice for lit in group]
+    live = doc.aig.cone(roots)
+    if live.issuperset(doc.aig._ands):
+        return doc
+    aig = Aig()
+    aig.declare_var(max((lit_var(lit) for lit, *_ in doc.inputs + doc.latches),
+                        default=0))
+    var_map: dict[int, int] = {}  # live gate -> its new variable
+
+    def lit_map(lit: int) -> int:
+        var = lit >> 1
+        return 2 * var_map.get(var, var) | (lit & 1)
+
+    for var, rhs0, rhs1 in doc.aig.nodes():
+        if var in live:
+            var_map[var] = new = aig.new_var()
+            aig.add_and_raw(new, lit_map(rhs0), lit_map(rhs1))
+    return AigerDoc(
+        aig=aig, inputs=list(doc.inputs),
+        latches=[(lit, lit_map(nxt), name) for lit, nxt, name in doc.latches],
+        outputs=[(lit_map(lit), name) for lit, name in doc.outputs],
+        bad=[(lit_map(lit), name) for lit, name in doc.bad],
+        constraints=[(lit_map(lit), name) for lit, name in doc.constraints],
+        justice=[([lit_map(lit) for lit in group], name)
+                 for group, name in doc.justice],
+        fmt=doc.fmt, comments=list(doc.comments))
+
+
 def _check_defined(lit: int, what: str, max_var: int, defined: set[int]) -> None:
     if lit_var(lit) > max_var:
         raise AigError(f"{what}: literal {lit} out of range")

@@ -107,12 +107,16 @@ class BuchiAutomaton:
             raise AutomatonError(f"initial state {self.initial!r} undeclared")
         for src, label, dst in self.transitions:
             if src not in self.states or dst not in self.states:
-                raise AutomatonError(f"transition {src}->{dst} uses unknown state")
+                raise AutomatonError(
+                    f"transition {src!r}->{dst!r} uses unknown state")
             extra = label.props() - self.alphabet_props
             if extra:
                 raise AutomatonError(
-                    f"transition {src}->{dst} uses propositions outside the "
-                    f"alphabet: {sorted(extra)}")
+                    f"transition {src!r}->{dst!r} uses propositions outside "
+                    f"the alphabet: {sorted(extra)}")
+        for state in sorted(self.accepting):
+            if state not in self.states:
+                raise AutomatonError(f"accepting state {state!r} undeclared")
 
     def outgoing(self, state: str) -> list[tuple[Label, str]]:
         return [(label, dst) for src, label, dst in self.transitions
@@ -251,7 +255,7 @@ def check_deterministic(aut: BuchiAutomaton) -> None:
             if l1.overlaps(l2):
                 raise AutomatonError(
                     f"nondeterministic: state {state!r} enables both "
-                    f"[{l1}] -> {d1} and [{l2}] -> {d2}; determinize the "
+                    f"[{l1}] -> {d1!r} and [{l2}] -> {d2!r}; determinize the "
                     f"automaton offline and retry")
 
 

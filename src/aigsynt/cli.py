@@ -4,9 +4,10 @@ Subcommands mirror the pipeline stages: ``spec2aag`` compiles an
 extended-SMV specification to a game circuit (extended format, or
 standard single-output via the k-window reduction), ``just2safe``
 applies the reduction to an existing file, ``synth`` solves a game and
-writes the synthesized model, ``synt2hwmcc`` reverses the justice
-polarity of a model for standard fair-trace checkers, and ``mc`` runs
-the built-in model checker.
+writes the synthesized model (only the gates its latches, outputs and
+properties read), ``synt2hwmcc`` reverses the justice polarity of a
+model for standard fair-trace checkers, and ``mc`` runs the built-in
+model checker.
 
 Exit codes: 0 success / holds, 1 unrealizable or violated, 2 usage or
 input errors (an unreadable or non-UTF-8 input file among them) and
@@ -31,14 +32,33 @@ from .smv import SmvError, flatten, parse_smv, resolve
 from .transforms import TransformError, fold_constraints_into_bad, \
     justice_to_safety, reverse_justice
 
+
+class InputError(Exception):
+    """An input file that cannot be read as UTF-8 text."""
+
+
 PIPELINE_ERRORS = (AigError, AutomatonError, CircuitError, GameError,
-                   McError, SmvError, TransformError, OSError,
-                   UnicodeDecodeError)
+                   InputError, McError, SmvError, TransformError, OSError)
+
+
+def read_input(path: str | Path) -> str:
+    """The text of a specification, automaton or AIGER input file.
+
+    Every way the read can fail (a missing or unreadable file, a NUL
+    byte in the path, bytes that are not UTF-8) raises ``InputError``
+    naming the path.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, ValueError) as exc:  # ValueError covers decode errors
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror \
+            else exc
+        raise InputError(f"cannot read {str(path)!r}: {reason}") from None
 
 
 def build_spec_doc(spec_path: Path) -> AigerDoc:
     """Frontend plus monitor compilation for one specification file."""
-    spec = parse_smv(spec_path.read_text())
+    spec = parse_smv(read_input(spec_path))
     resolved = resolve(spec)
     model = flatten(resolved)
     base = spec_path.parent
@@ -46,7 +66,7 @@ def build_spec_doc(spec_path: Path) -> AigerDoc:
     for role_key, refs, role in (("sys", spec.main.sys_automata, "guarantee"),
                                  ("env", spec.main.env_automata, "assumption")):
         for ref in refs:
-            text = (base / ref.path).read_text()
+            text = read_input(base / ref.path)
             automaton = parse_gff(text)
             validated = validate_for_role(automaton, role, negated=ref.negated)
             monitors[role_key].append(to_monitor(validated))
@@ -93,7 +113,7 @@ def cmd_spec2aag(args) -> int:
 
 
 def cmd_just2safe(args) -> int:
-    doc = read_aiger(Path(args.input).read_text())
+    doc = read_aiger(read_input(args.input))
     out = justice_to_safety(doc, args.k)
     _write(args.output, out)
     print(f"wrote {args.output}: {_doc_summary(out)}")
@@ -101,7 +121,7 @@ def cmd_just2safe(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc = read_aiger(Path(args.input).read_text())
+    doc = read_aiger(read_input(args.input))
     if args.print_realizability_only or args.output is None:
         game = build_game(doc)
         winning = solve(game)
@@ -122,7 +142,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_synt2hwmcc(args) -> int:
-    doc = read_aiger(Path(args.input).read_text())
+    doc = read_aiger(read_input(args.input))
     if not doc.justice:
         _write(args.output, doc)
         print(f"wrote {args.output}: no justice section, model unchanged")
@@ -134,7 +154,7 @@ def cmd_synt2hwmcc(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    doc = read_aiger(Path(args.input).read_text())
+    doc = read_aiger(read_input(args.input))
     if args.existential:
         result = find_fair_trace(doc)
         if result.found:
@@ -191,7 +211,9 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="solve a game and extract a model")
     p.add_argument("input", help="game in AIGER format")
-    p.add_argument("-o", "--output", default=None, help="synthesized model")
+    p.add_argument("-o", "--output", default=None,
+                   help="synthesized model; it keeps only the gates its "
+                   "latches, outputs and properties read")
     p.add_argument("--print-realizability-only", action="store_true")
     p.set_defaults(func=cmd_synth)
 

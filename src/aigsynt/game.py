@@ -29,7 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var
+from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var, \
+    sweep
 from .bdd import BddManager, BddRef, Substitution
 
 
@@ -85,6 +86,7 @@ class Encoding:
 
     One loop translates the gates in the cone of ``doc.root_lits()`` in
     definition order (topological, see ``validate``), never recursing.
+    A caller that has that cone already passes it as ``read``.
 
     Each AND-gate variable in ``cut_vars`` (all in that cone) gets its
     own level, a cut, right below the inputs: every function above reads
@@ -98,7 +100,8 @@ class Encoding:
     a justice literal ``just`` is true, as the game reads it.
     """
 
-    def __init__(self, doc: AigerDoc, cut_vars: Sequence[int] = ()):
+    def __init__(self, doc: AigerDoc, cut_vars: Sequence[int] = (),
+                 read: set[int] | None = None):
         self.doc = doc
         self.mgr = mgr = BddManager()
         refs: dict[int, BddRef] = {0: mgr.false}  # AIG literal -> variable
@@ -131,7 +134,8 @@ class Encoding:
                 n = nodes[literal] = mgr._neg(nodes[literal ^ 1])
             return n
 
-        read = doc.aig.cone(doc.root_lits())
+        if read is None:
+            read = doc.aig.cone(doc.root_lits())
         cut_funcs: dict[int, int] = {}
         for var, rhs0, rhs1 in doc.aig.nodes():
             if var in read:
@@ -274,6 +278,14 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     hash-consed multiplexer per node; latch count is unchanged and the
     controllable inputs disappear from the input list.  Synthesized
     signals are additionally exposed as named outputs.
+
+    The model keeps only the gates its latches, outputs and properties
+    read.  Of the game's gates only those in the cone of its next-state,
+    output and checked literals are translated, and ``sweep`` drops the
+    gates that constant folding leaves unread (the operands of a gate
+    whose controllable input got a constant strategy, or a strategy
+    cone nothing reads).  A model with no such gate keeps the numbering
+    of a full translation.
     """
     if len(doc.latches) != len(game.latch_levels) or \
             len(doc.inputs) != len(game.input_levels):
@@ -318,10 +330,12 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     def map_lit(lit: int) -> int:
         return var_sub[lit_var(lit)] ^ (lit & 1)
 
+    read = doc.aig.cone(doc.root_lits() + [lit for lit, _ in doc.outputs])
     for var, rhs0, rhs1 in doc.aig.nodes():
-        var_sub[var] = aig.and_(map_lit(rhs0), map_lit(rhs1))
+        if var in read:
+            var_sub[var] = aig.and_(map_lit(rhs0), map_lit(rhs1))
 
-    for i, (lit, next_lit, name) in enumerate(doc.latches):
+    for lit, next_lit, _ in doc.latches:
         new.set_latch_next(var_sub[lit_var(lit)], map_lit(next_lit))
     new.outputs = [(map_lit(lit), name) for lit, name in doc.outputs]
     if doc.fmt == "new":
@@ -334,6 +348,7 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     new.constraints = [(map_lit(lit), name) for lit, name in doc.constraints]
     new.justice = [([map_lit(lit) for lit in group], name)
                    for group, name in doc.justice]
+    new = sweep(new)
     new.validate()
     return new
 

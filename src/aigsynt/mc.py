@@ -106,11 +106,12 @@ class FairResult:
 # symbolic machinery ------------------------------------------------------
 
 
-def _cut_vars(doc: AigerDoc) -> list[int]:
+def _cut_vars(doc: AigerDoc, read: set[int] | None = None) -> list[int]:
     """The AND gates named by outputs that a checked function reads.
 
     In output order, each gate once.  Old-format outputs are the bad
-    signals themselves, so they get no cuts.
+    signals themselves, so they get no cuts.  ``read`` is the cone of
+    ``doc.root_lits()``, computed here when not given.
     """
     if doc.fmt == "old":
         return []
@@ -118,8 +119,9 @@ def _cut_vars(doc: AigerDoc) -> list[int]:
              if doc.aig.is_and(var)]
     if not gates:
         return []
-    cone = doc.aig.cone(doc.root_lits())
-    return [var for var in gates if var in cone]
+    if read is None:
+        read = doc.aig.cone(doc.root_lits())
+    return [var for var in gates if var in read]
 
 
 class _SymbolicModel(Encoding):
@@ -132,7 +134,8 @@ class _SymbolicModel(Encoding):
     """
 
     def __init__(self, doc: AigerDoc):
-        super().__init__(doc, _cut_vars(doc))
+        read = doc.aig.cone(doc.root_lits())  # one cone for cuts and gates
+        super().__init__(doc, _cut_vars(doc, read), read)
         self.init_state = tuple(False for _ in doc.latches)
 
     # state/set helpers

@@ -108,6 +108,24 @@ def test_malformed_xml_rejected():
         parse_gff("<structure><unclosed>")
 
 
+def test_undeclared_accepting_state_rejected():
+    bad = ALL_TRUE.replace('<acc type="buchi"><stateID>s</stateID>',
+                           '<acc type="buchi"><stateID>t</stateID>')
+    with pytest.raises(AutomatonError,
+                       match="^accepting state 't' undeclared$"):
+        parse_gff(bad)
+
+
+def test_unknown_state_message_quotes_the_ids():
+    # a newline inside an id must not split the one-line error message
+    bad = gff(["fresh", "cont"], "fresh", [("f\nesh", "True", "cont")],
+              ["fresh"])
+    with pytest.raises(AutomatonError) as info:
+        parse_gff(bad)
+    assert str(info.value) == \
+        "transition 'f\\nesh'->'cont' uses unknown state"
+
+
 def test_unknown_elements_warn_but_parse(caplog):
     import logging
     doc = ALL_TRUE.replace("</structure>",

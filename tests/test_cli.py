@@ -4,13 +4,14 @@ import contextlib
 import hashlib
 import io
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import aigsynt
 from aigsynt.aiger import AigerDoc, read_aiger, values_lit, write_aiger
@@ -236,6 +237,7 @@ def test_binary_aiger_is_an_input_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "can't decode byte 0x82" in err
+    assert str(path) in err
     assert not (tmp_path / "out.aag").exists()
 
 
@@ -263,6 +265,21 @@ def test_spec2aag_non_utf8_input_is_an_input_error(tmp_path, capsys, corrupt):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert "can't decode byte 0xe9" in captured.err
+    assert str(path) in captured.err
+    assert not out.exists()
+
+
+def test_spec2aag_nul_in_automaton_path_is_an_input_error(tmp_path, capsys):
+    (tmp_path / "spec.smv").write_bytes(
+        b"MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"
+        b"  q: boolean;\n\nSYS_AUTOMATON_SPEC\n  guar\x00antee.gff;\n")
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    automaton = str(tmp_path / "guar\x00antee.gff")
+    assert captured.err == \
+        f"error: cannot read {automaton!r}: embedded null byte\n"
     assert not out.exists()
 
 
@@ -464,12 +481,12 @@ GOLDEN_AIGER = [path.read_bytes() for path in sorted(
 MUTATION_BYTES = b"0123456789 \n-acgijlo\x00\x80\xff"
 
 
-@st.composite
-def mutated_aiger(draw):
-    data = bytearray(draw(st.sampled_from(GOLDEN_AIGER)))
+def draw_edits(draw, data, alphabet):
+    """``data`` after 1-4 byte edits, each a replace, insert or delete."""
+    data = bytearray(data)
     for _ in range(draw(st.integers(1, 4))):
         pos = draw(st.integers(0, len(data) - 1))
-        byte = draw(st.sampled_from(MUTATION_BYTES))
+        byte = draw(st.sampled_from(alphabet))
         op = draw(st.sampled_from(["replace", "insert", "delete"]))
         if op == "replace":
             data[pos] = byte
@@ -478,6 +495,11 @@ def mutated_aiger(draw):
         else:
             del data[pos]
     return bytes(data)
+
+
+@st.composite
+def mutated_aiger(draw):
+    return draw_edits(draw, draw(st.sampled_from(GOLDEN_AIGER)), MUTATION_BYTES)
 
 
 @given(mutated_aiger())
@@ -496,3 +518,63 @@ def test_exit_code_contract_on_mutated_aiger(tmp_path, data):
         if code == 2:
             assert err.getvalue().startswith("error: ")
             assert err.getvalue().count("\n") == 1
+
+
+# the bundled specifications, each a {file name: bytes} map of the .smv
+# file and its automata
+BUNDLED_SPECS = [{path.name: path.read_bytes() for path in sorted(d.iterdir())}
+                 for d in (BENCH, BENCH.parent / "arbiter")]
+# SMV and GFF characters, letters, NUL, 0x80 and 0xFF
+SPEC_MUTATION_BYTES = b"0123456789 \n;:=()!&|-.~<>_" + \
+    string.ascii_letters.encode() + b"\x00\x80\xff"
+
+
+@st.composite
+def mutated_spec(draw):
+    files = dict(draw(st.sampled_from(BUNDLED_SPECS)))
+    name = draw(st.sampled_from(sorted(files)))
+    files[name] = draw_edits(draw, files[name], SPEC_MUTATION_BYTES)
+    return files
+
+
+def bundled_with(name, old, new):
+    """The bundled spec holding file ``name``, with the last ``old`` in
+    that file replaced by ``new``."""
+    files = dict(next(spec for spec in BUNDLED_SPECS if name in spec))
+    head, _, tail = files[name].rpartition(old)
+    files[name] = head + new + tail
+    return files
+
+
+# one-byte edits that each broke the contract once: an undeclared
+# accepting state, a NUL in an automaton path, a newline in a state id
+@given(mutated_spec())
+@example(files=bundled_with("guar_requests_granted.gff",
+                            b"<stateID>calm", b"<stateID>cal(m"))
+@example(files=bundled_with("arbiter.smv", b"guar_requests",
+                            b"guar_re\x00quests"))
+@example(files=bundled_with("guar_requests_granted.gff",
+                            b"<from>pending", b"<from>p\nending"))
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_exit_code_contract_on_mutated_spec(tmp_path, files):
+    """spec2aag exits 0 or 2; an error is the last line of stderr, the
+    only error line, after at most the GFF reader's warnings, and
+    nothing is written."""
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    spec = next(name for name in files if name.endswith(".smv"))
+    out = tmp_path / "game.aag"
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        code = main(["spec2aag", str(tmp_path / spec), "-o", str(out)])
+    assert code in (0, 2)
+    lines = err.getvalue().splitlines()
+    warnings = lines[:-1] if code == 2 else lines
+    assert all(line.startswith("ignoring unknown GFF element")
+               for line in warnings), lines
+    if code == 2:
+        assert lines[-1].startswith("error: ") and err.getvalue().endswith("\n")
+        assert not out.exists()

@@ -442,6 +442,121 @@ def test_old_format_game_uses_outputs():
     assert check_safety(model).holds
 
 
+FREE = CONTROLLABLE_PREFIX + "free"
+
+
+def with_dead_logic(doc, seed):
+    """A copy of doc with logic that its models must not keep.
+
+    It gains a few gates that nothing reads, and its first bad signal
+    (the first output in the old format) widens to ``bad ∨ (free ∧ g)``
+    for a fresh controllable input ``free`` and a gate g over latches
+    and uncontrollable inputs.  Raising ``free`` can only lose, so its
+    strategy is constant false; that folds ``free ∧ g`` away and leaves
+    g's gates unread.
+    """
+    rng = random.Random(seed)
+    new = doc.copy()
+    aig = new.aig
+    pool = [lit for lit, _ in doc.uncontrollable_inputs()] + \
+        [lit for lit, _, _ in doc.latches]
+
+    def pick():
+        return rng.choice(pool) ^ rng.randint(0, 1)
+
+    for _ in range(3):
+        aig.and_(pick(), pick())  # read by nothing
+    free = new.add_input(FREE)
+    g = aig.and_(aig.and_(pick(), pick()), aig.or_(pick(), pick()))
+    checked = new.outputs if new.fmt == "old" else new.bad
+    lit, name = checked[0]
+    checked[0] = (aig.or_(lit, aig.and_(free, g)), name)
+    new.validate()
+    return new
+
+
+def model_roots(model):
+    return ([nxt for _, nxt, _ in model.latches] +
+            [lit for lit, _ in model.outputs + model.bad + model.constraints] +
+            [lit for group, _ in model.justice for lit in group])
+
+
+def assert_model_follows_game(game, strategy, model):
+    """The model keeps only live gates, has no controllable input, and
+    at every latch state and uncontrollable input its next-state,
+    output, bad, constraint and justice literals read as the game's do
+    under the strategy's moves; the synthesized outputs (new format)
+    read as the moves."""
+    doc = game.doc
+    assert {var for var, _, _ in model.aig.nodes()} <= \
+        model.aig.cone(model_roots(model))
+    assert not model.controllable_inputs()
+    assert [n for _, n in model.inputs] == \
+        [n for _, n in doc.uncontrollable_inputs()]
+    c_names = [name for _, name in doc.controllable_inputs()]
+    n_out = len(doc.outputs)
+    extra = model.outputs[n_out:]
+    assert [n for _, n in extra] == \
+        ([name[len(CONTROLLABLE_PREFIX):] for name in c_names]
+         if doc.fmt == "new" else [])
+    for latches, u_values in all_states(model):
+        levels = dict(zip(game.latch_levels, latches))
+        levels.update(zip(game.u_levels, u_values))
+        moves = {name: strategy.funcs[name].evaluate(levels)
+                 for name in c_names}
+        u_iter = iter(u_values)
+        inputs = [moves[name] if name in moves else next(u_iter)
+                  for _, name in doc.inputs]
+        game_values = evaluate_vars(doc, latches, inputs)
+        model_values = evaluate_vars(model, latches, u_values)
+
+        def read(values, lits):
+            return [values_lit(values, lit) for lit in lits]
+
+        assert read(model_values, [nxt for _, nxt, _ in model.latches]) == \
+            read(game_values, [nxt for _, nxt, _ in doc.latches])
+        for game_section, model_section in (
+                (doc.outputs, model.outputs[:n_out]), (doc.bad, model.bad),
+                (doc.constraints, model.constraints)):
+            assert read(model_values, [lit for lit, _ in model_section]) == \
+                read(game_values, [lit for lit, _ in game_section])
+        assert [read(model_values, group) for group, _ in model.justice] == \
+            [read(game_values, group) for group, _ in doc.justice]
+        if doc.fmt == "new":
+            assert read(model_values, [lit for lit, _ in extra]) == \
+                [moves[name] for name in c_names]
+
+
+@pytest.mark.parametrize("fmt", ["new", "old"])
+@pytest.mark.parametrize("named", [False, True], ids=["plain", "outputs"])
+def test_model_keeps_only_live_gates(fmt, named):
+    realizable = 0
+    for seed in range(40):
+        doc = random_game_doc(seed + 600, n_latches=3 + seed % 3)
+        if named:
+            doc = with_random_outputs(doc, seed)
+        if fmt == "old":
+            # old-format outputs are bad signals: each named one is
+            # conjoined with bad, so the verdict stays the plain one's
+            old = doc.copy(fmt="old", bad=[], constraints=[], justice=[])
+            bad = doc.bad[0][0]
+            old.outputs = [(old.aig.and_(lit, bad), name)
+                           for lit, name in doc.outputs] + doc.bad
+            doc = old
+        for game_doc in (doc, with_dead_logic(doc, seed)):
+            game = build_game(game_doc)
+            w = solve(game)
+            if not is_realizable(game, w):
+                continue
+            realizable += 1
+            strategy = extract_strategy(game, w)
+            if FREE in strategy.funcs:
+                assert strategy.funcs[FREE].is_false
+            model = strategy_to_circuit(game.doc, game, strategy)
+            assert_model_follows_game(game, strategy, model)
+    assert realizable >= 20
+
+
 def _steps_by_name(trace):
     """A trace's steps with latch bits keyed by name, and its loop start."""
     if trace is None:
