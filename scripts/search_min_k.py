@@ -5,7 +5,8 @@ The window reduction needs a length as input; this iterates candidate
 values upward and reports the first realizable one.
 
 Exit status: 0 when some window up to --max-k is realizable, 1 when
-none is, 2 when the input cannot be read or has no justice section.
+none is, 2 when the input cannot be read (it is read as UTF-8) or has no
+justice section, or when the search runs out of recursion depth or memory.
 """
 
 import argparse
@@ -16,7 +17,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aigsynt.aiger import read_aiger
-from aigsynt.cli import PIPELINE_ERRORS
+from aigsynt.cli import PIPELINE_ERRORS, read_input
 from aigsynt.game import build_game, is_realizable, solve
 from aigsynt.transforms import justice_to_safety
 
@@ -29,7 +30,7 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
-        doc = read_aiger(args.aag.read_text())
+        doc = read_aiger(read_input(args.aag))
         for k in range(args.max_k + 1):
             t0 = time.monotonic()
             game = build_game(justice_to_safety(doc, k))
@@ -41,6 +42,11 @@ def main() -> int:
                 return 0
     except PIPELINE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        # an exhausted resource is an error, never a verdict
+        detail = str(exc) or "out of memory"
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
         return 2
     print(f"unrealizable for every k up to {args.max_k}")
     return 1

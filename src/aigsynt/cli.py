@@ -74,7 +74,7 @@ def build_spec_doc(spec_path: Path) -> AigerDoc:
 
 
 def _write(path: str, doc: AigerDoc) -> None:
-    Path(path).write_text(write_aiger(doc))
+    Path(path).write_text(write_aiger(doc), encoding="utf-8")
 
 
 def _doc_summary(doc: AigerDoc) -> str:

@@ -11,6 +11,8 @@ patterns are unreachable by construction.
 One compiler, ``compile_bits``, turns an expression of a given type
 into its bits; a boolean is a one-bit word.  Integers compared without
 a variable on either side are encoded over the range of their values.
+An ``init()`` value is compiled the same way and must fold to constant
+bits once the defines it reads are substituted.
 
 Flattening is a pure transformation; the produced values are immutable
 and safe to share across threads.
@@ -22,14 +24,14 @@ import logging
 from dataclasses import dataclass
 
 from .. import boolexpr as bx
-from ..boolexpr import BoolExpr, BVar
+from ..boolexpr import BAnd, BConst, BNot, BoolExpr, BOr, BVar
 from .ast import (
     BOOL, Binary, BoolLit, BoolType, Case, EnumType, Expr, InstanceType, IntLit,
     Name, RangeType, SmvFlattenError, Unary, VarType,
 )
 from .resolve import (
-    DefineBinding, IntConstType, ModuleCtx, ParamBinding, ResolvedSpec,
-    SymbolBinding, SymConstType, VarBinding,
+    IntConstType, ModuleCtx, ParamBinding, ResolvedSpec, SymbolBinding,
+    SymConstType, VarBinding,
 )
 
 log = logging.getLogger(__name__)
@@ -107,7 +109,7 @@ class _Flattener:
         self.inputs_u: list[str] = []
         self.inputs_c: list[str] = []
         self.latches: list[FlatLatch] = []
-        self.defines: list[tuple[str, BoolExpr]] = []
+        self.defines: dict[str, BoolExpr] = {}  # bit name -> signal, in order
         self._visited_defines: set[tuple[int, str]] = set()
 
     # naming ------------------------------------------------------------
@@ -137,7 +139,7 @@ class _Flattener:
             inputs_u=tuple(self.inputs_u),
             inputs_c=tuple(self.inputs_c),
             latches=tuple(self.latches),
-            defines=tuple(self.defines),
+            defines=tuple(self.defines.items()),
         )
         model.validate()
         return model
@@ -162,7 +164,7 @@ class _Flattener:
         # constant-typed defines are inlined at their use sites
         if isinstance(dtype, (BoolType, RangeType, EnumType)):
             bits = self.compile_bits(ctx, ctx.module.define_decl(name).expr, dtype)
-            self.defines.extend(zip(self.bit_names(ctx, name, dtype), bits))
+            self.defines.update(zip(self.bit_names(ctx, name, dtype), bits))
 
     def _walk_vars(self, ctx: ModuleCtx) -> None:
         module = ctx.module
@@ -203,76 +205,13 @@ class _Flattener:
             log.warning("no init() for %s; defaulting to the first value of %s",
                         self.signal(ctx, v.name), v.type)
             return 0
-        value = self._const_eval(ctx, init_assign.expr)
-        if value is None:
+        bits = _inline_defines(
+            self.compile_bits(ctx, init_assign.expr, v.type), self.defines)
+        if not all(isinstance(b, BConst) for b in bits):
             raise SmvFlattenError(
                 f"init({self.signal(ctx, v.name)}) is not a constant expression",
                 init_assign.line)
-        if isinstance(v.type, BoolType):
-            if not isinstance(value, bool):
-                raise SmvFlattenError(
-                    f"init({self.signal(ctx, v.name)}) is not boolean",
-                    init_assign.line)
-            return int(value)
-        if isinstance(value, bool):
-            raise SmvFlattenError(
-                f"init({self.signal(ctx, v.name)}) is boolean, variable is {v.type}",
-                init_assign.line)
-        return value_code(v.type, value)
-
-    def _const_eval(self, ctx: ModuleCtx, expr: Expr):
-        """Fold an expression to a constant (bool, int or symbol) or None."""
-        if isinstance(expr, BoolLit):
-            return expr.value
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, Name):
-            b = ctx.bindings.get(id(expr))
-            if isinstance(b, SymbolBinding):
-                return b.name
-            if isinstance(b, ParamBinding):
-                return self._const_eval(b.parent, b.actual)
-            if isinstance(b, DefineBinding):
-                return self._const_eval(b.ctx,
-                                        b.ctx.module.define_decl(b.name).expr)
-            return None
-        if isinstance(expr, Unary):
-            v = self._const_eval(ctx, expr.arg)
-            return None if v is None else not v
-        if isinstance(expr, Binary):
-            lv = self._const_eval(ctx, expr.left)
-            rv = self._const_eval(ctx, expr.right)
-            if lv is None or rv is None:
-                return None
-            op = expr.op
-            if op == "&":
-                return lv and rv
-            if op == "|":
-                return lv or rv
-            if op == "xor":
-                return bool(lv) != bool(rv)
-            if op == "->":
-                return (not lv) or rv
-            if op == "<->":
-                return bool(lv) == bool(rv)
-            if op == "=":
-                return lv == rv
-            if op == "!=":
-                return lv != rv
-            if op in ("<", "<=", ">", ">="):
-                if isinstance(lv, str) or isinstance(rv, str):
-                    return None  # symbol order needs the enum type; keep init simple
-                return {"<": lv < rv, "<=": lv <= rv,
-                        ">": lv > rv, ">=": lv >= rv}[op]
-        if isinstance(expr, Case):
-            for cond, value in expr.branches:
-                cv = self._const_eval(ctx, cond)
-                if cv is None:
-                    return None
-                if cv:
-                    return self._const_eval(ctx, value)
-            return None
-        return None
+        return sum(b.value << i for i, b in enumerate(bits))
 
     # expression compilation ---------------------------------------------
 
@@ -353,6 +292,27 @@ class _Flattener:
         for ai, bi in zip(a, b):  # LSB to MSB
             result = bx.bite(bx.biff(ai, bi), result, bx.band(bx.bnot(ai), bi))
         return result
+
+
+def _inline_defines(bits: list[BoolExpr],
+                    defines: dict[str, BoolExpr]) -> list[BoolExpr]:
+    """``bits`` with each define they read replaced by its bits, folded."""
+    memo: dict[int, BoolExpr] = {}  # by id: shared subtrees are visited once
+
+    def inline(e: BoolExpr) -> BoolExpr:
+        if id(e) not in memo:
+            if isinstance(e, BVar):
+                memo[id(e)] = inline(defines[e.name]) if e.name in defines else e
+            elif isinstance(e, BNot):
+                memo[id(e)] = bx.bnot(inline(e.arg))
+            elif isinstance(e, (BAnd, BOr)):
+                join = bx.band if isinstance(e, BAnd) else bx.bor
+                memo[id(e)] = join(*map(inline, e.args))
+            else:
+                memo[id(e)] = e
+        return memo[id(e)]
+
+    return [inline(b) for b in bits]
 
 
 def flatten(resolved: ResolvedSpec) -> FlatModel:

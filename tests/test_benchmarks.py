@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from aigsynt.aiger import Simulator, values_lit, write_aiger
+from aigsynt.aiger import AigerDoc, Simulator, values_lit, write_aiger
 from aigsynt.automata import AutomatonError, parse_gff, validate_for_role
 from aigsynt.cli import build_spec_doc
 from aigsynt.game import synthesize
@@ -121,14 +121,33 @@ def test_min_k_script_finds_the_huffman_window(tmp_path, monkeypatch, capsys):
         "minimal realizable window: 3"
 
 
-@pytest.mark.parametrize("text", [
-    "aag 1 1 0 0 0 1 0 0 0\n2\n2\n",
-    "not an AIGER file\n",
-], ids=["no-justice", "not-aiger"])
+@pytest.mark.parametrize("data", [
+    b"aag 1 1 0 0 0 1 0 0 0\n2\n2\n",
+    b"not an AIGER file\n",
+    b"aag 0 0 0 0 0\nc\ncaf\xe9\n",
+], ids=["no-justice", "not-aiger", "latin-1"])
 def test_min_k_script_reports_bad_input_as_an_error(
-        text, tmp_path, monkeypatch, capsys):
+        data, tmp_path, monkeypatch, capsys):
     game = tmp_path / "game.aag"
-    game.write_text(text)
+    game.write_bytes(data)
     assert _search_min_k(game, monkeypatch) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+
+
+def test_min_k_script_resource_exhaustion_is_never_a_verdict(
+        tmp_path, monkeypatch, capsys):
+    # 1100 self-looping latches with bad = their conjunction: realizable,
+    # but deep enough to exhaust the recursive BDD construction
+    doc = AigerDoc()
+    lits = [doc.add_latch(f"l{i}") for i in range(1100)]
+    doc.latches = [(lit, lit, name) for lit, _, name in doc.latches]
+    doc.bad = [(doc.aig.and_many(lits), "bad")]
+    doc.justice = [([1], "always")]
+    game = tmp_path / "deep.aag"
+    game.write_text(write_aiger(doc))
+    code = _search_min_k(game, monkeypatch)
+    assert code in (0, 2)  # 1 is the verdict "unrealizable for every k"
+    if code == 2:
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1

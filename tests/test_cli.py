@@ -269,6 +269,42 @@ def test_spec2aag_non_utf8_input_is_an_input_error(tmp_path, capsys, corrupt):
     assert not out.exists()
 
 
+# an ASCII locale with neither UTF-8 mode nor locale coercion
+ASCII_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0",
+                "PYTHONCOERCECLOCALE": "0"}
+
+
+def run_in_ascii_locale(*argv):
+    src = str(Path(aigsynt.__file__).resolve().parent.parent)
+    env = {**os.environ, **ASCII_LOCALE, "PYTHONPATH": src}
+    return subprocess.run([sys.executable, "-m", "aigsynt.cli", *argv],
+                          env=env, capture_output=True)
+
+
+def test_files_are_written_as_utf8_whatever_the_locale(tmp_path):
+    spec = tmp_path / "spec.smv"
+    spec.write_text("MODULE main\nVAR\n  \u00e9t\u00e9: boolean;\n"
+                    "ASSIGN\n  init(\u00e9t\u00e9) := FALSE;\n"
+                    "  next(\u00e9t\u00e9) := !\u00e9t\u00e9;\n",
+                    encoding="utf-8")
+    game = tmp_path / "game.aag"
+    doc = AigerDoc()
+    c = doc.add_input("controllable_\u65e5")
+    doc.add_latch("l", next_lit=c)
+    doc.bad = [(doc.latches[0][0], "bad")]
+    game.write_text(write_aiger(doc), encoding="utf-8")
+    for argv, out, name in (
+            (["spec2aag", spec], tmp_path / "spec.aag", "\u00e9t\u00e9"),
+            # the model outputs the controllable input under its bare name
+            (["synth", game], tmp_path / "model.aag", "\u65e5")):
+        proc = run_in_ascii_locale(*argv, "-o", out)
+        assert proc.returncode == 0, proc.stderr
+        written = read_aiger(out.read_text(encoding="utf-8"))
+        names = [n for _, n in written.inputs + written.outputs]
+        names += [n for _, _, n in written.latches]
+        assert name in names
+
+
 def test_spec2aag_nul_in_automaton_path_is_an_input_error(tmp_path, capsys):
     (tmp_path / "spec.smv").write_bytes(
         b"MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"

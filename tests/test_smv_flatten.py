@@ -178,15 +178,6 @@ def test_case_without_default_rejected():
         """))
 
 
-def test_nonconstant_init_rejected():
-    with pytest.raises(SmvFlattenError, match="constant"):
-        flatten(build("""
-        MODULE main
-        VAR x: boolean; y: boolean;
-        ASSIGN next(x) := x; init(x) := y;
-        """))
-
-
 def test_missing_init_defaults_to_first_value():
     model = flatten(build("""
     MODULE main
@@ -196,14 +187,44 @@ def test_missing_init_defaults_to_first_value():
     assert all(l.init == 0 for l in model.latches)
 
 
-def test_init_with_nonzero_code():
-    model = flatten(build("""
-    MODULE main
-    VAR r: 0..5;
-    ASSIGN init(r) := 5; next(r) := r;
-    """))
-    inits = {l.name: l.init for l in model.latches}
-    assert inits == {"r.__bit0": 1, "r.__bit1": 0, "r.__bit2": 1}
+def _main(x_type, init, defines=""):
+    # y is an input, so x is the only latch
+    return (f"MODULE main VAR x: {x_type}; y: boolean; "
+            f"ASSIGN next(x) := x; init(x) := {init}; {defines}")
+
+
+NOT_CONSTANT = r"init\(x\) is not a constant expression"
+# a specification and the inits of its latches, or the error it raises
+INIT_VALUES = {
+    "constant": (_main("0..5", "5"), [1, 0, 1]),
+    "enum-symbol": (_main("{A, B, C}", "C"), [0, 1]),
+    "comparison": (_main("boolean", "2 <= 1"), [0]),
+    "case": (_main("0..3", "case 1 = 2 : 1; TRUE : 2; esac"), [0, 1]),
+    "parameter": ("MODULE sub(p) VAR x: 0..3; "
+                  "ASSIGN next(x) := x; init(x) := p; "
+                  "MODULE main VAR s: sub(2);", [0, 1]),
+    "bool-define": (_main("boolean", "off", "DEFINE on := TRUE; off := !on;"),
+                    [0]),
+    "int-define": (_main("0..3", "k", "DEFINE k := 3;"), [1, 1]),
+    "enum-define": (_main("{A, B, C}", "s", "DEFINE s := B;"), [1, 0]),
+    "variable": (_main("boolean", "y"), NOT_CONSTANT),
+    "variable-define": (_main("boolean", "d", "DEFINE d := y;"), NOT_CONSTANT),
+    # an init value follows the rules of next() and DEFINE: a case needs a
+    # final TRUE branch, and an expression that folds to a constant is one
+    "case-without-TRUE": (_main("0..3", "case 1 = 1 : 2; esac"),
+                          "case without a final TRUE branch"),
+    "folds-to-constant": (_main("boolean", "y & FALSE"), [0]),
+}
+
+
+@pytest.mark.parametrize("text, expected", INIT_VALUES.values(),
+                         ids=INIT_VALUES.keys())
+def test_init_values(text, expected):
+    if isinstance(expected, str):
+        with pytest.raises(SmvFlattenError, match=expected):
+            flatten(build(text))
+    else:
+        assert [l.init for l in flatten(build(text)).latches] == expected
 
 
 def test_free_names_all_declared():
