@@ -11,7 +11,8 @@ operations must never be equal; each operation has its own key shape.
 ``_ite`` keys on the triple of node ids ``(f, g, h)``, ``_neg`` on the
 bare node id, ``_compose`` on the pair ``(f, sub_id)``, where
 ``sub_id`` is the small per-manager id of a ``Substitution``, and
-``_quantify`` on ``(f, exists, levels)`` with a frozenset last.  A
+``_quantify`` on ``(f, exists, levels)`` with a frozenset last, and
+``_restrict`` on ``(f, c, "r")`` with a string last.  A
 substitution used over and over, such as a transition function, is
 made once as a ``Substitution``; a plain mapping passed to
 ``BddRef.compose`` is interned on each call.  ``_ite`` first rewrites
@@ -223,6 +224,45 @@ class BddManager:
         self._cache[key] = r
         return r
 
+    # generalized cofactor -------------------------------------------------
+
+    def _restrict(self, f: int, c: int) -> int:
+        """A function that agrees with f wherever c holds.
+
+        Coudert & Madre's ``restrict`` (ICCAD 1990): where one branch of
+        the care set is empty, the other branch of f is taken, and a
+        variable of c that f does not read is quantified out of c, so
+        the support of the result is a subset of f's.  Outside c the
+        result is whatever makes it small; with c false it is false.
+        """
+        if c == 1 or f <= 1:
+            return f
+        if c == 0:
+            return 0
+        if f == c:
+            return 1
+        key = (f, c, "r")
+        cached = self._cache.get(key)
+        if cached is not None:
+            return cached
+        levels = self._level
+        v = levels[f]
+        while levels[c] < v:  # f does not read c's top variable
+            c = self._ite(self._lo[c], 1, self._hi[c])
+        if c == 1:
+            r = f
+        else:
+            c0, c1 = (self._lo[c], self._hi[c]) if levels[c] == v else (c, c)
+            if c0 == 0:
+                r = self._restrict(self._hi[f], c1)
+            elif c1 == 0:
+                r = self._restrict(self._lo[f], c0)
+            else:
+                r = self._mk(v, self._restrict(self._lo[f], c0),
+                             self._restrict(self._hi[f], c1))
+        self._cache[key] = r
+        return r
+
     # inspection ------------------------------------------------------------
 
     def _support(self, f: int, out: set[int]) -> None:
@@ -343,6 +383,11 @@ class BddRef:
         return BddRef(self.mgr, self.mgr._compose(self.node, submap.nodes,
                                                   submap.sub_id))
 
+    def restrict(self, care: "BddRef") -> "BddRef":
+        """A function equal to this one wherever ``care`` holds, usually
+        smaller, over a subset of this one's variables."""
+        return BddRef(self.mgr, self.mgr._restrict(self.node, self._lift(care)))
+
     def cofactor(self, level: int, value: bool) -> "BddRef":
         target = self.mgr.true if value else self.mgr.false
         return self.compose({level: target})
@@ -375,15 +420,15 @@ class BddRef:
         return out
 
     def dag_size(self) -> int:
+        los, his = self.mgr._lo, self.mgr._hi
         seen: set[int] = set()
         stack = [self.node]
         while stack:
             n = stack.pop()
-            if n <= 1 or n in seen:
-                continue
-            seen.add(n)
-            stack.append(self.mgr._lo[n])
-            stack.append(self.mgr._hi[n])
+            if n > 1 and n not in seen:
+                seen.add(n)
+                stack.append(los[n])
+                stack.append(his[n])
         return len(seen) + 2
 
 

@@ -51,8 +51,13 @@ class _LatchPlan:
 
 
 def _bexpr_to_lit(aig, expr: bx.BoolExpr, signals: dict[str, int],
-                  memo: dict[bx.BoolExpr, int]) -> int:
-    cached = memo.get(expr)
+                  memo: dict[int, int]) -> int:
+    """The literal of expr; ``memo`` maps ``id`` of a node to its literal.
+
+    By ``id``, as in ``boolexpr.free_names``: hashing a node walks its
+    whole subtree.  The memo's nodes must outlive it.
+    """
+    cached = memo.get(id(expr))
     if cached is not None:
         return cached
     if isinstance(expr, bx.BConst):
@@ -72,7 +77,7 @@ def _bexpr_to_lit(aig, expr: bx.BoolExpr, signals: dict[str, int],
                           for a in expr.args)
     else:
         raise TypeError(expr)
-    memo[expr] = lit
+    memo[id(expr)] = lit
     return lit
 
 
@@ -126,7 +131,7 @@ def compile_model(model: FlatModel, sys_monitors: list[Monitor],
         signals[latch.name] = plan.signal_lit
         latch_plans.append((plan, latch.next))
 
-    memo: dict[bx.BoolExpr, int] = {}
+    memo: dict[int, int] = {}  # the model keeps every node alive
     for name, expr in model.defines:
         signals[name] = _bexpr_to_lit(aig, expr, signals, memo)
 

@@ -249,10 +249,16 @@ def move_relation(game: Encoding, winning: BddRef) -> BddRef:
 def extract_strategy(game: Encoding, winning: BddRef) -> Strategy:
     """Determinize the move relation controllable by controllable.
 
-    Each bit resolves by cofactor comparison: pick 1 only where the
-    positive cofactor is the single way to keep the relation
-    satisfiable, otherwise 0; the resolved function substitutes into
-    the relation before the next bit.
+    Each bit resolves by cofactor comparison.  Its value is forced where
+    exactly one value keeps the relation satisfiable (``can_true ^
+    can_false``), and free where both or neither do.  The function is
+    ``can_true & ~can_false`` restricted to that care set (Coudert &
+    Madre's ``restrict``), so a free point takes whichever value keeps
+    the diagram small.  The care set is not the winning region: with
+    ``can_true | can_false``, which is W in effect, the functions stay
+    larger and the model checker's backward sets harder.  The resolved
+    function substitutes into the relation before the next bit, so
+    later bits see the choice.
     """
     if not is_realizable(game, winning):
         raise GameError("cannot extract a strategy: initial state is losing")
@@ -264,7 +270,7 @@ def extract_strategy(game: Encoding, winning: BddRef) -> Strategy:
         arena = relation.exists(later)
         can_true = arena.cofactor(lvl, True)
         can_false = arena.cofactor(lvl, False)
-        func = can_true & ~can_false
+        func = (can_true & ~can_false).restrict(can_true ^ can_false)
         assert not (func.support() & set(game.c_levels))
         funcs[name] = func
         relation = relation.compose({lvl: func})

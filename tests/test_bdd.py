@@ -167,6 +167,73 @@ def test_vector_compose_then_apply_matches_truth_table(f, sub_a, sub_b, h,
         assert fa.evaluate(base) == all(values)
 
 
+# generalized cofactor ----------------------------------------------------
+
+
+@given(formulas(), formulas())
+@settings(max_examples=150, deadline=None)
+def test_restrict_agrees_on_the_care_set(f, c):
+    mgr, refs = fresh()
+    fn = build_formula(mgr, refs, f)
+    cn = build_formula(mgr, refs, c)
+    r = fn.restrict(cn)
+    for bits in product([False, True], repeat=5):
+        if eval_formula(c, list(bits)):
+            assert r.evaluate(list(bits)) == eval_formula(f, list(bits))
+    assert r.support() <= fn.support()
+    assert fn.restrict(mgr.true) == fn
+    assert fn.restrict(fn) == mgr.true or fn.is_false
+
+
+def test_restrict_examples():
+    mgr, (x, y, z, *_) = fresh()
+    assert ((x & y) | z).restrict(x) == (y | z)
+    assert (x & y).restrict(x | y) == (x & y)  # y is read, x is not forced
+    assert (x ^ z).restrict(~x & y) == z  # y is not read by f
+    assert x.restrict(mgr.false).is_false
+
+
+def transfer(ref, refs):
+    """ref's function in another manager with the same variables."""
+    if ref.is_terminal:
+        return refs[0].mgr.true if ref.is_true else refs[0].mgr.false
+    return refs[ref.level].ite(transfer(ref.high, refs),
+                               transfer(ref.low, refs))
+
+
+@given(formulas(), formulas(), formulas(), substitutions(),
+       st.sets(st.integers(0, 4), max_size=5))
+@settings(max_examples=150, deadline=None)
+def test_restrict_interleaved_with_other_operations(f, c, h, sub, qvars):
+    # one manager runs restrict between ite, compose and quantification,
+    # all on one cache; a fresh manager runs each step alone, so a key
+    # of one operation read as another's would give a different function
+    mgr, refs = fresh()
+    levels = sorted(sub)
+    vals = {"f": build_formula(mgr, refs, f), "c": build_formula(mgr, refs, c),
+            "h": build_formula(mgr, refs, h)}
+    vals.update((f"s{lvl}", build_formula(mgr, refs, sub[lvl]))
+                for lvl in levels)
+    program = [
+        ("r1", lambda f, c: f.restrict(c), ("f", "c")),
+        ("n1", lambda f, c: f & c, ("f", "c")),
+        ("i1", lambda r, h, c: r.ite(h, c), ("r1", "h", "c")),
+        ("k1", lambda f, *gs: f.compose(dict(zip(levels, gs))),
+         ("f", *(f"s{lvl}" for lvl in levels))),
+        ("r2", lambda k, h: k.restrict(h), ("k1", "h")),
+        ("e1", lambda r: r.exists(qvars), ("r2",)),
+        ("r3", lambda e, i: e.restrict(~i), ("e1", "i1")),
+        ("a1", lambda r: r.forall(qvars), ("r3",)),
+        ("r4", lambda c, f: c.restrict(f), ("c", "f")),
+        ("x1", lambda a, r: a ^ r, ("a1", "r4")),
+    ]
+    for name, op, args in program:
+        vals[name] = op(*(vals[a] for a in args))
+        _, alone_refs = fresh()
+        alone = op(*(transfer(vals[a], alone_refs) for a in args))
+        assert transfer(vals[name], alone_refs) == alone, name
+
+
 # canonicity ------------------------------------------------------------------
 
 

@@ -8,13 +8,15 @@ import string
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import aigsynt
-from aigsynt.aiger import AigerDoc, read_aiger, values_lit, write_aiger
+from aigsynt.aiger import AigerDoc, evaluate_vars, read_aiger, values_lit, \
+    write_aiger
 from aigsynt.cli import main
 from aigsynt.game import delay_justice
 from aigsynt.mc import _cut_vars
@@ -109,6 +111,38 @@ def test_spec2aag_bundled_specs_pinned(tmp_path, name, options, digest):
     spec = BENCH.parent / name / f"{name}.smv"
     assert main(["spec2aag", str(spec), "-o", str(out), *options]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_spec2aag_shared_subexpressions_compile_once(tmp_path):
+    """A define of 40 nested ``<->`` compiles in well under a second.
+
+    Each ``<->`` reads both operands twice, so the expression is a DAG
+    of 40 levels whose tree has about 2**40 paths; a tree walk over it
+    would never finish, hence the subprocess with a timeout.
+    """
+    n = 40
+    expr = "v0"
+    for i in range(1, n):
+        expr = f"({expr} <-> v{i})"
+    (tmp_path / "spec.smv").write_text(
+        "MODULE main\nVAR\n" + "".join(f"  v{i}: boolean;\n" for i in range(n))
+        + "  l: boolean;\n\nVAR --controllable\n  c: boolean;\n\nASSIGN\n"
+        "  init(l) := FALSE;\n  next(l) := x & c;\nDEFINE\n"
+        f"  x := {expr};\n")
+    src = str(Path(aigsynt.__file__).resolve().parent.parent)
+    out = tmp_path / "spec.aag"
+    subprocess.run([sys.executable, "-m", "aigsynt.cli", "spec2aag",
+                    str(tmp_path / "spec.smv"), "-o", str(out)],
+                   env={**os.environ, "PYTHONPATH": src}, check=True,
+                   capture_output=True, timeout=60)
+    doc = read_aiger(out.read_text())
+    rng = Random(n)
+    for _ in range(20):
+        vs = [rng.random() < 0.5 for _ in range(n)]
+        values = evaluate_vars(doc, [False], vs + [True])
+        # n - 1 connectives, each a negated xor
+        assert values_lit(values, doc.latches[0][1]) == \
+            ((sum(vs) + n - 1) % 2 == 1)
 
 
 def test_options_do_not_leak_between_calls(tmp_path, spec_aag, capsys):

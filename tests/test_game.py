@@ -6,13 +6,13 @@ from itertools import product
 import pytest
 
 from aigsynt.aiger import (
-    AigError, AigerDoc, CONTROLLABLE_PREFIX, Simulator, evaluate_vars,
+    AigError, AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, is_controllable,
     values_lit, write_aiger,
 )
 from aigsynt.game import (
-    Encoding, GameError, build_game, cpre, delay_justice, extract_strategy,
-    is_realizable, justice_depends_on_inputs, move_relation, mu_levels,
-    solve, strategy_to_circuit, synthesize,
+    Encoding, GameError, Strategy, build_game, cpre, delay_justice,
+    extract_strategy, is_realizable, justice_depends_on_inputs,
+    move_relation, mu_levels, solve, strategy_to_circuit, synthesize,
 )
 from aigsynt.mc import (
     _cut_vars, check_justice_universal, check_safety, find_fair_trace,
@@ -475,6 +475,19 @@ def with_dead_logic(doc, seed):
     return new
 
 
+def as_old_format(doc):
+    """The old-format game of doc's safety part.
+
+    Old-format outputs are bad signals: each named output is conjoined
+    with bad, so the verdict stays the plain one's.
+    """
+    old = doc.copy(fmt="old", bad=[], constraints=[], justice=[])
+    bad = doc.bad[0][0]
+    old.outputs = [(old.aig.and_(lit, bad), name)
+                   for lit, name in doc.outputs] + doc.bad
+    return old
+
+
 def model_roots(model):
     return ([nxt for _, nxt, _ in model.latches] +
             [lit for lit, _ in model.outputs + model.bad + model.constraints] +
@@ -536,13 +549,7 @@ def test_model_keeps_only_live_gates(fmt, named):
         if named:
             doc = with_random_outputs(doc, seed)
         if fmt == "old":
-            # old-format outputs are bad signals: each named one is
-            # conjoined with bad, so the verdict stays the plain one's
-            old = doc.copy(fmt="old", bad=[], constraints=[], justice=[])
-            bad = doc.bad[0][0]
-            old.outputs = [(old.aig.and_(lit, bad), name)
-                           for lit, name in doc.outputs] + doc.bad
-            doc = old
+            doc = as_old_format(doc)
         for game_doc in (doc, with_dead_logic(doc, seed)):
             game = build_game(game_doc)
             w = solve(game)
@@ -565,15 +572,71 @@ def _steps_by_name(trace):
              for inputs, latches in trace.steps], trace.loop_start)
 
 
+def assert_plays_legal_moves(doc, model, seed, steps=12):
+    """The model synthesized from doc plays moves its game allows and
+    passes both universal checks; returns the number of steps checked.
+
+    Random uncontrollable inputs drive the model for ``steps`` steps,
+    up to and including the first step where the game's constraints
+    fail: from there on the play is won and every move is allowed.  At
+    each step the model must read as the game under some move that
+    ``move_relation(game, solve(game))`` allows at that state and
+    input: the same next state, outputs, bad, constraint and justice
+    literals.  In the new format the model's last outputs are the
+    synthesized functions, so the move read off them is the only
+    candidate.
+    """
+    game = build_game(doc)
+    relation = move_relation(game, solve(game))
+    gdoc = game.doc
+    controllable = [is_controllable(name) for _, name in gdoc.inputs]
+
+    def reading(d, values, move=()):
+        def read(lits):
+            return [values_lit(values, lit) for lit in lits]
+        return (read(nxt for _, nxt, _ in d.latches),
+                read(lit for lit, _ in d.outputs) + list(move),
+                read(lit for lit, _ in d.bad + d.constraints),
+                [read(group) for group, _ in d.justice])
+
+    rng = random.Random(seed)
+    latches = [False] * len(model.latches)
+    for step in range(steps):
+        u_values = [rng.random() < 0.5 for _ in model.inputs]
+        model_step = reading(model, evaluate_vars(model, latches, u_values))
+        legal = inv = False
+        for move in product((False, True), repeat=len(game.c_levels)):
+            u_iter, c_iter = iter(u_values), iter(move)
+            inputs = [next(c_iter) if c else next(u_iter)
+                      for c in controllable]
+            values = evaluate_vars(gdoc, latches, inputs)
+            if reading(gdoc, values, move if gdoc.fmt == "new" else ()) \
+                    != model_step:
+                continue
+            point = dict(zip(game.latch_levels, latches))
+            point.update(zip(game.input_levels, inputs))
+            legal = legal or relation.evaluate(point)
+            inv = game.inv.evaluate(point)  # read off the constraints
+        assert legal, f"illegal move at step {step} (seed {seed})"
+        if not inv:
+            break
+        latches = model_step[0]
+    assert check_safety(model).holds, seed
+    assert check_justice_universal(model).holds, seed
+    return step + 1
+
+
 def test_latch_order_changes_size_not_behaviour():
     """Rotating the latch list moves decision-diagram levels only: the
-    verdicts, the counterexamples and the synthesized outputs stay."""
+    verdicts and the counterexamples stay, and both models play legal
+    moves.  Their outputs may differ, since a move that is free in the
+    game is chosen to keep the diagram small, which depends on the
+    order."""
     checks = (lambda d: check_safety(d).trace,
               lambda d: check_justice_universal(d).trace,
               lambda d: find_fair_trace(d).trace)
     realizable = traces = 0
     for seed in range(30):
-        rng = random.Random(seed)
         doc = random_game_doc(seed + 300, n_latches=3 + seed % 3)
         k = 1 + seed % (len(doc.latches) - 1)
         rotated = doc.copy(latches=doc.latches[k:] + doc.latches[:k])
@@ -589,11 +652,57 @@ def test_latch_order_changes_size_not_behaviour():
         realizable += 1
         assert model.outputs and \
             [n for _, n in model.outputs] == [n for _, n in model_rotated.outputs]
-        sims = Simulator(model), Simulator(model_rotated)
-        for _ in range(12):
-            inputs = [rng.random() < 0.5 for _ in model.inputs]
-            values, values_rotated = (sim.step(inputs) for sim in sims)
-            assert [values_lit(values, lit) for lit, _ in model.outputs] == \
-                [values_lit(values_rotated, lit)
-                 for lit, _ in model_rotated.outputs], seed
+        assert_plays_legal_moves(doc, model, seed)
+        assert_plays_legal_moves(rotated, model_rotated, seed)
     assert realizable >= 5 and traces >= 10
+
+
+@pytest.mark.parametrize("fmt", ["new", "old"])
+def test_synthesized_models_play_legal_moves(fmt):
+    realizable = steps = 0
+    for seed in range(100):
+        doc = random_game_doc(seed + 1200, n_latches=3 + seed % 3)
+        if seed % 2:
+            doc = with_random_outputs(doc, seed)
+        if fmt == "old":
+            doc = as_old_format(doc)
+        ok, model, _ = synthesize(doc)
+        if not ok:
+            continue
+        realizable += 1
+        steps += assert_plays_legal_moves(doc, model, seed)
+    assert realizable >= 30 and steps >= 100
+
+
+def test_legal_move_check_catches_a_flipped_forced_bit():
+    """A mutant model that flips one synthesized bit where the game
+    forces it, at the first step the check simulates, plays an illegal
+    move there."""
+    for seed in range(40):
+        doc = random_game_doc(seed + 1300, n_latches=4)
+        game = build_game(doc)
+        w = solve(game)
+        if not is_realizable(game, w):
+            continue
+        strategy = extract_strategy(game, w)
+        relation = move_relation(game, w)
+        rng = random.Random(seed)  # the check's first input
+        point = {lvl: False for lvl in game.latch_levels}
+        point.update((lvl, rng.random() < 0.5) for lvl in game.u_levels)
+        c_names = list(strategy.funcs)
+        point.update((lvl, strategy.funcs[name].evaluate(point))
+                     for name, lvl in zip(c_names, game.c_levels))
+        for name, lvl in zip(c_names, game.c_levels):
+            if relation.evaluate({**point, lvl: not point[lvl]}):
+                continue  # this bit is free here
+            state_input = game.mgr.cube({
+                v: point[v] for v in game.latch_levels + game.u_levels})
+            funcs = dict(strategy.funcs)
+            funcs[name] = funcs[name] ^ state_input
+            model = strategy_to_circuit(game.doc, game, strategy)
+            mutant = strategy_to_circuit(game.doc, game, Strategy(w, funcs))
+            assert_plays_legal_moves(doc, model, seed)
+            with pytest.raises(AssertionError, match="illegal move at step 0"):
+                assert_plays_legal_moves(doc, mutant, seed)
+            return
+    pytest.fail("no game forces a bit at its first simulated step")

@@ -1,15 +1,16 @@
 """Model checker verdicts, trace validity, and the explicit oracle."""
 
-import pytest
-
+from itertools import product
 from pathlib import Path
+
+import pytest
 
 from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit, write_aiger
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import synthesize
 from aigsynt.mc import (
-    McError, _SymbolicModel, _cut_vars, check_justice_universal,
-    check_safety, find_fair_trace,
+    McError, _SymbolicModel, _cut_vars, _rings, _walk_to_ring0,
+    check_justice_universal, check_safety, find_fair_trace,
 )
 from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import reverse_justice
@@ -245,6 +246,40 @@ def test_random_counterexamples_replay_faithfully():
             assert any(values_lit(v, jlit) for v in values[trace.loop_start:])
     assert safety_violations >= 5
     assert justice_violations >= 5
+
+
+def test_frontiers_give_the_rings_and_the_walks_of_full_rings():
+    """Each frontier ``restrict(ring[i], ¬ring[i-1])`` has the same
+    pre-image modulo ``ring[i]`` as the ring, and a walk that steps into
+    the frontiers takes the same steps as one into the rings, from every
+    state.  These rings are too small for ``_rings`` to use frontiers,
+    so the frontiers are built here."""
+    walked = differ = 0
+    for seed in range(60):
+        doc = random_game_doc(seed + 1400, n_latches=4 + seed % 3, n_c=1)
+        if seed % 2:
+            doc = with_random_outputs(doc, seed)
+        sm = _SymbolicModel(doc)
+        quiet = sm.inv & ~sm.just
+        for target, step in ((sm.now_exists(sm.inv & sm.bad), sm.inv),
+                             (sm.now_exists(quiet & sm.bad), quiet)):
+            rings, _ = _rings(sm, target, step)
+            fronts = [rings[0]] + [rings[i].restrict(~rings[i - 1])
+                                   for i in range(1, len(rings))]
+            differ += sum(f != r for f, r in zip(fronts, rings))
+            for i in range(len(rings) - 1):
+                assert rings[i] | sm.pre_exists(fronts[i], step) == \
+                    rings[i + 1], seed
+            for state in product((False, True), repeat=len(doc.latches)):
+                if not sm.contains(rings[-1], state):
+                    continue
+                full, frontier = [], []
+                end = _walk_to_ring0(sm, rings, rings, state, step, full)
+                assert _walk_to_ring0(sm, rings, fronts, state, step,
+                                      frontier) == end
+                assert frontier == full, seed
+                walked += len(full)
+    assert walked >= 300 and differ >= 20
 
 
 def test_trace_render_format():
