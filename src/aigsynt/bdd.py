@@ -1,19 +1,32 @@
 """Reduced ordered binary decision diagrams.
 
 Design: a fixed static variable order, the order of ``add_var`` calls,
-no complement edges, no reordering, no garbage collection, and an
-unbounded operation cache, so runs are deterministic and a node id
-identifies a boolean function for the manager's lifetime.  Terminals
-are node 0 (false) and node 1 (true).
+no complement edges, no reordering and no garbage collection, so runs
+are deterministic and a node id identifies a boolean function for the
+manager's lifetime.  Terminals are node 0 (false) and node 1 (true).
 
-All operations share one cache, ``_cache``, so the keys of different
-operations must never be equal; each operation has its own key shape.
-``_ite`` keys on the triple of node ids ``(f, g, h)``, ``_neg`` on the
-bare node id, ``_compose`` on the pair ``(f, sub_id)``, where
-``sub_id`` is the small per-manager id of a ``Substitution``, and
-``_quantify`` on ``(f, exists, levels)`` with a frozenset last, and
-``_restrict`` on ``(f, c, "r")`` with a string last.  A
-substitution used over and over, such as a transition function, is
+Operation caches.  ``_ite`` keys on the triple of node ids ``(f, g,
+h)`` in a cache of two generations, a young dict and an old one.  A
+lookup that misses the young dict reads the old one and, on a hit,
+copies the entry into the young one.  ``age`` makes the young dict the
+old one and starts an empty young one, so an entry is dropped at the
+second ``age`` after it was last made or read.  The game solver ages
+the cache once per pass of its outer fixpoint.  Every other operation keeps its
+entries for the manager's lifetime in one shared cache, ``_cache``, so
+their keys must never be equal; each has its own key shape: ``_neg``
+the bare node id, ``_compose`` the pair ``(f, sub_id)``, where
+``sub_id`` is the small per-manager id of a ``Substitution``,
+``_quantify`` ``(f, exists, levels)`` with a frozenset last, and
+``_restrict`` ``(f, c, "r")`` with a string last.
+
+Dropping an ``_ite`` entry never changes a node id.  Every operation is
+a pure function of node ids, and no node is ever freed, so an entry
+recomputes to the node it held, and every node that recomputation meets
+is already in the unique table: it was made when the entry was first
+computed.  A dropped entry costs time, never a different node, node
+count or output.
+
+A substitution used over and over, such as a transition function, is
 made once as a ``Substitution``; a plain mapping passed to
 ``BddRef.compose`` is interned on each call.  ``_ite`` first rewrites
 ``ite(f, f, h)`` to ``ite(f, 1, h)`` and ``ite(f, g, f)`` to
@@ -46,7 +59,10 @@ class BddManager:
         self._lo = [0, 1]
         self._hi = [0, 1]
         self._unique: dict[tuple[int, int, int], int] = {}
-        # one operation cache; see the module docstring for its keys
+        # the two generations of _ite's cache, and the lifetime cache of
+        # every other operation; see the module docstring
+        self._ite_young: dict[tuple[int, int, int], int] = {}
+        self._ite_old: dict[tuple[int, int, int], int] = {}
         self._cache: dict[int | tuple, int] = {}
         self._sub_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._var_names: list[str] = []
@@ -82,6 +98,20 @@ class BddManager:
     def node_count(self) -> int:
         return len(self._level)
 
+    @property
+    def ite_cache_sizes(self) -> tuple[int, int]:
+        """Entries of ``_ite``'s young and old cache generations."""
+        return len(self._ite_young), len(self._ite_old)
+
+    def age(self) -> None:
+        """Start a new generation of ``_ite``'s cache.
+
+        Entries neither made nor read since the call before this one are
+        dropped; node ids stay what they are (see the module docstring).
+        """
+        self._ite_old = self._ite_young
+        self._ite_young = {}
+
     def cube(self, assignment: Mapping[int, bool]) -> "BddRef":
         """The conjunction of the literals ``level = value``."""
         node = 1
@@ -116,9 +146,13 @@ class BddManager:
         if g == 1 and h == 0:
             return f
         key = (f, g, h)
-        cache = self._cache
+        cache = self._ite_young
         cached = cache.get(key)
         if cached is not None:
+            return cached
+        cached = self._ite_old.get(key)
+        if cached is not None:
+            cache[key] = cached  # promoted: read in this generation
             return cached
         levels = self._level
         los = self._lo

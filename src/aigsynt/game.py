@@ -26,12 +26,16 @@ rebuilds every diagram down to its input levels.
 
 from __future__ import annotations
 
+import itertools
+import logging
 from dataclasses import dataclass
 from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var, \
     sweep
 from .bdd import BddManager, BddRef, Substitution
+
+log = logging.getLogger(__name__)
 
 
 class GameError(Exception):
@@ -190,11 +194,19 @@ def solve(game: Encoding) -> BddRef:
     Greatest fixpoint over Z of the least fixpoint over Y of
     cpre((just and Z) or Y); each pass over Z is ``mu_levels(game, z)``.
     With a trivial justice literal this degenerates to the pure safety
-    fixpoint.
+    fixpoint.  At debug level each pass logs its μY iteration count, the
+    node count and the sizes of the young and old ``ite`` caches.
     """
-    z = game.mgr.true
-    while True:
-        y = mu_levels(game, z)[-1]
+    mgr = game.mgr
+    z = mgr.true
+    for i in itertools.count():
+        levels = mu_levels(game, z)
+        if log.isEnabledFor(logging.DEBUG):
+            young, old = mgr.ite_cache_sizes
+            log.debug("solve pass %d: %d mu iterations, %d nodes, ite cache "
+                      "%d young / %d old", i, len(levels), mgr.node_count,
+                      young, old)
+        y = levels[-1]
         if y == z:
             return z
         z = y
@@ -205,7 +217,12 @@ def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
 
     The list runs from empty up to the fixpoint.  At the winning region
     these are the attractor layers ``move_relation`` ranks moves by.
+
+    Each call first ages the manager's ``ite`` cache (``BddManager.age``):
+    a pass reads mostly what the pass before it made, so an entry that
+    neither made nor read is dropped.
     """
+    game.mgr.age()
     levels = [game.mgr.false]
     core = game.just & z
     while True:

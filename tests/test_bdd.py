@@ -136,7 +136,7 @@ def substituted(f, sub, assignment):
 @settings(max_examples=150, deadline=None)
 def test_vector_compose_then_apply_matches_truth_table(f, sub_a, sub_b, h,
                                                        qvars):
-    # every operation of one manager shares one cache, so two
+    # every operation of one manager but ite shares one cache, so two
     # substitutions followed by ite and both quantifiers would read a
     # wrong entry if the keys of two operations could be equal
     assume(sub_a != sub_b)
@@ -206,7 +206,7 @@ def transfer(ref, refs):
 @settings(max_examples=150, deadline=None)
 def test_restrict_interleaved_with_other_operations(f, c, h, sub, qvars):
     # one manager runs restrict between ite, compose and quantification,
-    # all on one cache; a fresh manager runs each step alone, so a key
+    # all but ite on one cache; a fresh manager runs each step alone, so a key
     # of one operation read as another's would give a different function
     mgr, refs = fresh()
     levels = sorted(sub)
@@ -232,6 +232,83 @@ def test_restrict_interleaved_with_other_operations(f, c, h, sub, qvars):
         _, alone_refs = fresh()
         alone = op(*(transfer(vals[a], alone_refs) for a in args))
         assert transfer(vals[name], alone_refs) == alone, name
+
+
+# ite cache generations ---------------------------------------------------
+
+STEP_OPS = ("and", "or", "xor", "ite", "compose", "exists", "forall",
+            "restrict")
+
+
+# steps of (operation, operand indices, levels, age first or not)
+programs = st.lists(st.tuples(
+    st.sampled_from(STEP_OPS),
+    st.lists(st.integers(0, 1000), min_size=3, max_size=3),
+    st.lists(st.integers(0, 4), min_size=1, max_size=3, unique=True),
+    st.booleans()), min_size=1, max_size=40)
+
+
+def run_step(pool, op, args, levels):
+    """One step on operands picked from pool by index."""
+    a, b, c = (pool[i % len(pool)] for i in args)
+    if op == "and":
+        return a & b
+    if op == "or":
+        return a | b
+    if op == "xor":
+        return a ^ b
+    if op == "ite":
+        return a.ite(b, c)
+    if op == "compose":
+        return a.compose({lvl: pool[(args[1] + k) % len(pool)]
+                          for k, lvl in enumerate(levels)})
+    if op == "exists":
+        return a.exists(levels)
+    if op == "forall":
+        return a.forall(levels)
+    return a.restrict(b)
+
+
+@given(programs)
+@settings(max_examples=200, deadline=None)
+def test_ageing_the_ite_cache_never_changes_a_node(program):
+    # the program runs twice, so its second run repeats every call of
+    # the first, recomputing what ageing dropped in between
+    plain_mgr, plain = fresh()
+    aged_mgr, aged = fresh()
+    for _ in range(2):
+        plain_pool, aged_pool = list(plain), list(aged)
+        for op, args, levels, age in program:
+            if age:
+                aged_mgr.age()
+            p = run_step(plain_pool, op, args, levels)
+            a = run_step(aged_pool, op, args, levels)
+            assert p.node == a.node, op
+            plain_pool.append(p)
+            aged_pool.append(a)
+    assert plain_mgr.node_count == aged_mgr.node_count
+
+
+def test_ite_cache_keeps_what_each_generation_reads():
+    mgr, (x, y, z, *_) = fresh()
+    read, unread = (x.node, y.node, 0), (x.node, 1, z.node)  # x & y, x | z
+    x & y
+    x | z
+
+    def cached():
+        return mgr._ite_young.keys() | mgr._ite_old.keys()
+
+    mgr.age()
+    assert {read, unread} <= cached()
+    assert mgr.ite_cache_sizes == (0, 2)
+    x & y  # read from the old generation, promoted into the young one
+    assert mgr.ite_cache_sizes == (1, 2)
+    mgr.age()
+    assert read in cached()
+    assert unread not in cached()
+    assert mgr.ite_cache_sizes == (0, 1)
+    mgr.age()
+    assert mgr.ite_cache_sizes == (0, 0)
 
 
 # canonicity ------------------------------------------------------------------

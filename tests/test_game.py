@@ -1,5 +1,6 @@
 """Symbolic game solving, strategy extraction and circuit substitution."""
 
+import logging
 import random
 from itertools import product
 
@@ -9,6 +10,7 @@ from aigsynt.aiger import (
     AigError, AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, is_controllable,
     values_lit, write_aiger,
 )
+from aigsynt.bdd import BddManager
 from aigsynt.game import (
     Encoding, GameError, Strategy, build_game, cpre, delay_justice,
     extract_strategy, is_realizable, justice_depends_on_inputs,
@@ -706,3 +708,57 @@ def test_legal_move_check_catches_a_flipped_forced_bit():
                 assert_plays_legal_moves(doc, mutant, seed)
             return
     pytest.fail("no game forces a bit at its first simulated step")
+
+
+def test_ageing_the_ite_cache_changes_no_node_and_no_output(monkeypatch):
+    """Solving with the ite cache aged per pass, and with it never aged,
+    gives the same nodes, models and check results."""
+
+    def run(doc):
+        game = build_game(doc)
+        w = solve(game)
+        checked, text = [doc], None
+        if is_realizable(game, w):
+            model = strategy_to_circuit(game.doc, game,
+                                        extract_strategy(game, w))
+            checked.append(model)
+            text = write_aiger(model)
+        renders = [(r.holds, r.trace and r.trace.render())
+                   for d in checked
+                   for r in (check_safety(d), check_justice_universal(d))]
+        return (w.node, game.mgr.node_count, text, renders), \
+            sum(game.mgr.ite_cache_sizes)
+
+    realizable = dropped = 0
+    for seed in range(60):
+        doc = random_game_doc(seed + 1000, n_latches=3 + seed % 4)
+        if seed % 2:
+            doc = with_random_outputs(doc, seed)
+        aged, aged_entries = run(doc)
+        with monkeypatch.context() as m:
+            m.setattr(BddManager, "age", lambda self: None)
+            kept, kept_entries = run(doc)
+        assert aged == kept, seed
+        realizable += aged[2] is not None
+        dropped += aged_entries < kept_entries
+    assert realizable >= 20 and dropped >= 40
+
+
+def test_solve_logs_each_pass_at_debug_level(caplog, monkeypatch):
+    passes = []
+
+    def counted(game, z):
+        levels = mu_levels(game, z)
+        passes.append(len(levels))
+        return levels
+
+    monkeypatch.setattr("aigsynt.game.mu_levels", counted)
+    doc = random_game_doc(3, n_latches=3)
+    with caplog.at_level(logging.DEBUG, logger="aigsynt.game"):
+        solve(build_game(doc))
+    assert len(passes) >= 2
+    assert [r.getMessage().split(",")[0] for r in caplog.records] == \
+        [f"solve pass {i}: {n} mu iterations" for i, n in enumerate(passes)]
+    caplog.clear()
+    solve(build_game(doc))  # the default level logs nothing
+    assert not caplog.records
