@@ -78,8 +78,8 @@ def main() -> int:
 
     print("warning: full-scale synthesis is a stress target; the engine "
           "is deliberately desk-scale (fixed variable order, no garbage "
-          "collection) and may need over a gigabyte and several seconds "
-          "to a minute", file=sys.stderr)
+          "collection) and may need half a gigabyte and several seconds "
+          "to half a minute", file=sys.stderr)
     t0 = time.monotonic()
     # bind only the model, so the game and its manager are freed
     # before the checks run

@@ -18,7 +18,7 @@ from __future__ import annotations
 import logging
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations
 
 log = logging.getLogger(__name__)
 
@@ -451,9 +451,3 @@ def to_monitor(aut: BuchiAutomaton) -> Monitor:
     )
     assert not (monitor.bad_states & monitor.fair_states)
     return monitor
-
-
-def enumerate_assignments(props) -> list[dict[str, bool]]:
-    props = list(props)
-    return [dict(zip(props, bits))
-            for bits in product([False, True], repeat=len(props))]

@@ -10,7 +10,11 @@ h)`` in a cache of two generations, a young dict and an old one.  A
 lookup that misses the young dict reads the old one and, on a hit,
 copies the entry into the young one.  ``age`` makes the young dict the
 old one and starts an empty young one, so an entry is dropped at the
-second ``age`` after it was last made or read.  The game solver ages
+second ``age`` after it was last made or read.  ``age`` also records
+the node count, and a lookup reads the old dict only when f, g and h
+are all below it: an old key was made or read before that ``age``, so
+it holds only nodes made before it.  On stress8 synthesis that skips
+170 848 of 229 301 old lookups.  The game solver ages
 the cache once per pass of its outer fixpoint.  Every other operation keeps its
 entries for the manager's lifetime in one shared cache, ``_cache``, so
 their keys must never be equal; each has its own key shape: ``_neg``
@@ -63,6 +67,7 @@ class BddManager:
         # every other operation; see the module docstring
         self._ite_young: dict[tuple[int, int, int], int] = {}
         self._ite_old: dict[tuple[int, int, int], int] = {}
+        self._ite_mark = 0  # node count at the last age()
         self._cache: dict[int | tuple, int] = {}
         self._sub_ids: dict[tuple[tuple[int, int], ...], int] = {}
         self._var_names: list[str] = []
@@ -108,9 +113,11 @@ class BddManager:
 
         Entries neither made nor read since the call before this one are
         dropped; node ids stay what they are (see the module docstring).
+        The node count now bounds every node of an old key.
         """
         self._ite_old = self._ite_young
         self._ite_young = {}
+        self._ite_mark = len(self._level)
 
     def cube(self, assignment: Mapping[int, bool]) -> "BddRef":
         """The conjunction of the literals ``level = value``."""
@@ -150,10 +157,12 @@ class BddManager:
         cached = cache.get(key)
         if cached is not None:
             return cached
-        cached = self._ite_old.get(key)
-        if cached is not None:
-            cache[key] = cached  # promoted: read in this generation
-            return cached
+        mark = self._ite_mark
+        if f < mark and g < mark and h < mark:  # else no old key holds it
+            cached = self._ite_old.get(key)
+            if cached is not None:
+                cache[key] = cached  # promoted: read in this generation
+                return cached
         levels = self._level
         los = self._lo
         his = self._hi
@@ -464,6 +473,35 @@ class BddRef:
                 stack.append(los[n])
                 stack.append(his[n])
         return len(seen) + 2
+
+
+def frontier(ring: BddRef, inner: BddRef) -> BddRef:
+    """What a growing iteration has to carry forward from ``ring``.
+
+    ``inner ⊆ ring`` is the iterate before ``ring``.  The frontier is
+    ``restrict(ring, ¬inner)`` (Coudert, Berthet & Madre, 1989): it
+    agrees with ``ring`` outside ``inner`` and is usually smaller.
+    Either it or ``ring`` itself lies between ``ring ∧ ¬inner`` and
+    ``ring``, so an operation that distributes over ∨ (a pre-image, a
+    composition, an ∃), taken of it and joined with its value on
+    ``inner``, gives its value on ``ring``.
+
+    ``ring`` itself is returned where a frontier cannot pay: when the
+    ring has fewer than 64 nodes, or the frontier more than 9/10 of the
+    ring's.  The ring shares the sub-diagrams of ``inner``, whose
+    compositions are cached, where the frontier's nodes are mostly new,
+    and the frontier costs a negation and a ``restrict`` of its own.
+    On the stress8 game and its windows the model checker's first
+    frontier is 2-3 % smaller than its ring, and composing it made up
+    to 12 % more nodes; on small models, where nearly every ring has
+    fewer than 64 nodes, frontiers made 2-5 % more nodes.
+    """
+    size = ring.dag_size()
+    if size >= 64:
+        restricted = ring.restrict(~inner)
+        if 10 * restricted.dag_size() <= 9 * size:
+            return restricted
+    return ring
 
 
 class Substitution(Mapping):

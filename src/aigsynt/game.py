@@ -33,7 +33,7 @@ from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var, \
     sweep
-from .bdd import BddManager, BddRef, Substitution
+from .bdd import BddManager, BddRef, Substitution, frontier
 
 log = logging.getLogger(__name__)
 
@@ -179,13 +179,33 @@ def build_game(doc: AigerDoc) -> Encoding:
     return Encoding(doc)
 
 
-def cpre(game: Encoding, target: BddRef) -> BddRef:
+def cpre(game: Encoding, target: BddRef,
+         escape: BddRef | None = None) -> BddRef:
     """States from which, for every environment move, some system move
     either discharges the constraints now or avoids bad and enters the
-    target."""
-    moved = target.compose(game.delta)
-    good = ~game.inv | (~game.bad & moved)
-    return good.exists(game.c_levels).forall(game.u_levels)
+    target.
+
+    That is ``∀U E`` with ``E = ∃C (¬inv ∨ (¬bad ∧ target∘δ))``, the
+    escape of the target: the pairs of a state and an environment move
+    that some system move answers.  With ``escape`` the caller passes
+    the escape of a set T it took a step toward already, and the result
+    is the predecessor of ``T ∨ target``.  Composition and ∃ distribute
+    over ∨, so the escape of ``T ∨ target`` is ``escape ∨ ∃C (¬bad ∧
+    target∘δ)``: only ``target`` is composed and ∃C-quantified, and it
+    may overlap T.  ∀U does not distribute over ∨ and runs on the whole
+    escape.
+    """
+    return _escape(game, target.compose(game.delta), escape) \
+        .forall(game.u_levels)
+
+
+def _escape(game: Encoding, moved: BddRef,
+            escape: BddRef | None = None) -> BddRef:
+    """The escape of a target whose composition through δ is ``moved``,
+    joined with ``escape``, the escape of another target (see ``cpre``)."""
+    if escape is None:
+        return (~game.inv | (~game.bad & moved)).exists(game.c_levels)
+    return escape | (~game.bad & moved).exists(game.c_levels)
 
 
 def solve(game: Encoding) -> BddRef:
@@ -195,7 +215,9 @@ def solve(game: Encoding) -> BddRef:
     cpre((just and Z) or Y); each pass over Z is ``mu_levels(game, z)``.
     With a trivial justice literal this degenerates to the pure safety
     fixpoint.  At debug level each pass logs its μY iteration count, the
-    node count and the sizes of the young and old ``ite`` caches.
+    node count, the sizes of the young and old ``ite`` caches, and how
+    many μY steps took a restricted frontier, with the node counts of
+    those frontiers against those of their levels.
     """
     mgr = game.mgr
     z = mgr.true
@@ -203,13 +225,52 @@ def solve(game: Encoding) -> BddRef:
         levels = mu_levels(game, z)
         if log.isEnabledFor(logging.DEBUG):
             young, old = mgr.ite_cache_sizes
+            sizes = []  # of the restricted frontiers and their levels
+            for inner, ring in zip(levels, levels[1:]):
+                front = frontier(ring, inner)  # mu_levels's, from caches
+                if front != ring:
+                    sizes.append((front.dag_size(), ring.dag_size()))
             log.debug("solve pass %d: %d mu iterations, %d nodes, ite cache "
-                      "%d young / %d old", i, len(levels), mgr.node_count,
-                      young, old)
+                      "%d young / %d old, %d restricted frontiers of %d "
+                      "nodes against %d in their levels", i, len(levels),
+                      mgr.node_count, young, old, len(sizes),
+                      sum(f for f, _ in sizes), sum(y for _, y in sizes))
         y = levels[-1]
         if y == z:
             return z
         z = y
+
+
+def _mu_steps(game: Encoding, z: BddRef):
+    """One pass of the least fixpoint of cpre((just and z) or Y).
+
+    Yields ``(Y_i, D_i∘δ)`` for each iterate, from ``Y_0`` empty up to
+    the fixpoint.  ``D_0`` is ``core = just ∧ z`` and ``D_{i+1}`` is
+    ``frontier(Y_{i+1}, Y_i)`` (``bdd.frontier``), the states the step
+    added, so ``M_i = D_0∘δ ∨ … ∨ D_i∘δ`` is ``(core ∨ Y_i)∘δ``.  The
+    pass keeps the escape ``E_i`` of ``core ∨ Y_i`` (see ``cpre``) and
+    grows it as ``E_{i+1} = E_i ∨ ∃C (¬bad ∧ D_{i+1}∘δ)``.  Step i is
+    the one call ``Y_{i+1} = cpre(game, D_i, E_{i-1})``, with no escape
+    for i = 0, and that is ``cpre(core ∨ Y_i)``.  This is exact:
+    ``Y_i ⊆ Y_{i+1}`` and ``D_{i+1}`` lies between ``Y_{i+1} ∧ ¬Y_i``
+    and ``Y_{i+1}``, so ``core ∨ Y_i ∨ D_{i+1}`` is ``core ∨ Y_{i+1}``,
+    and composition and ∃ distribute over ∨.  Every iterate is the same
+    function, hence the same node, as with whole targets.
+
+    The pass first ages the manager's ``ite`` cache
+    (``BddManager.age``): a pass reads mostly what the pass before it
+    made, so an entry that neither made nor read is dropped.
+    """
+    game.mgr.age()
+    y, target, escape = game.mgr.false, game.just & z, None
+    while True:
+        moved = target.compose(game.delta)
+        yield y, moved
+        nxt = cpre(game, target, escape)
+        if nxt == y:
+            return
+        escape = _escape(game, moved, escape)  # the one cpre just built
+        y, target = nxt, frontier(nxt, y)
 
 
 def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
@@ -217,19 +278,12 @@ def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
 
     The list runs from empty up to the fixpoint.  At the winning region
     these are the attractor layers ``move_relation`` ranks moves by.
-
-    Each call first ages the manager's ``ite`` cache (``BddManager.age``):
-    a pass reads mostly what the pass before it made, so an entry that
-    neither made nor read is dropped.
+    Each step composes and ∃C-quantifies only the states the step before
+    it added, its frontier, and grows the escape of the last step by
+    them (``_mu_steps``); ∀U runs on the whole escape.  The pass ages
+    the manager's ``ite`` cache first.
     """
-    game.mgr.age()
-    levels = [game.mgr.false]
-    core = game.just & z
-    while True:
-        y = cpre(game, core | levels[-1])
-        if y == levels[-1]:
-            return levels
-        levels.append(y)
+    return [y for y, _ in _mu_steps(game, z)]
 
 
 def is_realizable(game: Encoding, winning: BddRef) -> bool:
@@ -248,18 +302,21 @@ def move_relation(game: Encoding, winning: BddRef) -> BddRef:
     From states in the i+1st attractor level difference the system
     moves into (just and W) or the ith level; discharged steps (inv
     false now) are always allowed.  The layers are those of the last
-    pass of ``solve``, so every ``cpre`` they take hits the manager's
-    cache; ``winning`` must be the region ``solve`` returned.
+    pass of ``solve``, re-run from cache hits; ``winning`` must be the
+    region ``solve`` returned.  The targets' compositions ``M_i = (core
+    ∨ Y_i)∘δ`` are grown from the pass's frontiers as ``M_{i-1} ∨
+    D_i∘δ`` (``_mu_steps``), the same functions as composing each
+    ``core ∨ Y_i`` whole, without its cost.
     """
-    levels = mu_levels(game, winning)
+    levels: list[BddRef] = []
+    moves = rank_ok = game.mgr.false
+    for y, moved in _mu_steps(game, winning):
+        if levels:
+            rank_ok = rank_ok | (y & ~levels[-1] & moves)
+        moves = moves | moved
+        levels.append(y)
     if levels[-1] != winning:
         raise GameError("attractor iteration did not reproduce the region")
-    core = game.just & winning
-    rank_ok = game.mgr.false
-    for i in range(len(levels) - 1):
-        diff = levels[i + 1] & ~levels[i]
-        target = core | levels[i]
-        rank_ok = rank_ok | (diff & target.compose(game.delta))
     return ~game.inv | (~game.bad & rank_ok)
 
 

@@ -64,7 +64,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
-from .bdd import BddRef
+from .bdd import BddRef, frontier
 from .game import Encoding
 
 
@@ -193,36 +193,21 @@ def _rings(sm: _SymbolicModel, target: BddRef, step_pred: BddRef,
     With ``until``, stops at the first ring containing that state: a walk
     from it reads no ring beyond the first one that holds it.
 
-    Each pre-image is taken of the frontier ``F[i] = restrict(ring[i],
-    ¬ring[i-1])`` (Coudert, Berthet & Madre, 1989), a function that
-    agrees with ``ring[i]`` outside ``ring[i-1]`` and is usually
-    smaller.  Since ``ring[i-1] ⊆ ring[i]``, ``F[i]`` lies between
+    Each pre-image is taken of the frontier ``F[i] =
+    frontier(ring[i], ring[i-1])`` (``bdd.frontier``: the ring
+    restricted to the states outside ``ring[i-1]`` where that pays, else
+    the ring), and ``F[0]`` is ``ring[0]``.  ``F[i]`` lies between
     ``ring[i] ∧ ¬ring[i-1]`` and ``ring[i]``; ``pre`` distributes over
     ∨ and ``pre(ring[i-1]) ⊆ ring[i]``, so ``ring[i] ∨ pre(F[i])`` is
     ``ring[i] ∨ pre(ring[i])``, the same ring as without frontiers.
     ``F[i]`` is built only when the next pre-image needs it, so a
     search that stops at ``until`` never builds the last one.
-
-    Where a frontier cannot pay, ``F[i]`` is ``ring[i]`` itself, which
-    the argument above allows too: when the ring has fewer than 64
-    nodes, or the frontier more than 9/10 of the ring's.  The ring
-    shares the sub-diagrams of ``ring[i-1]``, whose compositions are
-    cached, where the frontier's nodes are mostly new, and the
-    frontier costs a negation and a ``restrict`` of its own.  On the
-    stress8 game and its windows the first frontier is 2-3 % smaller
-    than its ring, and composing it made up to 12 % more nodes; on
-    small models, where nearly every ring has fewer than 64 nodes,
-    frontiers made 2-5 % more nodes.
     """
     rings = [target]
     fronts: list[BddRef] = []
     while until is None or not sm.contains(rings[-1], until):
-        front = rings[-1]
-        size = front.dag_size() if len(rings) > 1 else 0  # F[0] is ring[0]
-        if size >= 64:
-            restricted = front.restrict(~rings[-2])
-            if 10 * restricted.dag_size() <= 9 * size:
-                front = restricted
+        front = frontier(rings[-1], rings[-2]) if len(rings) > 1 \
+            else rings[-1]
         fronts.append(front)
         nxt = rings[-1] | sm.pre_exists(front, step_pred)
         if nxt == rings[-1]:

@@ -7,9 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 from aigsynt.automata import (
     AutomatonError, BuchiAutomaton, Label, TRAP_ID, complete,
-    enumerate_assignments, parse_gff, parse_label, to_monitor,
-    validate_for_role,
+    parse_gff, parse_label, to_monitor, validate_for_role,
 )
+
+
+def enumerate_assignments(props) -> list[dict[str, bool]]:
+    props = list(props)
+    return [dict(zip(props, bits))
+            for bits in product([False, True], repeat=len(props))]
 
 
 def gff(states, initial, transitions, accepting, props=()):

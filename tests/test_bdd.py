@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aigsynt.bdd import BddError, BddManager, Substitution
+from aigsynt.bdd import BddError, BddManager, Substitution, frontier
 
 
 def fresh(n=5):
@@ -309,6 +309,47 @@ def test_ite_cache_keeps_what_each_generation_reads():
     assert mgr.ite_cache_sizes == (0, 1)
     mgr.age()
     assert mgr.ite_cache_sizes == (0, 0)
+
+
+def test_young_misses_skip_the_old_generation_when_it_cannot_hold_the_key():
+    mgr, (x, y, *_) = fresh()
+    x & y
+    mgr.age()
+    reads = []
+
+    class Spy(dict):
+        def get(self, key, default=None):
+            reads.append(key)
+            return super().get(key, default)
+
+    mgr._ite_old = Spy(mgr._ite_old)
+    new = mgr.add_var("new")  # made after the age: no old key holds it
+    new & x
+    assert reads == []
+    x & y  # every node of the key is older: read and promoted
+    assert reads == [(x.node, y.node, 0)]
+    assert mgr.ite_cache_sizes == (2, 1)
+
+
+# frontiers -------------------------------------------------------------------
+
+
+def test_frontier_lies_between_the_new_states_and_the_ring():
+    mgr, refs = fresh(10)
+    # a ring of over 64 nodes: the comparator x[0:5] <= x[5:10], with
+    # one word's variables all above the other's
+    ring = mgr.true
+    for a, b in zip(refs[4::-1], refs[:4:-1]):
+        ring = (~a & b) | (~(a ^ b) & ring)
+    inner = ring & refs[0] & refs[5]
+    assert ring.dag_size() >= 64
+    front = frontier(ring, inner)
+    assert front == ring.restrict(~inner) != ring
+    assert (ring & ~inner) & ~front == mgr.false  # new states kept
+    assert front & ~ring == mgr.false  # nothing outside the ring
+    small = refs[0] | refs[1]
+    assert small.dag_size() < 64
+    assert frontier(small, refs[0]) == small  # too small to pay
 
 
 # canonicity ------------------------------------------------------------------

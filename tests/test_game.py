@@ -1,8 +1,11 @@
 """Symbolic game solving, strategy extraction and circuit substitution."""
 
+import importlib
 import logging
 import random
+import re
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -10,7 +13,8 @@ from aigsynt.aiger import (
     AigError, AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, is_controllable,
     values_lit, write_aiger,
 )
-from aigsynt.bdd import BddManager
+from aigsynt.bdd import BddManager, frontier
+from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import (
     Encoding, GameError, Strategy, build_game, cpre, delay_justice,
     extract_strategy, is_realizable, justice_depends_on_inputs,
@@ -281,6 +285,128 @@ def test_move_relation_rejects_a_region_that_is_not_the_fixpoint():
     assert not solve(game).is_true
     with pytest.raises(GameError, match="did not reproduce"):
         move_relation(game, game.mgr.true)
+
+
+# frontier steps of the μY iteration -------------------------------------------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def plain_mu_levels(game, z):
+    """The μY recurrence as written: each step is cpre of core ∨ Y whole."""
+    levels = [game.mgr.false]
+    core = game.just & z
+    while True:
+        y = cpre(game, core | levels[-1])
+        if y == levels[-1]:
+            return levels
+        levels.append(y)
+
+
+def plain_move_relation(game, winning):
+    """The move relation, composing each ``core ∨ levels[i]`` whole."""
+    levels = plain_mu_levels(game, winning)
+    core = game.just & winning
+    rank_ok = game.mgr.false
+    for i in range(len(levels) - 1):
+        diff = levels[i + 1] & ~levels[i]
+        rank_ok = rank_ok | (diff & (core | levels[i]).compose(game.delta))
+    return ~game.inv | (~game.bad & rank_ok)
+
+
+def assert_passes_match_the_plain_recurrence(game):
+    """Every pass of ``solve`` gives the same node at every level as the
+    plain recurrence, and at the fixpoint the same move relation."""
+    z = game.mgr.true
+    while True:
+        levels = mu_levels(game, z)
+        assert levels == plain_mu_levels(game, z)
+        if levels[-1] == z:
+            break
+        z = levels[-1]
+    assert move_relation(game, z) == plain_move_relation(game, z)
+
+
+def benchmark_doc(name, tmp_path, monkeypatch):
+    """A bundled benchmark, or ``stressN``: the N-letter stress game that
+    ``perfbench/workloads.py`` writes."""
+    if not name.startswith("stress"):
+        return build_spec_doc(ROOT / "benchmarks" / name / f"{name}.smv")
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    smv, _ = workloads.write_stress_spec(int(name[6:]), tmp_path)
+    return build_spec_doc(smv)
+
+
+def test_mu_levels_and_move_relation_match_the_plain_recurrence():
+    for seed in range(120):
+        doc = random_game_doc(seed + 7000, n_latches=2 + seed % 5,
+                              n_gates=6 + seed % 11,
+                              with_justice=seed % 4 != 0,
+                              with_constraint=seed % 3 != 0)
+        if seed % 5 == 0:
+            doc = as_old_format(doc)
+        assert_passes_match_the_plain_recurrence(build_game(doc))
+
+
+@pytest.mark.parametrize("name", ["huffman4", "stress4"])
+def test_restricted_frontiers_match_the_plain_recurrence(
+        name, tmp_path, monkeypatch, caplog):
+    doc = benchmark_doc(name, tmp_path, monkeypatch)
+    taken = []
+
+    def counted(ring, inner):
+        front = frontier(ring, inner)
+        if front != ring:
+            taken.append((front.dag_size(), ring.dag_size()))
+        return front
+
+    with monkeypatch.context() as m:
+        m.setattr("aigsynt.game.frontier", counted)
+        assert_passes_match_the_plain_recurrence(build_game(doc))
+        assert taken, "no step took a restricted frontier"
+        taken.clear()
+        solve(build_game(doc))
+    # the debug line of each pass reports the frontiers that pass took
+    with caplog.at_level(logging.DEBUG, logger="aigsynt.game"):
+        solve(build_game(doc))
+    logged = [re.search(r"(\d+) restricted frontiers of (\d+) nodes against "
+                        r"(\d+) in their levels$", r.getMessage()).groups()
+              for r in caplog.records]
+    assert [sum(int(row[k]) for row in logged) for k in range(3)] == \
+        [len(taken), sum(f for f, _ in taken), sum(y for _, y in taken)]
+
+
+def test_cpre_with_an_escape_is_cpre_of_the_union():
+    rng = random.Random(5)
+    for seed in range(40):
+        game = build_game(random_game_doc(seed + 7200, n_latches=4))
+
+        def state_set():
+            s = game.mgr.false
+            for _ in range(rng.randint(0, 3)):
+                picked = rng.sample(game.latch_levels, rng.randint(1, 3))
+                s = s | game.mgr.cube({lvl: rng.random() < 0.5
+                                       for lvl in picked})
+            return s
+
+        done, added = state_set(), state_set()
+        moved = done.compose(game.delta)
+        escape = (~game.inv | (~game.bad & moved)).exists(game.c_levels)
+        assert cpre(game, added, escape) == cpre(game, done | added)
+
+
+@pytest.mark.parametrize("name", ["arbiter", "huffman4"])
+def test_synth_bytes_match_the_plain_recurrence(name, tmp_path, monkeypatch):
+    spec = ROOT / "benchmarks" / name / f"{name}.smv"
+    game = tmp_path / "game.aag"
+    assert main(["spec2aag", str(spec), "-o", str(game)]) == 0
+    assert main(["synth", str(game), "-o", str(tmp_path / "frontier.aag")]) == 0
+    monkeypatch.setattr("aigsynt.game.mu_levels", plain_mu_levels)
+    monkeypatch.setattr("aigsynt.game.move_relation", plain_move_relation)
+    assert main(["synth", str(game), "-o", str(tmp_path / "plain.aag")]) == 0
+    assert (tmp_path / "frontier.aag").read_bytes() == \
+        (tmp_path / "plain.aag").read_bytes()
 
 
 def test_strategy_forced_to_copy_input():
