@@ -4,9 +4,10 @@
 The window reduction needs a length as input; this iterates candidate
 values upward and reports the first realizable one.
 
-Exit status: 0 when some window up to --max-k is realizable, 1 when
-none is, 2 when the input cannot be read (it is read as UTF-8) or has no
-justice section, or when the search runs out of recursion depth or memory.
+Exit status follows the CLI's contract (``aigsynt.cli.run_guarded``):
+0 when some window up to --max-k is realizable, 1 when none is, 2 when
+the input cannot be read (it is read as UTF-8) or has no justice
+section, or when the search runs out of recursion depth or memory.
 """
 
 import argparse
@@ -17,9 +18,24 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from aigsynt.aiger import read_aiger
-from aigsynt.cli import PIPELINE_ERRORS, read_input
+from aigsynt.cli import read_input, run_guarded
 from aigsynt.game import build_game, is_realizable, solve
 from aigsynt.transforms import justice_to_safety
+
+
+def search(aag: Path, max_k: int) -> int:
+    doc = read_aiger(read_input(aag))
+    for k in range(max_k + 1):
+        t0 = time.monotonic()
+        game = build_game(justice_to_safety(doc, k))
+        realizable = is_realizable(game, solve(game))
+        print(f"k={k}: {'realizable' if realizable else 'unrealizable'} "
+              f"({time.monotonic() - t0:.2f}s)")
+        if realizable:
+            print(f"minimal realizable window: {k}")
+            return 0
+    print(f"unrealizable for every k up to {max_k}")
+    return 1
 
 
 def main() -> int:
@@ -28,28 +44,7 @@ def main() -> int:
                         help="extended-format game with a justice section")
     parser.add_argument("--max-k", type=int, default=32)
     args = parser.parse_args()
-
-    try:
-        doc = read_aiger(read_input(args.aag))
-        for k in range(args.max_k + 1):
-            t0 = time.monotonic()
-            game = build_game(justice_to_safety(doc, k))
-            realizable = is_realizable(game, solve(game))
-            print(f"k={k}: {'realizable' if realizable else 'unrealizable'} "
-                  f"({time.monotonic() - t0:.2f}s)")
-            if realizable:
-                print(f"minimal realizable window: {k}")
-                return 0
-    except PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RecursionError, MemoryError) as exc:
-        # an exhausted resource is an error, never a verdict
-        detail = str(exc) or "out of memory"
-        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return 2
-    print(f"unrealizable for every k up to {args.max_k}")
-    return 1
+    return run_guarded(search, args.aag, args.max_k)
 
 
 if __name__ == "__main__":

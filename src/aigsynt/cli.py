@@ -11,7 +11,9 @@ model checker.
 
 Exit codes: 0 success / holds, 1 unrealizable or violated, 2 usage or
 input errors (an unreadable or non-UTF-8 input file among them) and
-resource exhaustion (RecursionError, MemoryError).
+resource exhaustion (RecursionError, MemoryError).  ``run_guarded``
+states the error half of this contract once, for ``main`` and the
+scripts under ``scripts/``.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .aiger import AigError, AigerDoc, read_aiger, write_aiger
 from .automata import AutomatonError, parse_gff, to_monitor, validate_for_role
 from .circuit import CircuitError, compile_model
 from .game import GameError, build_game, is_realizable, solve, synthesize
-from .mc import CheckResult, McError, _SymbolicModel, check_justice_universal, \
+from .mc import McError, _SymbolicModel, check_justice_universal, \
     check_safety, find_fair_trace
 from .smv import SmvError, flatten, parse_smv, resolve
 from .transforms import TransformError, fold_constraints_into_bad, \
@@ -39,6 +41,24 @@ class InputError(Exception):
 
 PIPELINE_ERRORS = (AigError, AutomatonError, CircuitError, GameError,
                    InputError, McError, SmvError, TransformError, OSError)
+
+
+def run_guarded(fn, *args) -> int:
+    """``fn(*args)``, an exit status, with every error mapped to 2.
+
+    A pipeline error, or an exhausted resource (RecursionError,
+    MemoryError), prints one ``error:`` line on stderr and gives 2; it
+    is never a verdict.
+    """
+    try:
+        return fn(*args)
+    except PIPELINE_ERRORS as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except (RecursionError, MemoryError) as exc:
+        detail = str(exc) or "out of memory"
+        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 2
 
 
 def read_input(path: str | Path) -> str:
@@ -164,20 +184,15 @@ def cmd_mc(args) -> int:
         print("NO FAIR TRACE")
         return 0
     model = _SymbolicModel(doc)  # one encoding for both checks
-    safety = check_safety(model)
-    justice: CheckResult | None = None
-    if safety.holds:
-        justice = check_justice_universal(model)
-    if safety.holds and justice.holds:
-        print("SAFETY: holds; JUSTICE: holds")
-        return 0
-    if not safety.holds:
-        print("VIOLATED (safety)")
-        sys.stderr.write(safety.trace.render())
-    else:
-        print("VIOLATED (justice)")
-        sys.stderr.write(justice.trace.render())
-    return 1
+    for name, check in (("safety", check_safety),
+                        ("justice", check_justice_universal)):
+        result = check(model)
+        if not result.holds:
+            print(f"VIOLATED ({name})")
+            sys.stderr.write(result.trace.render())
+            return 1
+    print("SAFETY: holds; JUSTICE: holds")
+    return 0
 
 
 @functools.cache
@@ -238,16 +253,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
-    except PIPELINE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (RecursionError, MemoryError) as exc:
-        # an exhausted resource is an error, never a verdict
-        detail = str(exc) or "out of memory"
-        print(f"error: {type(exc).__name__}: {detail}", file=sys.stderr)
-        return 2
+    return run_guarded(args.func, args)
 
 
 if __name__ == "__main__":

@@ -292,7 +292,6 @@ def is_realizable(game: Encoding, winning: BddRef) -> bool:
 
 @dataclass
 class Strategy:
-    winning: BddRef
     funcs: dict[str, BddRef]  # controllable input name -> function over (L, U)
 
 
@@ -348,7 +347,7 @@ def extract_strategy(game: Encoding, winning: BddRef) -> Strategy:
         assert not (func.support() & set(game.c_levels))
         funcs[name] = func
         relation = relation.compose({lvl: func})
-    return Strategy(winning=winning, funcs=funcs)
+    return Strategy(funcs=funcs)
 
 
 def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> AigerDoc:

@@ -113,7 +113,8 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
     carry = TRUE_LIT
     for i in range(width):
         inc_bits.append(aig.xor_(bits[i], carry))
-        carry = aig.and_(bits[i], carry)
+        if i + 1 < width:  # the top bit's carry out is read by nothing
+            carry = aig.and_(bits[i], carry)
     for i in range(width):
         held = aig.ite_(at_top, bits[i], inc_bits[i])
         new.set_latch_next(bits[i], aig.and_(just ^ 1, held))

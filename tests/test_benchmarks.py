@@ -9,10 +9,11 @@ import pytest
 
 from aigsynt.aiger import AigerDoc, Simulator, values_lit, write_aiger
 from aigsynt.automata import AutomatonError, parse_gff, validate_for_role
+from aigsynt import cli
 from aigsynt.cli import build_spec_doc
-from aigsynt.game import synthesize
+from aigsynt.game import GameError, synthesize
 from aigsynt.mc import (
-    CheckResult, FairResult, check_justice_universal, check_safety,
+    CheckResult, FairResult, Trace, check_justice_universal, check_safety,
 )
 from aigsynt.oracle import solve_explicit
 
@@ -86,39 +87,99 @@ def _load_script(name):
     return module
 
 
+TRACE = Trace(input_names=[], latch_names=[], steps=[])
+
+
+def _raising(exc):
+    def fake(*args):
+        raise exc
+    return fake
+
+
+def _ladder_script(tmp_path, monkeypatch, **fakes):
+    """The ladder script's exit status at 3 letters with --synth, with
+    the named ``aigsynt.cli`` functions replaced by fakes."""
+    for name, fake in fakes.items():
+        monkeypatch.setattr(cli, name, fake)
+    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
+    script = _load_script("stress_huffman27")
+    monkeypatch.setattr(sys, "argv", [
+        "stress_huffman27.py", "--letters", "3", "--synth",
+        "--out-dir", str(tmp_path)])
+    return script.main()
+
+
+WRONG = {  # a wrong verdict, or an error, from one ``aigsynt.cli`` name
+    "check_safety": lambda model: CheckResult(holds=False, trace=TRACE),
+    "check_justice_universal":
+        lambda model: CheckResult(holds=False, trace=TRACE),
+    "find_fair_trace": lambda doc: FairResult(found=True, trace=TRACE),
+    "synthesize": _raising(GameError("cannot extract a strategy")),
+}
+
+
 @pytest.mark.parametrize("wrong, expected", [
     (None, 0),
     ("check_safety", 1),
     ("check_justice_universal", 1),
     ("find_fair_trace", 1),
+    ("synthesize", 2),
 ])
 def test_ladder_script_exit_status_follows_the_verdicts(
         wrong, expected, tmp_path, monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
-    script = _load_script("stress_huffman27")
-    if wrong == "find_fair_trace":
-        monkeypatch.setattr(script, wrong, lambda doc: FairResult(found=True))
-    elif wrong is not None:
-        monkeypatch.setattr(script, wrong, lambda doc: CheckResult(holds=False))
-    monkeypatch.setattr(sys, "argv", [
-        "stress_huffman27.py", "--letters", "3", "--synth",
-        "--out-dir", str(tmp_path)])
-    assert script.main() == expected
+    fakes = {wrong: WRONG[wrong]} if wrong else {}
+    assert _ladder_script(tmp_path, monkeypatch, **fakes) == expected
 
 
-def _search_min_k(game, monkeypatch):
+EXHAUSTION = pytest.mark.parametrize("exc", [
+    MemoryError(), RecursionError("maximum recursion depth exceeded")],
+    ids=["MemoryError", "RecursionError"])
+
+
+def _assert_one_error_line(exc, err):
+    detail = str(exc) or "out of memory"
+    assert [line for line in err.splitlines() if line.startswith("error:")] \
+        == [f"error: {type(exc).__name__}: {detail}"]
+    assert "Traceback" not in err
+
+
+@EXHAUSTION
+def test_ladder_script_exhaustion_is_an_error(
+        exc, tmp_path, monkeypatch, capsys):
+    assert _ladder_script(tmp_path, monkeypatch,
+                          synthesize=_raising(exc)) == 2
+    _assert_one_error_line(exc, capsys.readouterr().err)
+
+
+def _search_min_k(game, monkeypatch, **fakes):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
     script = _load_script("search_min_k")
+    for name, fake in fakes.items():
+        monkeypatch.setattr(script, name, fake)
     monkeypatch.setattr(sys, "argv", ["search_min_k.py", str(game)])
     return script.main()
 
 
-def test_min_k_script_finds_the_huffman_window(tmp_path, monkeypatch, capsys):
+def _huffman4_game(tmp_path):
     game = tmp_path / "huffman4.aag"
     game.write_text(write_aiger(build_spec_doc(ROOT / "huffman4" / "huffman4.smv")))
-    assert _search_min_k(game, monkeypatch) == 0
+    return game
+
+
+def test_min_k_script_finds_the_huffman_window(tmp_path, monkeypatch, capsys):
+    assert _search_min_k(_huffman4_game(tmp_path), monkeypatch) == 0
     assert capsys.readouterr().out.splitlines()[-1] == \
         "minimal realizable window: 3"
+
+
+@EXHAUSTION
+def test_min_k_script_exhaustion_is_an_error(
+        exc, tmp_path, monkeypatch, capsys):
+    game = _huffman4_game(tmp_path)
+    assert _search_min_k(game, monkeypatch, solve=_raising(exc)) == 2
+    err = capsys.readouterr().err
+    _assert_one_error_line(exc, err)
+    assert err.count("\n") == 1
 
 
 @pytest.mark.parametrize("data", [

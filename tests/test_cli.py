@@ -95,11 +95,11 @@ SPEC2AAG_SHA256 = [
     ("huffman4", [],
      "96b655a669245e2d13986e8fb4013b775d90336b21041c177c77620ad501c288"),
     ("huffman4", ["--standard", "--k", "3"],
-     "09bcd5bc5bab88f889250ada834d7a75db958b06b3ab85dd641f78f5e30dd395"),
+     "84fb93bae3244d601349f34cd2ff6f6dc4303168bdacea613fd81da3251d52ca"),
     ("arbiter", [],
      "0abaaac687a7cd33c54a9337f2d6b2f2d60dddaedef7948b6e422e14fecfdef4"),
     ("arbiter", ["--standard", "--k", "3"],
-     "e426d07ab16a25e739d8b5b88dda19bc39a69737e98512abf71746fdc2a90206"),
+     "fdfb1208ca0ab226e6c9fbb166acacd5ac3342f2b571fd50eb0853c4c411ad1d"),
 ]
 
 
@@ -179,6 +179,20 @@ def test_synth_unrealizable_exits_one(tmp_path, capsys):
     code = main(["synth", str(path), "-o", str(tmp_path / "model.aag")])
     assert code == 1
     assert "UNREALIZABLE" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("exc", [
+    MemoryError(), RecursionError("maximum recursion depth exceeded")],
+    ids=["MemoryError", "RecursionError"])
+def test_exhaustion_in_the_solve_is_one_error_line(
+        exc, tmp_path, spec_aag, capsys, monkeypatch):
+    def exhausted(doc):
+        raise exc
+    monkeypatch.setattr("aigsynt.cli.synthesize", exhausted)
+    assert main(["synth", str(spec_aag), "-o", str(tmp_path / "m.aag")]) == 2
+    detail = str(exc) or "out of memory"
+    assert capsys.readouterr().err == \
+        f"error: {type(exc).__name__}: {detail}\n"
 
 
 def test_full_pipeline(tmp_path, spec_aag, capsys):

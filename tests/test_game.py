@@ -828,7 +828,7 @@ def test_legal_move_check_catches_a_flipped_forced_bit():
             funcs = dict(strategy.funcs)
             funcs[name] = funcs[name] ^ state_input
             model = strategy_to_circuit(game.doc, game, strategy)
-            mutant = strategy_to_circuit(game.doc, game, Strategy(w, funcs))
+            mutant = strategy_to_circuit(game.doc, game, Strategy(funcs))
             assert_plays_legal_moves(doc, model, seed)
             with pytest.raises(AssertionError, match="illegal move at step 0"):
                 assert_plays_legal_moves(doc, mutant, seed)

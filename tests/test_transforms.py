@@ -1,11 +1,14 @@
 """Window reduction and justice reversal, checked against explicit oracles."""
 
+from pathlib import Path
+
 import pytest
 
 from aigsynt.aiger import (
-    AigerDoc, CONTROLLABLE_PREFIX, Simulator, evaluate_vars, values_lit,
+    AigerDoc, CONTROLLABLE_PREFIX, Simulator, evaluate_vars, sweep, values_lit,
     write_aiger,
 )
+from aigsynt.cli import build_spec_doc
 from aigsynt.mc import find_fair_trace
 from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import (
@@ -49,6 +52,15 @@ def test_counter_width():
         out = justice_to_safety(doc, k)
         counter = [n for _, _, n in out.latches if n.startswith("justice_wait")]
         assert len(counter) == width, k
+
+
+@pytest.mark.parametrize("name", ["arbiter", "huffman4"])
+def test_windows_have_no_dead_gate(name):
+    bench = Path(__file__).resolve().parent.parent / "benchmarks"
+    doc = build_spec_doc(bench / name / f"{name}.smv")
+    for k in range(9):
+        window = justice_to_safety(doc, k)
+        assert sweep(window) is window, k
 
 
 def test_k0_flags_one_quiet_step():
