@@ -45,6 +45,14 @@ class Aig:
     ordered operand pair never creates two nodes, and trivial operands
     are folded away.  Nodes read from a file are recorded verbatim so a
     parsed document serializes back byte-identically.
+
+    Only synthesized models (``game.strategy_to_circuit``) are built on
+    ``TwoLevelAig``, which adds the two-level rules of Brummayer and
+    Biere: contradiction, idempotence, subsumption, substitution and
+    resolution.  The game producers (``spec2aag``, ``just2safe``,
+    ``synt2hwmcc``) and the reader keep this plain builder, since the
+    rules pick other gates and so would change every file those write;
+    ``sweep`` copies gates as they are.
     """
 
     def __init__(self) -> None:
@@ -139,11 +147,80 @@ class Aig:
                              for i, bit in enumerate(bits))
 
     def copy(self) -> "Aig":
-        other = Aig.__new__(Aig)
+        other = type(self).__new__(type(self))
         other.max_var = self.max_var
         other._ands = dict(self._ands)
         other._hash = dict(self._hash)
         return other
+
+
+class TwoLevelAig(Aig):
+    """An ``Aig`` whose ``and_`` also applies the local two-level rules
+    of Brummayer and Biere ("Local Two-Level And-Inverter Graph
+    Minimization without Blowup", MEMICS 2006).
+
+    When an operand is itself an AND gate, plain or negated, the call
+    is rewritten before it is hash-consed.  With ``p = x ∧ y``:
+
+    - contradiction: ``p ∧ ¬x`` is 0, and ``p ∧ q`` is 0 when the
+      operands of gate ``q`` contain the complement of ``x`` or ``y``;
+    - idempotence: ``p ∧ x`` is ``p``, and ``p ∧ (x ∧ z)`` is ``p ∧ z``;
+    - subsumption: ``¬p ∧ ¬x`` is ``¬x``, and ``¬p ∧ q`` is ``q`` when
+      gate ``q`` reads the complement of ``x`` or ``y``;
+    - substitution: ``¬p ∧ x`` is ``¬y ∧ x``, and ``¬p ∧ q`` is
+      ``¬y ∧ q`` when gate ``q`` reads ``x``;
+    - resolution: ``¬(x ∧ y) ∧ ¬(x ∧ ¬y)`` is ``¬x``.
+
+    A rule returns an existing literal or makes one more ``and_`` call
+    on an operand of a gate, which was defined before the gate, so the
+    rewriting ends, and a call adds at most the one gate a plain call
+    would.  Each gate holds the operands of a call on which no rule
+    fired, so a pair already hashed is returned at once.
+    """
+
+    def and_(self, a: int, b: int) -> int:
+        if a > b:
+            a, b = b, a
+        if a <= TRUE_LIT or a >> 1 == b >> 1 or (b, a) in self._hash:
+            return super().and_(a, b)
+        ga = self._ands.get(a >> 1)
+        gb = self._ands.get(b >> 1)
+        for p, gp, q in ((a, ga, b), (b, gb, a)):
+            if gp is None:
+                continue
+            p0, p1 = gp
+            if p & 1:  # ¬(p0 ∧ p1) ∧ q
+                if q ^ 1 in gp:
+                    return q  # subsumption
+                if q == p0:
+                    return self.and_(p1 ^ 1, q)  # substitution
+                if q == p1:
+                    return self.and_(p0 ^ 1, q)
+            else:  # (p0 ∧ p1) ∧ q
+                if q ^ 1 in gp:
+                    return FALSE_LIT  # contradiction
+                if q in gp:
+                    return p  # idempotence
+        if ga is None or gb is None:
+            return super().and_(a, b)
+        for p, gp, q, gq in ((a, ga, b, gb), (b, gb, a, ga)):
+            for i in (0, 1):
+                for j in (0, 1):
+                    x, y = gp[i], gq[j]
+                    if p & 1 == 0 and q & 1 == 0:  # (x ∧ _) ∧ (y ∧ _)
+                        if x == y ^ 1:
+                            return FALSE_LIT  # contradiction
+                        if x == y:
+                            return self.and_(p, gq[1 - j])  # idempotence
+                    elif p & 1 and q & 1 == 0:  # ¬(x ∧ _) ∧ (y ∧ _)
+                        if x == y ^ 1:
+                            return q  # subsumption
+                        if x == y:
+                            return self.and_(gp[1 - i] ^ 1, q)  # substitution
+                    elif p & 1 and q & 1:  # ¬(x ∧ _) ∧ ¬(y ∧ _)
+                        if x == y and gp[1 - i] == gq[1 - j] ^ 1:
+                            return x ^ 1  # resolution
+        return super().and_(a, b)
 
 
 @dataclass
@@ -293,7 +370,8 @@ def sweep(doc: AigerDoc) -> AigerDoc:
     The roots are the next-state, output, bad, constraint and justice
     literals.  Inputs and latches keep their variables; the live gates
     are renumbered above them in definition order, so each still follows
-    its operands.  A document with no dead gate is returned as it is.
+    its operands, on the document's own builder class.  A document with
+    no dead gate is returned as it is.
     """
     roots = [nxt for _, nxt, _ in doc.latches]
     roots += [lit for lit, _ in doc.outputs + doc.bad + doc.constraints]
@@ -301,7 +379,7 @@ def sweep(doc: AigerDoc) -> AigerDoc:
     live = doc.aig.cone(roots)
     if live.issuperset(doc.aig._ands):
         return doc
-    aig = Aig()
+    aig = type(doc.aig)()
     aig.declare_var(max((lit_var(lit) for lit, *_ in doc.inputs + doc.latches),
                         default=0))
     var_map: dict[int, int] = {}  # live gate -> its new variable

@@ -31,8 +31,8 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from .aiger import AigerDoc, CONTROLLABLE_PREFIX, is_controllable, lit_var, \
-    sweep
+from .aiger import AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, \
+    is_controllable, lit_var, sweep
 from .bdd import BddManager, BddRef, Substitution, frontier
 
 log = logging.getLogger(__name__)
@@ -356,7 +356,10 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     The cone is the Shannon expansion along the function's BDD, one
     hash-consed multiplexer per node; latch count is unchanged and the
     controllable inputs disappear from the input list.  Synthesized
-    signals are additionally exposed as named outputs.
+    signals are additionally exposed as named outputs.  The model is
+    built on ``TwoLevelAig``, so each AND, of a multiplexer or of a
+    translated game gate, is rewritten by the two-level rules where an
+    operand is itself a gate.
 
     The model keeps only the gates its latches, outputs and properties
     read.  Of the game's gates only those in the cone of its next-state,
@@ -369,7 +372,7 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     if len(doc.latches) != len(game.latch_levels) or \
             len(doc.inputs) != len(game.input_levels):
         raise GameError("document does not match the game it was solved as")
-    new = AigerDoc(fmt=doc.fmt, comments=list(doc.comments))
+    new = AigerDoc(aig=TwoLevelAig(), fmt=doc.fmt, comments=list(doc.comments))
     aig = new.aig
     level_to_lit: dict[int, int] = {}
     var_sub: dict[int, int] = {0: 0}  # constants map to themselves

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aigsynt.aiger import (
-    Aig, AigError, AigerDoc, Simulator, evaluate_vars, read_aiger, write_aiger,
+    Aig, AigError, AigerDoc, Simulator, TwoLevelAig, evaluate_vars, read_aiger,
+    write_aiger,
 )
 
 
@@ -204,6 +205,91 @@ def test_round_trip_random_docs(doc):
     text = write_aiger(doc)
     parsed = read_aiger(text)
     assert write_aiger(parsed) == text
+
+
+class OneGatePerCall(TwoLevelAig):
+    """Fails any ``and_`` call, the rules' own nested calls included,
+    that adds more than one gate."""
+
+    def and_(self, a, b):
+        before = self.num_ands
+        lit = super().and_(a, b)
+        assert self.num_ands - before <= 1, (a, b)
+        return lit
+
+
+def truth_tables(aig, n_inputs):
+    """Each variable's exhaustive truth table as an int, one bit per
+    assignment of variables 1..n_inputs."""
+    rows = range(1 << n_inputs)
+    full = (1 << len(rows)) - 1
+    tables = {0: 0}
+    for i in range(n_inputs):
+        tables[i + 1] = sum(1 << r for r in rows if r >> i & 1)
+
+    def read(lit):
+        return tables[lit >> 1] ^ (full if lit & 1 else 0)
+
+    for var, rhs0, rhs1 in aig.nodes():
+        tables[var] = read(rhs0) & read(rhs1)
+    return read
+
+
+@given(st.integers(1, 6),
+       st.lists(st.tuples(st.sampled_from(["and_", "or_", "ite_"]),
+                          st.integers(0, 255), st.integers(0, 255),
+                          st.integers(0, 255)), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_two_level_rules_keep_every_function(n_inputs, ops):
+    plain, rules = Aig(), OneGatePerCall()
+    pools = []
+    for aig in (plain, rules):
+        pool = [0, 1] + [2 * aig.new_var() for _ in range(n_inputs)]
+        for op, *picks in ops:
+            args = [pool[(k >> 1) % len(pool)] ^ (k & 1) for k in picks]
+            pool.append(getattr(aig, op)(*args[:3 if op == "ite_" else 2]))
+        pools.append(pool)
+    read_plain = truth_tables(plain, n_inputs)
+    read_rules = truth_tables(rules, n_inputs)
+    for lit_plain, lit_rules in zip(*pools):
+        assert read_plain(lit_plain) == read_rules(lit_rules)
+
+
+# One case per rule, with an AND-gate operand and, where the rule has
+# one, with two: (aig, a, b, c) -> (built literal, the literal expected
+# or the operand set of the gate expected).
+TWO_LEVEL_RULES = {
+    "contradiction": lambda g, a, b, c: (g.and_(g.and_(a, b), a ^ 1), 0),
+    "contradiction_two_gates": lambda g, a, b, c: (
+        g.and_(g.and_(a, b), g.and_(b ^ 1, c)), 0),
+    "idempotence": lambda g, a, b, c: (g.and_(g.and_(a, b), b), g.and_(a, b)),
+    "idempotence_two_gates": lambda g, a, b, c: (
+        g.and_(g.and_(a, b), g.and_(a, c)), {g.and_(a, b), c}),
+    "subsumption": lambda g, a, b, c: (g.and_(g.and_(a, b) ^ 1, a ^ 1), a ^ 1),
+    "subsumption_two_gates": lambda g, a, b, c: (
+        g.and_(g.and_(a, b) ^ 1, g.and_(a ^ 1, c)), g.and_(a ^ 1, c)),
+    "substitution": lambda g, a, b, c: (g.and_(b, g.and_(b, c) ^ 1), {b, c ^ 1}),
+    "substitution_two_gates": lambda g, a, b, c: (
+        g.and_(g.and_(a, b) ^ 1, g.and_(a, c)), {b ^ 1, g.and_(a, c)}),
+    "resolution": lambda g, a, b, c: (
+        g.and_(g.and_(a, b) ^ 1, g.and_(a, b ^ 1) ^ 1), a ^ 1),
+}
+
+
+@pytest.mark.parametrize("rule", TWO_LEVEL_RULES)
+def test_two_level_rule_rewrites(rule):
+    aig = OneGatePerCall()
+    a, b, c = (2 * aig.new_var() for _ in range(3))
+    built, expected = TWO_LEVEL_RULES[rule](aig, a, b, c)
+    if isinstance(expected, set):
+        gates = {2 * var: {rhs0, rhs1} for var, rhs0, rhs1 in aig.nodes()}
+        assert gates.get(built) == expected
+    else:
+        assert built == expected
+    # the plain builder leaves each of these as one more gate
+    plain = Aig()
+    plain.declare_var(3)
+    assert TWO_LEVEL_RULES[rule](plain, a, b, c)[0] == 2 * plain.max_var
 
 
 # One malformed text per error path of the reader and the validator, with

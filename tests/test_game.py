@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 from aigsynt.aiger import (
-    AigError, AigerDoc, CONTROLLABLE_PREFIX, evaluate_vars, is_controllable,
-    values_lit, write_aiger,
+    Aig, AigError, AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, evaluate_vars,
+    is_controllable, read_aiger, values_lit, write_aiger,
 )
 from aigsynt.bdd import BddManager, frontier
 from aigsynt.cli import build_spec_doc, main
@@ -24,7 +24,7 @@ from aigsynt.mc import (
     _cut_vars, check_justice_universal, check_safety, find_fair_trace,
 )
 from aigsynt.oracle import solve_explicit
-from aigsynt.transforms import justice_to_safety
+from aigsynt.transforms import justice_to_safety, reverse_justice
 
 from helpers import random_game_doc, with_random_outputs
 
@@ -690,6 +690,63 @@ def test_model_keeps_only_live_gates(fmt, named):
             model = strategy_to_circuit(game.doc, game, strategy)
             assert_model_follows_game(game, strategy, model)
     assert realizable >= 20
+
+
+def test_minimized_models_compute_the_plain_translation(monkeypatch):
+    """The two-level rules change a model's gates, never its functions:
+    every root literal reads as the plain translation's on every latch
+    and input assignment, and the model still follows its game and
+    plays legal moves."""
+    realizable = 0
+    for seed in range(220):
+        doc = random_game_doc(seed + 1400, n_latches=3 + seed % 3)
+        if seed % 2:
+            doc = with_random_outputs(doc, seed)
+        if seed % 4 >= 2:
+            doc = as_old_format(doc)
+        game = build_game(doc)
+        w = solve(game)
+        if not is_realizable(game, w):
+            continue
+        realizable += 1
+        strategy = extract_strategy(game, w)
+        model = strategy_to_circuit(game.doc, game, strategy)
+        with monkeypatch.context() as m:
+            m.setattr("aigsynt.game.TwoLevelAig", Aig)
+            plain = strategy_to_circuit(game.doc, game, strategy)
+        assert type(model.aig) is TwoLevelAig and type(plain.aig) is Aig
+        assert model.aig.num_ands <= plain.aig.num_ands
+        for latches, inputs in all_states(model):
+            assert [values_lit(evaluate_vars(model, latches, inputs), lit)
+                    for lit in model_roots(model)] == \
+                [values_lit(evaluate_vars(plain, latches, inputs), lit)
+                 for lit in model_roots(plain)]
+        assert_model_follows_game(game, strategy, model)
+        assert_plays_legal_moves(doc, model, seed)
+    assert realizable >= 100
+
+
+def test_copied_model_keeps_its_builder():
+    """A model and its copies build on the two-level rules, so a rewrite
+    of a model (``reverse_justice`` copies it) keeps minimizing."""
+    doc = doc_with(next_of=lambda aig, u, c, l: [aig.xor_(c[0], u[0])],
+                   justice=lambda aig, u, c, l: l[0] ^ 1)
+    ok, model, _ = synthesize(doc)
+    assert ok and type(model.aig) is TwoLevelAig
+    assert type(model.copy().aig) is TwoLevelAig
+    assert type(reverse_justice(model).aig) is TwoLevelAig
+
+
+# AND counts of ``synth -o`` models when the two-level rules landed
+MODEL_ANDS = {"arbiter": 5, "huffman4": 395, "stress4": 467}
+
+
+@pytest.mark.parametrize("name", MODEL_ANDS)
+def test_synthesized_models_do_not_grow(name, tmp_path, monkeypatch):
+    game, model = tmp_path / "game.aag", tmp_path / "model.aag"
+    game.write_text(write_aiger(benchmark_doc(name, tmp_path, monkeypatch)))
+    assert main(["synth", str(game), "-o", str(model)]) == 0
+    assert read_aiger(model.read_text()).aig.num_ands <= MODEL_ANDS[name]
 
 
 def _steps_by_name(trace):
