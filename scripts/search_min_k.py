@@ -8,6 +8,8 @@ Exit status follows the CLI's contract (``aigsynt.cli.run_guarded``):
 0 when some window up to --max-k is realizable, 1 when none is, 2 when
 the input cannot be read (it is read as UTF-8) or has no justice
 section, or when the search runs out of recursion depth or memory.
+A negative --max-k is a usage error (exit 2): it leaves no window to
+check, so there is no verdict.
 """
 
 import argparse
@@ -44,6 +46,8 @@ def main() -> int:
                         help="extended-format game with a justice section")
     parser.add_argument("--max-k", type=int, default=32)
     args = parser.parse_args()
+    if args.max_k < 0:
+        parser.error("--max-k must be at least 0")
     return run_guarded(search, args.aag, args.max_k)
 
 

@@ -5,6 +5,13 @@ no complement edges, no reordering and no garbage collection, so runs
 are deterministic and a node id identifies a boolean function for the
 manager's lifetime.  Terminals are node 0 (false) and node 1 (true).
 
+The node record.  A node is one tuple ``(level, lo, hi)``: ``_nodes[n]``
+holds it, and the very same tuple object is the key of ``n`` in the
+unique table ``_unique`` (Brace, Rudell & Bryant, DAC 1990), so a node
+is stored once.  Every reader unpacks the record.  The terminals'
+records carry a level greater than any variable's, and their children
+are themselves.
+
 Operation caches.  ``_ite`` keys on the triple of node ids ``(f, g,
 h)`` in a cache of two generations, a young dict and an old one.  A
 lookup that misses the young dict reads the old one and, on a hit,
@@ -58,10 +65,10 @@ class BddError(Exception):
 
 class BddManager:
     def __init__(self) -> None:
-        # parallel node arrays; slots 0/1 are the terminals
-        self._level = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
-        self._lo = [0, 1]
-        self._hi = [0, 1]
+        # _nodes[n] is node n's record (level, lo, hi), and that same
+        # tuple is n's key in _unique; slots 0/1 are the terminals
+        self._nodes: list[tuple[int, int, int]] = [
+            (_TERMINAL_LEVEL, 0, 0), (_TERMINAL_LEVEL, 1, 1)]
         self._unique: dict[tuple[int, int, int], int] = {}
         # the two generations of _ite's cache, and the lifetime cache of
         # every other operation; see the module docstring
@@ -101,7 +108,7 @@ class BddManager:
 
     @property
     def node_count(self) -> int:
-        return len(self._level)
+        return len(self._nodes)
 
     @property
     def ite_cache_sizes(self) -> tuple[int, int]:
@@ -117,7 +124,7 @@ class BddManager:
         """
         self._ite_old = self._ite_young
         self._ite_young = {}
-        self._ite_mark = len(self._level)
+        self._ite_mark = len(self._nodes)
 
     def cube(self, assignment: Mapping[int, bool]) -> "BddRef":
         """The conjunction of the literals ``level = value``."""
@@ -134,10 +141,8 @@ class BddManager:
         key = (level, lo, hi)
         node = self._unique.get(key)
         if node is None:
-            node = len(self._level)
-            self._level.append(level)
-            self._lo.append(lo)
-            self._hi.append(hi)
+            node = len(self._nodes)
+            self._nodes.append(key)
             self._unique[key] = node
         return node
 
@@ -163,26 +168,18 @@ class BddManager:
             if cached is not None:
                 cache[key] = cached  # promoted: read in this generation
                 return cached
-        levels = self._level
-        los = self._lo
-        his = self._hi
-        lf = levels[f]
-        lg = levels[g]
-        lh = levels[h]
+        nodes = self._nodes
+        lf, f0, f1 = nodes[f]
+        lg, g0, g1 = nodes[g]
+        lh, h0, h1 = nodes[h]
         v = lf if lf < lg else lg
         if lh < v:
             v = lh
-        if lf == v:
-            f0, f1 = los[f], his[f]
-        else:
+        if lf != v:
             f0 = f1 = f
-        if lg == v:
-            g0, g1 = los[g], his[g]
-        else:
+        if lg != v:
             g0 = g1 = g
-        if lh == v:
-            h0, h1 = los[h], his[h]
-        else:
+        if lh != v:
             h0 = h1 = h
         # terminal cofactor triples are resolved here, not by a call
         if f0 <= 1:
@@ -204,10 +201,8 @@ class BddManager:
             ukey = (v, lo, hi)
             r = self._unique.get(ukey)
             if r is None:
-                r = len(levels)
-                levels.append(v)
-                los.append(lo)
-                his.append(hi)
+                r = len(nodes)
+                nodes.append(ukey)
                 self._unique[ukey] = r
         cache[key] = r
         return r
@@ -218,7 +213,8 @@ class BddManager:
         cached = self._cache.get(f)
         if cached is not None:
             return cached
-        r = self._mk(self._level[f], self._neg(self._lo[f]), self._neg(self._hi[f]))
+        level, lo, hi = self._nodes[f]
+        r = self._mk(level, self._neg(lo), self._neg(hi))
         self._cache[f] = r
         return r
 
@@ -229,15 +225,15 @@ class BddManager:
         """Quantify ``levels`` out of f; ``last`` is the deepest of them."""
         if f <= 1:
             return f
-        v = self._level[f]
+        v, lo, hi = self._nodes[f]
         if v > last:
             return f
         key = (f, exists, levels)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        lo = self._quantify(self._lo[f], levels, exists, last)
-        hi = self._quantify(self._hi[f], levels, exists, last)
+        lo = self._quantify(lo, levels, exists, last)
+        hi = self._quantify(hi, levels, exists, last)
         if v in levels:
             if exists:
                 r = self._ite(lo, 1, hi)  # lo | hi
@@ -257,9 +253,9 @@ class BddManager:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        v = self._level[f]
-        lo = self._compose(self._lo[f], sub, sub_id)
-        hi = self._compose(self._hi[f], sub, sub_id)
+        v, lo, hi = self._nodes[f]
+        lo = self._compose(lo, sub, sub_id)
+        hi = self._compose(hi, sub, sub_id)
         g = sub.get(v)
         if g is None:
             g = self._mk(v, 0, 1)
@@ -288,41 +284,46 @@ class BddManager:
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        levels = self._level
-        v = levels[f]
-        while levels[c] < v:  # f does not read c's top variable
-            c = self._ite(self._lo[c], 1, self._hi[c])
+        nodes = self._nodes
+        v, f0, f1 = nodes[f]
+        lc, c0, c1 = nodes[c]
+        while lc < v:  # f does not read c's top variable
+            c = self._ite(c0, 1, c1)
+            lc, c0, c1 = nodes[c]
+        if lc != v:
+            c0 = c1 = c
         if c == 1:
             r = f
+        elif c0 == 0:
+            r = self._restrict(f1, c1)
+        elif c1 == 0:
+            r = self._restrict(f0, c0)
         else:
-            c0, c1 = (self._lo[c], self._hi[c]) if levels[c] == v else (c, c)
-            if c0 == 0:
-                r = self._restrict(self._hi[f], c1)
-            elif c1 == 0:
-                r = self._restrict(self._lo[f], c0)
-            else:
-                r = self._mk(v, self._restrict(self._lo[f], c0),
-                             self._restrict(self._hi[f], c1))
+            r = self._mk(v, self._restrict(f0, c0), self._restrict(f1, c1))
         self._cache[key] = r
         return r
 
     # inspection ------------------------------------------------------------
 
-    def _support(self, f: int, out: set[int]) -> None:
-        seen = set()
+    def _dag(self, f: int) -> set[int]:
+        """The internal nodes reachable from f."""
+        nodes = self._nodes
+        seen: set[int] = set()
         stack = [f]
         while stack:
             n = stack.pop()
-            if n <= 1 or n in seen:
-                continue
-            seen.add(n)
-            out.add(self._level[n])
-            stack.append(self._lo[n])
-            stack.append(self._hi[n])
+            if n > 1 and n not in seen:
+                seen.add(n)
+                _, lo, hi = nodes[n]
+                stack.append(lo)
+                stack.append(hi)
+        return seen
 
     def _eval(self, f: int, assignment) -> bool:
+        nodes = self._nodes
         while f > 1:
-            f = self._hi[f] if assignment[self._level[f]] else self._lo[f]
+            level, lo, hi = nodes[f]
+            f = hi if assignment[level] else lo
         return f == 1
 
 
@@ -366,15 +367,15 @@ class BddRef:
     def level(self) -> int:
         if self.is_terminal:
             raise BddError("terminal node has no variable")
-        return self.mgr._level[self.node]
+        return self.mgr._nodes[self.node][0]
 
     @property
     def low(self) -> "BddRef":
-        return BddRef(self.mgr, self.mgr._lo[self.node])
+        return BddRef(self.mgr, self.mgr._nodes[self.node][1])
 
     @property
     def high(self) -> "BddRef":
-        return BddRef(self.mgr, self.mgr._hi[self.node])
+        return BddRef(self.mgr, self.mgr._nodes[self.node][2])
 
     # operators ---------------------------------------------------------
 
@@ -438,9 +439,8 @@ class BddRef:
     # inspection -------------------------------------------------------------
 
     def support(self) -> frozenset[int]:
-        out: set[int] = set()
-        self.mgr._support(self.node, out)
-        return frozenset(out)
+        nodes = self.mgr._nodes
+        return frozenset(nodes[n][0] for n in self.mgr._dag(self.node))
 
     def evaluate(self, assignment) -> bool:
         """``assignment`` maps variable level to bool (list or dict)."""
@@ -451,28 +451,16 @@ class BddRef:
         if self.is_false:
             return None
         out: dict[int, bool] = {}
-        mgr = self.mgr
+        nodes = self.mgr._nodes
         n = self.node
         while n > 1:
-            if mgr._lo[n] != 0:
-                out[mgr._level[n]] = False
-                n = mgr._lo[n]
-            else:
-                out[mgr._level[n]] = True
-                n = mgr._hi[n]
+            level, lo, hi = nodes[n]
+            out[level] = lo == 0
+            n = hi if lo == 0 else lo
         return out
 
     def dag_size(self) -> int:
-        los, his = self.mgr._lo, self.mgr._hi
-        seen: set[int] = set()
-        stack = [self.node]
-        while stack:
-            n = stack.pop()
-            if n > 1 and n not in seen:
-                seen.add(n)
-                stack.append(los[n])
-                stack.append(his[n])
-        return len(seen) + 2
+        return len(self.mgr._dag(self.node)) + 2
 
 
 def frontier(ring: BddRef, inner: BddRef) -> BddRef:

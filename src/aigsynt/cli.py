@@ -142,7 +142,7 @@ def cmd_just2safe(args) -> int:
 
 def cmd_synth(args) -> int:
     doc = read_aiger(read_input(args.input))
-    if args.print_realizability_only or args.output is None:
+    if args.output is None:
         game = build_game(doc)
         winning = solve(game)
         if is_realizable(game, winning):
@@ -226,10 +226,12 @@ def make_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="solve a game and extract a model")
     p.add_argument("input", help="game in AIGER format")
-    p.add_argument("-o", "--output", default=None,
-                   help="synthesized model; it keeps only the gates its "
-                   "latches, outputs and properties read")
-    p.add_argument("--print-realizability-only", action="store_true")
+    mode = p.add_mutually_exclusive_group()
+    mode.add_argument("-o", "--output", default=None,
+                      help="synthesized model; it keeps only the gates its "
+                      "latches, outputs and properties read")
+    mode.add_argument("--print-realizability-only", action="store_true",
+                      help="print the verdict only (the default without -o)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("synt2hwmcc",

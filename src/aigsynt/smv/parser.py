@@ -393,32 +393,27 @@ class Parser:
         return left
 
     def _parse_implies(self) -> Expr:
-        left = self._parse_or()
+        left = self._parse_left_assoc(0)
         if self._at_punct("->"):
             tok = self._next()
             right = self._parse_implies()  # right associative
             return Binary("->", left, right, line=tok.line)
         return left
 
-    def _parse_or(self) -> Expr:
-        left = self._parse_xor()
-        while self._at_punct("|"):
-            tok = self._next()
-            left = Binary("|", left, self._parse_xor(), line=tok.line)
-        return left
+    # the left-associative levels, loosest first: (token kind, text, operator)
+    _LEFT_ASSOC = (("PUNCT", "|", "|"), ("KEYWORD", "XOR", "xor"),
+                   ("PUNCT", "&", "&"))
 
-    def _parse_xor(self) -> Expr:
-        left = self._parse_and()
-        while self._peek().kind == "KEYWORD" and self._peek().text == "XOR":
-            tok = self._next()
-            left = Binary("xor", left, self._parse_and(), line=tok.line)
-        return left
-
-    def _parse_and(self) -> Expr:
-        left = self._parse_comparison()
-        while self._at_punct("&"):
-            tok = self._next()
-            left = Binary("&", left, self._parse_comparison(), line=tok.line)
+    def _parse_left_assoc(self, depth: int) -> Expr:
+        """An expression of ``_LEFT_ASSOC[depth]`` or a tighter level."""
+        if depth == len(self._LEFT_ASSOC):
+            return self._parse_comparison()
+        kind, text, op = self._LEFT_ASSOC[depth]
+        left = self._parse_left_assoc(depth + 1)
+        while (tok := self._peek()).kind == kind and tok.text == text:
+            self._next()
+            left = Binary(op, left, self._parse_left_assoc(depth + 1),
+                          line=tok.line)
         return left
 
     _CMP_OPS = ("=", "!=", "<=", ">=", "<", ">")

@@ -236,7 +236,7 @@ def test_restrict_interleaved_with_other_operations(f, c, h, sub, qvars):
 
 # ite cache generations ---------------------------------------------------
 
-STEP_OPS = ("and", "or", "xor", "ite", "compose", "exists", "forall",
+STEP_OPS = ("and", "or", "xor", "not", "ite", "compose", "exists", "forall",
             "restrict")
 
 
@@ -257,6 +257,8 @@ def run_step(pool, op, args, levels):
         return a | b
     if op == "xor":
         return a ^ b
+    if op == "not":
+        return ~a
     if op == "ite":
         return a.ite(b, c)
     if op == "compose":
@@ -287,6 +289,22 @@ def test_ageing_the_ite_cache_never_changes_a_node(program):
             plain_pool.append(p)
             aged_pool.append(a)
     assert plain_mgr.node_count == aged_mgr.node_count
+    assert_node_table_sound(plain_mgr)
+    assert_node_table_sound(aged_mgr)
+
+
+def assert_node_table_sound(mgr):
+    """Each node is one reduced, ordered record, stored once: the tuple
+    in the node list is the very key of the node in the unique table."""
+    nodes, unique = mgr._nodes, mgr._unique
+    assert len(unique) + 2 == mgr.node_count == len(nodes)
+    for record, n in unique.items():
+        assert nodes[n] is record
+    for n in range(2, len(nodes)):
+        level, lo, hi = nodes[n]
+        assert unique[nodes[n]] == n
+        assert lo != hi
+        assert level < nodes[lo][0] and level < nodes[hi][0]
 
 
 def test_ite_cache_keeps_what_each_generation_reads():
@@ -419,6 +437,20 @@ def test_cofactor_and_support():
     assert f.cofactor(0, True) == (y | z)
     assert f.cofactor(0, False) == z
     assert f.support() == {0, 1, 2}
+
+
+@given(formulas())
+@settings(max_examples=100, deadline=None)
+def test_support_is_the_semantic_support(f):
+    mgr, refs = fresh()
+    node = build_formula(mgr, refs, f)
+
+    def reads(level):  # the two cofactors at level differ somewhere
+        return any(
+            eval_formula(f, [*bits[:level], False, *bits[level + 1:]])
+            != eval_formula(f, [*bits[:level], True, *bits[level + 1:]])
+            for bits in product([False, True], repeat=5))
+    assert node.support() == {level for level in range(5) if reads(level)}
 
 
 def test_sat_one_deterministic():

@@ -151,12 +151,12 @@ def test_ladder_script_exhaustion_is_an_error(
     _assert_one_error_line(exc, capsys.readouterr().err)
 
 
-def _search_min_k(game, monkeypatch, **fakes):
+def _search_min_k(game, monkeypatch, *options, **fakes):
     monkeypatch.setattr(sys, "path", list(sys.path))  # the script extends it
     script = _load_script("search_min_k")
     for name, fake in fakes.items():
         monkeypatch.setattr(script, name, fake)
-    monkeypatch.setattr(sys, "argv", ["search_min_k.py", str(game)])
+    monkeypatch.setattr(sys, "argv", ["search_min_k.py", str(game), *options])
     return script.main()
 
 
@@ -180,6 +180,17 @@ def test_min_k_script_exhaustion_is_an_error(
     err = capsys.readouterr().err
     _assert_one_error_line(exc, err)
     assert err.count("\n") == 1
+
+
+def test_min_k_script_rejects_a_negative_max_k(tmp_path, monkeypatch, capsys):
+    # no window is checked, so there is no verdict to give
+    game = _huffman4_game(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        _search_min_k(game, monkeypatch, "--max-k", "-1")
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: --max-k must be at least 0" in captured.err
 
 
 @pytest.mark.parametrize("data", [

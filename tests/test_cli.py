@@ -66,6 +66,21 @@ def test_spec2aag_k_without_standard_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_synth_output_with_realizability_only_rejected(tmp_path, capsys):
+    # a realizable game, so a synth that ignored -o would still exit 0
+    game = tmp_path / "arbiter.aag"
+    assert main(["spec2aag", str(BENCH.parent / "arbiter" / "arbiter.smv"),
+                 "-o", str(game)]) == 0
+    capsys.readouterr()
+    out = tmp_path / "model.aag"
+    assert main(["synth", str(game), "-o", str(out),
+                 "--print-realizability-only"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "not allowed with argument" in captured.err
+    assert not out.exists()
+
+
 def test_spec2aag_standard_k_without_liveness_rejected(tmp_path, capsys):
     from test_automata import gff
 

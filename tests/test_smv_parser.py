@@ -117,6 +117,41 @@ def test_arithmetic_rejected():
         parse_smv("MODULE main VAR x: 0..3; ASSIGN next(x) := x + 1;")
 
 
+def _define(text):
+    (define,) = parse_smv(f"MODULE main DEFINE d := {text};").main.defines
+    return str(define.expr)
+
+
+@pytest.mark.parametrize("text, tree", [
+    # each binary operator chained with itself: its associativity
+    ("a <-> b <-> c", "((a <-> b) <-> c)"),
+    ("a -> b -> c", "(a -> (b -> c))"),
+    ("a | b | c", "((a | b) | c)"),
+    ("a xor b xor c", "((a xor b) xor c)"),
+    ("a & b & c", "((a & b) & c)"),
+    # each against its neighbours, on both sides: loosest binding first
+    ("a <-> b -> c", "(a <-> (b -> c))"),
+    ("a -> b <-> c", "((a -> b) <-> c)"),
+    ("a -> b | c", "(a -> (b | c))"),
+    ("a | b -> c", "((a | b) -> c)"),
+    ("a | b xor c", "(a | (b xor c))"),
+    ("a xor b | c", "((a xor b) | c)"),
+    ("a xor b & c", "(a xor (b & c))"),
+    ("a & b xor c", "((a & b) xor c)"),
+    ("a & b = c", "(a & (b = c))"),
+    ("a = b & c", "((a = b) & c)"),
+    ("a != b | c <= d", "((a != b) | (c <= d))"),
+    ("a <-> b & c -> d xor e | f", "(a <-> ((b & c) -> ((d xor e) | f)))"),
+])
+def test_binary_operator_precedence_and_associativity(text, tree):
+    assert _define(text) == tree
+
+
+def test_comparisons_do_not_chain():
+    with pytest.raises(SmvSyntaxError):
+        _define("a = b = c")
+
+
 def test_types():
     spec = parse_smv("""
     MODULE main
