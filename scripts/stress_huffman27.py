@@ -53,10 +53,10 @@ def ladder(letters: int, out_dir: Path, synth: bool) -> int:
     commands = [["spec2aag", str(spec_path), "-o", game]]
     if synth:
         print("warning: synthesizing and checking the full-scale game is a "
-              "stress target; the engine is deliberately desk-scale (fixed "
-              "variable order, no garbage collection) and the four commands "
-              "may need over half a gigabyte and several seconds to half a "
-              "minute", file=sys.stderr)
+              "stress target; the engine is deliberately desk-scale (a fixed "
+              "variable order for solving and model checking, no garbage "
+              "collection) and the four commands may need over half a "
+              "gigabyte and several seconds to half a minute", file=sys.stderr)
         commands += [["synth", game, "-o", model], ["mc", model],
                      ["synt2hwmcc", model, "-o", hwmcc],
                      ["mc", hwmcc, "--existential"]]

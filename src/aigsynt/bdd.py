@@ -4,6 +4,10 @@ Design: a fixed static variable order, the order of ``add_var`` calls,
 no complement edges, no reordering and no garbage collection, so runs
 are deterministic and a node id identifies a boolean function for the
 manager's lifetime.  Terminals are node 0 (false) and node 1 (true).
+A manager never reorders.  ``sift`` finds a smaller order for a few
+finished diagrams by reordering a private copy of them, and ``rebuild``
+makes their functions in a fresh manager in that order; the strategy
+translation uses them, and nothing else does.
 
 The node record.  A node is one tuple ``(level, lo, hi)``: ``_nodes[n]``
 holds it, and the very same tuple object is the key of ``n`` in the
@@ -39,11 +43,13 @@ count or output.
 
 A substitution used over and over, such as a transition function, is
 made once as a ``Substitution``; a plain mapping passed to
-``BddRef.compose`` is interned on each call.  ``_ite`` first rewrites
-``ite(f, f, h)`` to ``ite(f, 1, h)`` and ``ite(f, g, f)`` to
-``ite(f, g, 0)`` (Brace, Rudell & Bryant, DAC 1990), so equal calls
-share one cache entry, and it resolves terminal cofactor triples
-without a recursive call.
+``BddRef.compose`` is interned on each call.  ``_compose`` returns a
+node below the deepest substituted level as it is, making no cache
+entry, so a cofactor or a one-bit substitution walks only the levels
+above it.  ``_ite`` first rewrites ``ite(f, f, h)`` to ``ite(f, 1, h)``
+and ``ite(f, g, f)`` to ``ite(f, g, 0)`` (Brace, Rudell & Bryant, DAC
+1990), so equal calls share one cache entry, and it resolves terminal
+cofactor triples without a recursive call.
 
 Every recursion here is at most as deep as the number of variables.
 Callers build a diagram one connective at a time; ``game.Encoding``
@@ -54,7 +60,8 @@ One manager per thread; handles must never cross managers.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sequence
+from typing import NamedTuple
 
 _TERMINAL_LEVEL = 1 << 30
 
@@ -246,7 +253,14 @@ class BddManager:
 
     # composition ---------------------------------------------------------
 
-    def _compose(self, f: int, sub: dict[int, int], sub_id: int) -> int:
+    def _compose(self, f: int, sub: dict[int, int], sub_id: int,
+                 last: int) -> int:
+        """Substitute into f; ``last`` is the deepest substituted level.
+
+        A node below ``last`` reads no substituted variable and is its
+        own result, as in CUDD's vector compose, so the walk and the
+        cache entries stop there.
+        """
         if f <= 1:
             return f
         key = (f, sub_id)
@@ -254,8 +268,10 @@ class BddManager:
         if cached is not None:
             return cached
         v, lo, hi = self._nodes[f]
-        lo = self._compose(lo, sub, sub_id)
-        hi = self._compose(hi, sub, sub_id)
+        if v > last:
+            return f
+        lo = self._compose(lo, sub, sub_id, last)
+        hi = self._compose(hi, sub, sub_id, last)
         g = sub.get(v)
         if g is None:
             g = self._mk(v, 0, 1)
@@ -425,7 +441,7 @@ class BddRef:
         elif submap.mgr is not self.mgr:
             raise BddError("mixing BDDs from different managers")
         return BddRef(self.mgr, self.mgr._compose(self.node, submap.nodes,
-                                                  submap.sub_id))
+                                                  submap.sub_id, submap.last))
 
     def restrict(self, care: "BddRef") -> "BddRef":
         """A function equal to this one wherever ``care`` holds, usually
@@ -497,15 +513,17 @@ class Substitution(Mapping):
 
     ``sub_id`` is a small id naming the substitution for the manager's
     lifetime; equal maps get the same id, so ``_compose`` cache entries
-    are shared between them.
+    are shared between them.  ``last`` is the deepest substituted level,
+    -1 when the map is empty.
     """
 
-    __slots__ = ("mgr", "_refs", "nodes", "sub_id")
+    __slots__ = ("mgr", "_refs", "nodes", "sub_id", "last")
 
     def __init__(self, mgr: BddManager, submap: Mapping[int, BddRef]):
         self.mgr = mgr
         self._refs = dict(submap)
         self.nodes = {lvl: ref.node for lvl, ref in self._refs.items()}
+        self.last = max(self.nodes, default=-1)
         key = tuple(sorted(self.nodes.items()))
         self.sub_id = mgr._sub_ids.setdefault(key, len(mgr._sub_ids))
 
@@ -518,3 +536,207 @@ class Substitution(Mapping):
     def __len__(self) -> int:
         return len(self._refs)
 
+
+def postorder(roots: Sequence[BddRef]) -> list[tuple[int, int, int, int]]:
+    """The internal nodes reachable from ``roots`` as records ``(node,
+    level, lo, hi)``, each after both its children.
+
+    The order is a depth-first walk of the roots in turn, the high
+    branch before the low one, made with an explicit stack.  Sizes and
+    supports, which need no order, use ``BddManager._dag``: it visits a
+    node in about a third of the time.
+    """
+    out: list[tuple[int, int, int, int]] = []
+    if not roots:
+        return out
+    nodes = roots[0].mgr._nodes
+    seen: set[int] = set()
+    for root in roots:
+        stack = [root.node]
+        while stack:
+            n = stack.pop()
+            if n < 0:  # both children are done
+                out.append((~n, *nodes[~n]))
+            elif n > 1 and n not in seen:
+                seen.add(n)
+                _, lo, hi = nodes[n]
+                stack += (~n, lo, hi)
+    return out
+
+
+# A sifted variable stops going one way once the diagram has grown past
+# this factor of the smallest size seen (CUDD's default ``maxGrowth``).
+SIFT_MAX_GROWTH = 1.2
+
+
+class Sifted(NamedTuple):
+    order: list[int]  # the manager's levels, top first
+    static_size: int  # internal nodes of the roots' shared diagram as given
+    size: int  # internal nodes of the roots' shared diagram in ``order``
+    swaps: int  # adjacent-level swaps made to find it
+
+
+def sift(mgr: BddManager, roots: Sequence[BddRef]) -> Sifted:
+    """A variable order under which the roots' shared diagram is small.
+
+    Rudell's sifting ("Dynamic variable ordering for ordered binary
+    decision diagrams", ICCAD 1993) on a private copy of the diagram:
+    each variable of the roots' support, the one with the most nodes
+    first, is moved level by level to the nearer end of the order, then
+    to the other end, and left where the diagram was smallest.  A
+    direction is abandoned once the diagram is larger than
+    ``SIFT_MAX_GROWTH`` times the smallest size seen, and a variable
+    moves only where that makes the diagram strictly smaller.  Variables
+    outside the support keep their levels.  The result is deterministic,
+    and it is the manager's own order when no move shrinks the diagram.
+
+    The manager itself is never reordered: ``rebuild`` makes the
+    functions in the order found, in a fresh manager.
+    """
+    for root in roots:
+        if root.mgr is not mgr:
+            raise BddError("mixing BDDs from different managers")
+    table = _SiftTable(roots)
+    static_size = table.size
+    for var in sorted(range(len(table.levels)),
+                      key=lambda v: -len(table.unique[v])):
+        table.sift(var)
+    support = iter(table.levels[v] for v in table.var_at)
+    taken = set(table.levels)
+    order = [next(support) if lvl in taken else lvl
+             for lvl in range(mgr.var_count)]
+    return Sifted(order, static_size, table.size, table.swaps)
+
+
+class _SiftTable:
+    """The private copy ``sift`` reorders.
+
+    A node is an index into ``var``, ``lo``, ``hi`` and ``refs``: its
+    variable, its children and its count of parents and roots.  Nodes 0
+    and 1 are the terminals.  Variable v is ``levels[v]``, the v-th
+    support level of the manager, and ``unique[v]`` maps the children of
+    each live node of v to it.  ``var_at[i]`` is the variable at
+    position i, top first, and ``pos[v]`` the position of v.
+    """
+
+    def __init__(self, roots: Sequence[BddRef]):
+        records = postorder(roots)
+        self.levels = sorted({level for _, level, _, _ in records})
+        var_of = {level: v for v, level in enumerate(self.levels)}
+        self.var = [-1, -1]
+        self.lo = [0, 1]
+        self.hi = [0, 1]
+        self.refs = [0, 0]
+        self.unique: list[dict[tuple[int, int], int]] = \
+            [{} for _ in self.levels]
+        self.var_at = list(range(len(self.levels)))
+        self.pos = list(range(len(self.levels)))
+        self.size = self.swaps = 0
+        copy = {0: 0, 1: 1}
+        for n, level, lo, hi in records:
+            copy[n] = self._mk(var_of[level], copy[lo], copy[hi])
+        for root in roots:
+            self.refs[copy[root.node]] += 1
+
+    def _mk(self, v: int, lo: int, hi: int) -> int:
+        """The node of v with these children, made if it is new; the
+        caller counts the reference it takes."""
+        if lo == hi:
+            return lo
+        n = self.unique[v].get((lo, hi))
+        if n is None:
+            n = len(self.var)
+            self.var.append(v)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            self.refs.append(0)
+            self.refs[lo] += 1
+            self.refs[hi] += 1
+            self.unique[v][lo, hi] = n
+            self.size += 1
+        return n
+
+    def _free(self, n: int) -> None:
+        """Delete n, which nothing refers to any more, and its
+        descendants that only it referred to."""
+        stack = [n]
+        while stack:
+            n = stack.pop()
+            del self.unique[self.var[n]][self.lo[n], self.hi[n]]
+            self.size -= 1
+            for child in (self.lo[n], self.hi[n]):
+                if child > 1:
+                    self.refs[child] -= 1
+                    if not self.refs[child]:
+                        stack.append(child)
+
+    def swap(self, i: int) -> None:
+        """Exchange the variables at positions i and i + 1 in place.
+
+        A node of the upper variable x that reads the lower one y keeps
+        its id and becomes a node of y over new or shared nodes of x;
+        every other node keeps its variable and children (Rudell 1993).
+        """
+        x, y = self.var_at[i], self.var_at[i + 1]
+        var, lo, hi, refs = self.var, self.lo, self.hi, self.refs
+        ux, uy = self.unique[x], self.unique[y]
+        moved = [(key, n) for key, n in ux.items()
+                 if var[key[0]] == y or var[key[1]] == y]
+        for key, _ in moved:
+            del ux[key]
+        for (f0, f1), n in moved:
+            f00, f01 = (lo[f0], hi[f0]) if var[f0] == y else (f0, f0)
+            f10, f11 = (lo[f1], hi[f1]) if var[f1] == y else (f1, f1)
+            g0 = self._mk(x, f00, f10)
+            g1 = self._mk(x, f01, f11)
+            refs[g0] += 1
+            refs[g1] += 1
+            var[n], lo[n], hi[n] = y, g0, g1
+            uy[g0, g1] = n
+            for f in (f0, f1):  # the old children lose n as a parent
+                if f > 1:
+                    refs[f] -= 1
+                    if not refs[f]:
+                        self._free(f)
+        self.var_at[i], self.var_at[i + 1] = y, x
+        self.pos[x], self.pos[y] = i + 1, i
+        self.swaps += 1
+
+    def sift(self, v: int) -> None:
+        """Move v to the position where the diagram is smallest."""
+        last = len(self.var_at) - 1
+        start = self.pos[v]
+        best_size, best_pos = self.size, start
+        ends = (0, last) if start <= last - start else (last, 0)
+        for end in ends:
+            step = 1 if end > self.pos[v] else -1
+            while self.pos[v] != end:
+                here = self.pos[v]
+                self.swap(min(here, here + step))
+                if self.size < best_size:
+                    best_size, best_pos = self.size, self.pos[v]
+                elif self.size > SIFT_MAX_GROWTH * best_size:
+                    break
+        while self.pos[v] != best_pos:
+            here = self.pos[v]
+            self.swap(here if best_pos > here else here - 1)
+
+
+def rebuild(roots: Sequence[BddRef], order: Sequence[int]) -> list[BddRef]:
+    """The roots' functions in a fresh manager whose level i is the
+    roots' manager's level ``order[i]``, with its name.
+
+    ``order`` lists every level of the roots' manager once, as
+    ``sift`` returns it.
+    """
+    if not roots:
+        return []
+    old = roots[0].mgr
+    new = BddManager()
+    for level in order:
+        new.add_var(old.var_name(level))
+    where = {level: i for i, level in enumerate(order)}
+    built = {0: 0, 1: 1}
+    for n, level, lo, hi in postorder(roots):
+        built[n] = new._ite(new._mk(where[level], 0, 1), built[hi], built[lo])
+    return [BddRef(new, built[root.node]) for root in roots]

@@ -33,7 +33,8 @@ from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, \
     is_controllable, lit_var, sweep
-from .bdd import BddManager, BddRef, Substitution, frontier
+from .bdd import BddManager, BddRef, Substitution, frontier, \
+    postorder, rebuild, sift
 
 log = logging.getLogger(__name__)
 
@@ -356,7 +357,13 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     The cone is the Shannon expansion along the function's BDD, one
     hash-consed multiplexer per node; latch count is unchanged and the
     controllable inputs disappear from the input list.  Synthesized
-    signals are additionally exposed as named outputs.  The model is
+    signals are additionally exposed as named outputs.  The diagrams
+    translated are the strategies rebuilt, in a fresh manager, in the
+    order ``bdd.sift`` finds for their shared diagram; that is the
+    game's own order when no move shrinks it, and the game's manager is
+    never reordered.  At debug level the call logs each strategy's
+    node count, the shared diagram's size in the static and the sifted
+    order, and the number of swaps sifting made.  The model is
     built on ``TwoLevelAig``, so each AND, of a multiplexer or of a
     translated game gate, is rewritten by the two-level rules where an
     operand is itself a gate.
@@ -390,24 +397,21 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
         var_sub[lit_var(lit)] = new_lit
         level_to_lit[lvl] = new_lit
 
-    bdd_memo: dict[int, int] = {}
-
-    def bdd_to_lit(ref: BddRef) -> int:
-        if ref.is_false:
-            return 0
-        if ref.is_true:
-            return 1
-        cached = bdd_memo.get(ref.node)
-        if cached is not None:
-            return cached
-        var_lit = level_to_lit[ref.level]
-        result = aig.ite_(var_lit, bdd_to_lit(ref.high), bdd_to_lit(ref.low))
-        bdd_memo[ref.node] = result
-        return result
-
-    for name, func in strategy.funcs.items():
-        cone_lit = bdd_to_lit(func)
-        var_sub[lit_var(c_by_name[name])] = cone_lit
+    funcs = list(strategy.funcs.values())
+    sifted = sift(game.mgr, funcs)
+    if log.isEnabledFor(logging.DEBUG):
+        log.debug("strategy_to_circuit: strategies of %s nodes, shared "
+                  "diagram of %d nodes in the static order and %d sifted, "
+                  "%d swaps", [func.dag_size() for func in funcs],
+                  sifted.static_size, sifted.size, sifted.swaps)
+    funcs = rebuild(funcs, sifted.order)
+    level_to_lit = {i: level_to_lit[lvl] for i, lvl in
+                    enumerate(sifted.order) if lvl in level_to_lit}
+    lits = {0: 0, 1: 1}  # node -> literal of its multiplexer
+    for n, level, lo, hi in postorder(funcs):
+        lits[n] = aig.ite_(level_to_lit[level], lits[hi], lits[lo])
+    for name, func in zip(strategy.funcs, funcs):
+        var_sub[lit_var(c_by_name[name])] = lits[func.node]
 
     def map_lit(lit: int) -> int:
         return var_sub[lit_var(lit)] ^ (lit & 1)

@@ -5,7 +5,8 @@ from itertools import product
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from aigsynt.bdd import BddError, BddManager, Substitution, frontier
+from aigsynt.bdd import BddError, BddManager, Substitution, frontier, \
+    postorder, rebuild, sift
 
 
 def fresh(n=5):
@@ -165,6 +166,106 @@ def test_vector_compose_then_apply_matches_truth_table(f, sub_a, sub_b, h,
         values = over_levels(mixed_value, base, qvars)
         assert ex.evaluate(base) == any(values)
         assert fa.evaluate(base) == all(values)
+
+
+def shannon_compose(f, sub):
+    """f with sub's levels substituted, by Shannon expansion at every
+    node of f: the reference the level cut of ``_compose`` must match."""
+    mgr = f.mgr
+    memo = {0: mgr.false, 1: mgr.true}
+
+    def go(g):
+        if g.node not in memo:
+            memo[g.node] = sub.get(g.level, mgr.var(g.level)).ite(
+                go(g.high), go(g.low))
+        return memo[g.node]
+    return go(f)
+
+
+@given(formulas(n_vars=6), st.lists(st.integers(0, 5), min_size=1,
+                                     max_size=3, unique=True),
+       st.lists(formulas(n_vars=6, max_depth=3), min_size=3, max_size=3))
+@settings(max_examples=150, deadline=None)
+def test_partial_compose_stops_at_the_deepest_substituted_level(f, levels,
+                                                                gs):
+    mgr, refs = fresh(6)
+    fn = build_formula(mgr, refs, f)
+    sub = Substitution(mgr, {lvl: build_formula(mgr, refs, g)
+                             for lvl, g in zip(levels, gs)})
+    assert sub.last == max(levels)
+    composed = fn.compose(sub)
+    assert composed == shannon_compose(fn, sub)
+    # no cache entry of this substitution is made below its deepest level
+    entries = [key[0] for key in mgr._cache
+               if isinstance(key, tuple) and len(key) == 2
+               and key[1] == sub.sub_id]
+    assert all(mgr._nodes[n][0] <= sub.last for n in entries)
+    assert Substitution(mgr, {}).last == -1
+
+
+# variable reordering -------------------------------------------------------
+
+
+def shared_size(roots):
+    return len(postorder(roots))
+
+
+def assert_rebuilt_functions_match(roots, sifted):
+    """The roots rebuilt in the sifted order compute the same functions
+    and have the size ``sift`` reports."""
+    rebuilt = rebuild(roots, sifted.order)
+    old, new = roots[0].mgr, rebuilt[0].mgr
+    n = old.var_count
+    assert [new.var_name(i) for i in range(n)] == \
+        [old.var_name(lvl) for lvl in sifted.order]
+    for bits in product([False, True], repeat=n):
+        moved = [bits[lvl] for lvl in sifted.order]
+        assert [r.evaluate(moved) for r in rebuilt] == \
+            [r.evaluate(list(bits)) for r in roots]
+    assert shared_size(rebuilt) == sifted.size
+
+
+def test_sift_reaches_the_interleaved_order():
+    # (x0 & x3) | (x1 & x4) | (x2 & x5): 14 nodes in the order x0..x5, 6
+    # with each pair adjacent
+    mgr, x = fresh(6)
+    f = (x[0] & x[3]) | (x[1] & x[4]) | (x[2] & x[5])
+    _, y = fresh(6)
+    interleaved = (y[0] & y[1]) | (y[2] & y[3]) | (y[4] & y[5])
+    assert shared_size([f]) == 14
+    sifted = sift(mgr, [f])
+    assert sifted.static_size == 14
+    assert sifted.size == shared_size([interleaved]) == 6
+    assert sifted.swaps > 0
+    assert_rebuilt_functions_match([f], sifted)
+    assert sift(mgr, [f]) == sifted
+
+
+@given(st.lists(formulas(n_vars=6), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None)
+def test_sifted_functions_match_the_originals(fs):
+    mgr, refs = fresh(6)
+    roots = [build_formula(mgr, refs, f) for f in fs]
+    sifted = sift(mgr, roots)
+    assert sorted(sifted.order) == list(range(6))
+    assert sifted.size <= sifted.static_size == shared_size(roots)
+    assert (sifted.size < shared_size(roots)) == \
+        (sifted.order != list(range(6)))
+    assert_rebuilt_functions_match(roots, sifted)
+    assert sift(mgr, roots) == sifted  # deterministic
+
+
+def test_sift_keeps_the_static_order_where_no_swap_shrinks():
+    mgr, x = fresh(6)
+    static = list(range(6))
+    for roots in ([(x[0] & x[1]) | (x[2] & x[3])],  # already interleaved
+                  [x[1] & x[3] & x[5], x[4]],
+                  [x[2]], [mgr.true, mgr.false], []):
+        sifted = sift(mgr, roots)
+        assert sifted.order == static
+        assert sifted.size == sifted.static_size == shared_size(roots)
+    with pytest.raises(BddError):
+        sift(BddManager(), [x[0]])
 
 
 # generalized cofactor ----------------------------------------------------

@@ -13,7 +13,7 @@ from aigsynt.aiger import (
     Aig, AigError, AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, evaluate_vars,
     is_controllable, read_aiger, values_lit, write_aiger,
 )
-from aigsynt.bdd import BddManager, frontier
+from aigsynt.bdd import BddManager, Sifted, frontier, postorder, sift
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import (
     Encoding, GameError, Strategy, build_game, cpre, delay_justice,
@@ -692,11 +692,34 @@ def test_model_keeps_only_live_gates(fmt, named):
     assert realizable >= 20
 
 
+def assert_same_root_functions(model, other):
+    """Every root literal of ``model`` reads as ``other``'s on every
+    latch and input assignment."""
+    for latches, inputs in all_states(model):
+        assert [values_lit(evaluate_vars(model, latches, inputs), lit)
+                for lit in model_roots(model)] == \
+            [values_lit(evaluate_vars(other, latches, inputs), lit)
+             for lit in model_roots(other)]
+
+
+def static_order(mgr, roots):
+    """``sift`` as if no swap shrank the roots."""
+    size = len(postorder(roots))
+    return Sifted(list(range(mgr.var_count)), size, size, 0)
+
+
+def reversed_order(mgr, roots):
+    """``sift`` as if the reversed order were smaller."""
+    return Sifted(list(range(mgr.var_count))[::-1], 0, 0, 0)
+
+
 def test_minimized_models_compute_the_plain_translation(monkeypatch):
-    """The two-level rules change a model's gates, never its functions:
-    every root literal reads as the plain translation's on every latch
-    and input assignment, and the model still follows its game and
-    plays legal moves."""
+    """The two-level rules and the sifted order change a model's gates,
+    never its functions: every root literal reads as the plain
+    translation's, and as the static and the reversed order's, on every
+    latch and input assignment, and the model still follows its game
+    and plays legal moves.  The sifted model has no more ANDs than the
+    static order's."""
     realizable = 0
     for seed in range(220):
         doc = random_game_doc(seed + 1400, n_latches=3 + seed % 3)
@@ -716,11 +739,15 @@ def test_minimized_models_compute_the_plain_translation(monkeypatch):
             plain = strategy_to_circuit(game.doc, game, strategy)
         assert type(model.aig) is TwoLevelAig and type(plain.aig) is Aig
         assert model.aig.num_ands <= plain.aig.num_ands
-        for latches, inputs in all_states(model):
-            assert [values_lit(evaluate_vars(model, latches, inputs), lit)
-                    for lit in model_roots(model)] == \
-                [values_lit(evaluate_vars(plain, latches, inputs), lit)
-                 for lit in model_roots(plain)]
+        assert_same_root_functions(model, plain)
+        for order in (static_order, reversed_order):
+            with monkeypatch.context() as m:
+                m.setattr("aigsynt.game.sift", order)
+                other = strategy_to_circuit(game.doc, game, strategy)
+            assert_same_root_functions(model, other)
+            if order is static_order:
+                assert model.aig.num_ands <= other.aig.num_ands
+            assert_model_follows_game(game, strategy, other)
         assert_model_follows_game(game, strategy, model)
         assert_plays_legal_moves(doc, model, seed)
     assert realizable >= 100
@@ -737,8 +764,9 @@ def test_copied_model_keeps_its_builder():
     assert type(reverse_justice(model).aig) is TwoLevelAig
 
 
-# AND counts of ``synth -o`` models when the two-level rules landed
-MODEL_ANDS = {"arbiter": 5, "huffman4": 395, "stress4": 467}
+# AND counts of ``synth -o`` models since strategies are translated in
+# their sifted order
+MODEL_ANDS = {"arbiter": 5, "huffman4": 348, "stress4": 453, "stress8": 713}
 
 
 @pytest.mark.parametrize("name", MODEL_ANDS)
@@ -746,7 +774,12 @@ def test_synthesized_models_do_not_grow(name, tmp_path, monkeypatch):
     game, model = tmp_path / "game.aag", tmp_path / "model.aag"
     game.write_text(write_aiger(benchmark_doc(name, tmp_path, monkeypatch)))
     assert main(["synth", str(game), "-o", str(model)]) == 0
-    assert read_aiger(model.read_text()).aig.num_ands <= MODEL_ANDS[name]
+    ands = read_aiger(model.read_text()).aig.num_ands
+    assert ands <= MODEL_ANDS[name]
+    # nor larger than the translation in the game's own order
+    monkeypatch.setattr("aigsynt.game.sift", static_order)
+    ok, static, _ = synthesize(read_aiger(game.read_text()))
+    assert ok and ands <= static.aig.num_ands
 
 
 def _steps_by_name(trace):
@@ -944,4 +977,23 @@ def test_solve_logs_each_pass_at_debug_level(caplog, monkeypatch):
         [f"solve pass {i}: {n} mu iterations" for i, n in enumerate(passes)]
     caplog.clear()
     solve(build_game(doc))  # the default level logs nothing
+    assert not caplog.records
+
+
+def test_strategy_to_circuit_logs_its_sifted_sizes(caplog, tmp_path,
+                                                   monkeypatch):
+    game = build_game(benchmark_doc("huffman4", tmp_path, monkeypatch))
+    strategy = extract_strategy(game, solve(game))
+    funcs = list(strategy.funcs.values())
+    sifted = sift(game.mgr, funcs)
+    assert sifted.size < sifted.static_size == len(postorder(funcs))
+    with caplog.at_level(logging.DEBUG, logger="aigsynt.game"):
+        strategy_to_circuit(game.doc, game, strategy)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"strategy_to_circuit: strategies of "
+        f"{[func.dag_size() for func in funcs]} nodes, shared diagram of "
+        f"{sifted.static_size} nodes in the static order and "
+        f"{sifted.size} sifted, {sifted.swaps} swaps"]
+    caplog.clear()
+    strategy_to_circuit(game.doc, game, strategy)
     assert not caplog.records
