@@ -9,8 +9,13 @@ commands the benchmark runs: ``synth -o``, ``mc`` on the model, then
 ``synt2hwmcc`` and ``mc --existential`` on its reversed form.  Each
 command runs in-process through ``aigsynt.cli.main`` and prints its own
 lines; after each, the script prints the command's wall time and this
-process's peak resident set size so far.  This is a stress target: gate
-counts, runtimes and memory are reported, never asserted.
+process's peak resident set size so far.  That peak is cumulative: it is
+the high-water mark (``ru_maxrss``) of every command run before it in
+the process, and a later command's reading follows the heap that the
+earlier ones left, so one in-process run cannot show a change below
+about 50 MB; check a single command in a fresh process to see less.
+This is a stress target: gate counts, runtimes and memory are
+reported, never asserted.
 
 The exit status follows the CLI's contract (``aigsynt.cli.run_guarded``):
 the script stops at the first command that exits nonzero and returns its
@@ -34,9 +39,10 @@ from workloads import WEIGHTS, stress_codes, write_stress_spec
 
 
 def peak_rss() -> str:
-    """This process's peak resident set size so far (Linux reports KiB)."""
+    """This process's peak resident set size so far, over every command
+    it has run (Linux reports KiB)."""
     kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    return f"peak RSS {kib / 1024:.0f} MB"
+    return f"peak RSS so far {kib / 1024:.0f} MB"
 
 
 def ladder(letters: int, out_dir: Path, synth: bool) -> int:

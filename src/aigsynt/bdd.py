@@ -4,10 +4,9 @@ Design: a fixed static variable order, the order of ``add_var`` calls,
 no complement edges, no reordering and no garbage collection, so runs
 are deterministic and a node id identifies a boolean function for the
 manager's lifetime.  Terminals are node 0 (false) and node 1 (true).
-A manager never reorders.  ``sift`` finds a smaller order for a few
-finished diagrams by reordering a private copy of them, and ``rebuild``
-makes their functions in a fresh manager in that order; the strategy
-translation uses them, and nothing else does.
+A manager never reorders.  ``sift`` makes a few finished diagrams
+smaller by reordering a private copy of them and returns that copy; the
+strategy translation reads it, and nothing else does.
 
 The node record.  A node is one tuple ``(level, lo, hi)``: ``_nodes[n]``
 holds it, and the very same tuple object is the key of ``n`` in the
@@ -537,22 +536,22 @@ class Substitution(Mapping):
         return len(self._refs)
 
 
-def postorder(roots: Sequence[BddRef]) -> list[tuple[int, int, int, int]]:
+def postorder(nodes: Sequence[tuple[int, int, int]],
+              roots: Iterable[int]) -> list[tuple[int, int, int, int]]:
     """The internal nodes reachable from ``roots`` as records ``(node,
     level, lo, hi)``, each after both its children.
 
-    The order is a depth-first walk of the roots in turn, the high
-    branch before the low one, made with an explicit stack.  Sizes and
-    supports, which need no order, use ``BddManager._dag``: it visits a
-    node in about a third of the time.
+    ``nodes[n]`` is node n's record ``(level, lo, hi)``, as in
+    ``BddManager._nodes`` and ``_SiftTable.nodes``, and nodes 0 and 1
+    are the terminals.  The order is a depth-first walk of the roots in
+    turn, the high branch before the low one, made with an explicit
+    stack.  Sizes and supports, which need no order, use
+    ``BddManager._dag``: it visits a node in about a third of the time.
     """
     out: list[tuple[int, int, int, int]] = []
-    if not roots:
-        return out
-    nodes = roots[0].mgr._nodes
     seen: set[int] = set()
     for root in roots:
-        stack = [root.node]
+        stack = [root]
         while stack:
             n = stack.pop()
             if n < 0:  # both children are done
@@ -570,14 +569,15 @@ SIFT_MAX_GROWTH = 1.2
 
 
 class Sifted(NamedTuple):
-    order: list[int]  # the manager's levels, top first
+    records: list[tuple[int, int, int, int]]  # the diagram, by ``postorder``
+    roots: list[int]  # the node of each root in ``records``
     static_size: int  # internal nodes of the roots' shared diagram as given
-    size: int  # internal nodes of the roots' shared diagram in ``order``
+    size: int  # internal nodes of the sifted diagram
     swaps: int  # adjacent-level swaps made to find it
 
 
 def sift(mgr: BddManager, roots: Sequence[BddRef]) -> Sifted:
-    """A variable order under which the roots' shared diagram is small.
+    """The roots' shared diagram, reordered to be small.
 
     Rudell's sifting ("Dynamic variable ordering for ordered binary
     decision diagrams", ICCAD 1993) on a private copy of the diagram:
@@ -586,157 +586,130 @@ def sift(mgr: BddManager, roots: Sequence[BddRef]) -> Sifted:
     to the other end, and left where the diagram was smallest.  A
     direction is abandoned once the diagram is larger than
     ``SIFT_MAX_GROWTH`` times the smallest size seen, and a variable
-    moves only where that makes the diagram strictly smaller.  Variables
-    outside the support keep their levels.  The result is deterministic,
-    and it is the manager's own order when no move shrinks the diagram.
+    moves only where that makes the diagram strictly smaller.  The
+    result is deterministic.
 
-    The manager itself is never reordered: ``rebuild`` makes the
-    functions in the order found, in a fresh manager.
+    The copy is returned as sifting leaves it: the reduced diagram of
+    the roots' functions in the order found.  Its records carry the
+    manager's levels, and each record's level lies above its children's
+    in that order, which is the manager's own when no move shrinks the
+    diagram.  A node keeps its function through every swap, so the
+    roots' nodes stay valid.  The manager itself is never reordered.
     """
     for root in roots:
         if root.mgr is not mgr:
             raise BddError("mixing BDDs from different managers")
-    table = _SiftTable(roots)
+    table = _SiftTable(mgr._nodes, [root.node for root in roots])
     static_size = table.size
-    for var in sorted(range(len(table.levels)),
-                      key=lambda v: -len(table.unique[v])):
-        table.sift(var)
-    support = iter(table.levels[v] for v in table.var_at)
-    taken = set(table.levels)
-    order = [next(support) if lvl in taken else lvl
-             for lvl in range(mgr.var_count)]
-    return Sifted(order, static_size, table.size, table.swaps)
+    for level in sorted(table.order, key=lambda lvl: -len(table.unique[lvl])):
+        table.sift(level)
+    return Sifted(postorder(table.nodes, table.roots), table.roots,
+                  static_size, table.size, table.swaps)
 
 
 class _SiftTable:
     """The private copy ``sift`` reorders.
 
-    A node is an index into ``var``, ``lo``, ``hi`` and ``refs``: its
-    variable, its children and its count of parents and roots.  Nodes 0
-    and 1 are the terminals.  Variable v is ``levels[v]``, the v-th
-    support level of the manager, and ``unique[v]`` maps the children of
-    each live node of v to it.  ``var_at[i]`` is the variable at
-    position i, top first, and ``pos[v]`` the position of v.
+    Node n is the record ``nodes[n] = (level, lo, hi)`` of
+    ``BddManager._nodes``'s shape, with the manager's level of its
+    variable, and ``refs[n]`` counts its parents and roots; nodes 0 and
+    1 are the terminals.  ``unique[level]`` maps the record of each live
+    node of that level to the node.  ``order`` lists the support's
+    levels top first, and ``pos[level]`` is a level's position in it.
+    ``roots`` are the copies of the roots given.
     """
 
-    def __init__(self, roots: Sequence[BddRef]):
-        records = postorder(roots)
-        self.levels = sorted({level for _, level, _, _ in records})
-        var_of = {level: v for v, level in enumerate(self.levels)}
-        self.var = [-1, -1]
-        self.lo = [0, 1]
-        self.hi = [0, 1]
+    def __init__(self, nodes: Sequence[tuple[int, int, int]],
+                 roots: Sequence[int]):
+        records = postorder(nodes, roots)
+        self.order = sorted({level for _, level, _, _ in records})
+        self.pos = {level: i for i, level in enumerate(self.order)}
+        self.unique: dict[int, dict[tuple[int, int, int], int]] = \
+            {level: {} for level in self.order}
+        self.nodes = [(_TERMINAL_LEVEL, 0, 0), (_TERMINAL_LEVEL, 1, 1)]
         self.refs = [0, 0]
-        self.unique: list[dict[tuple[int, int], int]] = \
-            [{} for _ in self.levels]
-        self.var_at = list(range(len(self.levels)))
-        self.pos = list(range(len(self.levels)))
         self.size = self.swaps = 0
         copy = {0: 0, 1: 1}
         for n, level, lo, hi in records:
-            copy[n] = self._mk(var_of[level], copy[lo], copy[hi])
-        for root in roots:
-            self.refs[copy[root.node]] += 1
+            copy[n] = self._mk(level, copy[lo], copy[hi])
+        self.roots = [copy[root] for root in roots]
+        for root in self.roots:
+            self.refs[root] += 1
 
-    def _mk(self, v: int, lo: int, hi: int) -> int:
-        """The node of v with these children, made if it is new; the
-        caller counts the reference it takes."""
+    def _mk(self, level: int, lo: int, hi: int) -> int:
+        """The node of this level with these children, made if it is
+        new; the caller counts the reference it takes."""
         if lo == hi:
             return lo
-        n = self.unique[v].get((lo, hi))
+        key = (level, lo, hi)
+        n = self.unique[level].get(key)
         if n is None:
-            n = len(self.var)
-            self.var.append(v)
-            self.lo.append(lo)
-            self.hi.append(hi)
+            n = len(self.nodes)
+            self.nodes.append(key)
             self.refs.append(0)
             self.refs[lo] += 1
             self.refs[hi] += 1
-            self.unique[v][lo, hi] = n
+            self.unique[level][key] = n
             self.size += 1
         return n
 
-    def _free(self, n: int) -> None:
-        """Delete n, which nothing refers to any more, and its
-        descendants that only it referred to."""
-        stack = [n]
-        while stack:
-            n = stack.pop()
-            del self.unique[self.var[n]][self.lo[n], self.hi[n]]
-            self.size -= 1
-            for child in (self.lo[n], self.hi[n]):
-                if child > 1:
-                    self.refs[child] -= 1
-                    if not self.refs[child]:
-                        stack.append(child)
-
     def swap(self, i: int) -> None:
-        """Exchange the variables at positions i and i + 1 in place.
+        """Exchange the levels at positions i and i + 1 in place.
 
-        A node of the upper variable x that reads the lower one y keeps
+        A node of the upper level x that reads the lower one y keeps
         its id and becomes a node of y over new or shared nodes of x;
-        every other node keeps its variable and children (Rudell 1993).
+        every other node keeps its record (Rudell 1993).  Only a node of
+        y can lose its last parent here, and its children do not: the
+        new nodes of x read them.
         """
-        x, y = self.var_at[i], self.var_at[i + 1]
-        var, lo, hi, refs = self.var, self.lo, self.hi, self.refs
+        x, y = self.order[i], self.order[i + 1]
+        nodes, refs = self.nodes, self.refs
         ux, uy = self.unique[x], self.unique[y]
         moved = [(key, n) for key, n in ux.items()
-                 if var[key[0]] == y or var[key[1]] == y]
+                 if nodes[key[1]][0] == y or nodes[key[2]][0] == y]
         for key, _ in moved:
             del ux[key]
-        for (f0, f1), n in moved:
-            f00, f01 = (lo[f0], hi[f0]) if var[f0] == y else (f0, f0)
-            f10, f11 = (lo[f1], hi[f1]) if var[f1] == y else (f1, f1)
+        for (_, f0, f1), n in moved:
+            l0, f00, f01 = nodes[f0]
+            if l0 != y:
+                f00 = f01 = f0
+            l1, f10, f11 = nodes[f1]
+            if l1 != y:
+                f10 = f11 = f1
             g0 = self._mk(x, f00, f10)
             g1 = self._mk(x, f01, f11)
             refs[g0] += 1
             refs[g1] += 1
-            var[n], lo[n], hi[n] = y, g0, g1
-            uy[g0, g1] = n
+            nodes[n] = key = (y, g0, g1)
+            uy[key] = n
             for f in (f0, f1):  # the old children lose n as a parent
                 if f > 1:
                     refs[f] -= 1
-                    if not refs[f]:
-                        self._free(f)
-        self.var_at[i], self.var_at[i + 1] = y, x
+                    if not refs[f]:  # a node of y
+                        _, lo, hi = dead = nodes[f]
+                        del uy[dead]
+                        refs[lo] -= 1
+                        refs[hi] -= 1
+                        self.size -= 1
+        self.order[i], self.order[i + 1] = y, x
         self.pos[x], self.pos[y] = i + 1, i
         self.swaps += 1
 
-    def sift(self, v: int) -> None:
-        """Move v to the position where the diagram is smallest."""
-        last = len(self.var_at) - 1
-        start = self.pos[v]
+    def sift(self, level: int) -> None:
+        """Move a level to the position where the diagram is smallest."""
+        last = len(self.order) - 1
+        start = self.pos[level]
         best_size, best_pos = self.size, start
         ends = (0, last) if start <= last - start else (last, 0)
         for end in ends:
-            step = 1 if end > self.pos[v] else -1
-            while self.pos[v] != end:
-                here = self.pos[v]
+            step = 1 if end > self.pos[level] else -1
+            while self.pos[level] != end:
+                here = self.pos[level]
                 self.swap(min(here, here + step))
                 if self.size < best_size:
-                    best_size, best_pos = self.size, self.pos[v]
+                    best_size, best_pos = self.size, self.pos[level]
                 elif self.size > SIFT_MAX_GROWTH * best_size:
                     break
-        while self.pos[v] != best_pos:
-            here = self.pos[v]
+        while self.pos[level] != best_pos:
+            here = self.pos[level]
             self.swap(here if best_pos > here else here - 1)
-
-
-def rebuild(roots: Sequence[BddRef], order: Sequence[int]) -> list[BddRef]:
-    """The roots' functions in a fresh manager whose level i is the
-    roots' manager's level ``order[i]``, with its name.
-
-    ``order`` lists every level of the roots' manager once, as
-    ``sift`` returns it.
-    """
-    if not roots:
-        return []
-    old = roots[0].mgr
-    new = BddManager()
-    for level in order:
-        new.add_var(old.var_name(level))
-    where = {level: i for i, level in enumerate(order)}
-    built = {0: 0, 1: 1}
-    for n, level, lo, hi in postorder(roots):
-        built[n] = new._ite(new._mk(where[level], 0, 1), built[hi], built[lo])
-    return [BddRef(new, built[root.node]) for root in roots]

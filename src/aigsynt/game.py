@@ -33,8 +33,7 @@ from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, \
     is_controllable, lit_var, sweep
-from .bdd import BddManager, BddRef, Substitution, frontier, \
-    postorder, rebuild, sift
+from .bdd import BddManager, BddRef, Substitution, frontier, sift
 
 log = logging.getLogger(__name__)
 
@@ -357,11 +356,11 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     The cone is the Shannon expansion along the function's BDD, one
     hash-consed multiplexer per node; latch count is unchanged and the
     controllable inputs disappear from the input list.  Synthesized
-    signals are additionally exposed as named outputs.  The diagrams
-    translated are the strategies rebuilt, in a fresh manager, in the
-    order ``bdd.sift`` finds for their shared diagram; that is the
-    game's own order when no move shrinks it, and the game's manager is
-    never reordered.  At debug level the call logs each strategy's
+    signals are additionally exposed as named outputs.  The diagram
+    translated is the strategies' shared diagram as ``bdd.sift`` leaves
+    its private copy, in the order sifting finds; that is the game's own
+    order when no move shrinks it, and the game's manager is never
+    reordered.  At debug level the call logs each strategy's
     node count, the shared diagram's size in the static and the sifted
     order, and the number of swaps sifting made.  The model is
     built on ``TwoLevelAig``, so each AND, of a multiplexer or of a
@@ -404,14 +403,11 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
                   "diagram of %d nodes in the static order and %d sifted, "
                   "%d swaps", [func.dag_size() for func in funcs],
                   sifted.static_size, sifted.size, sifted.swaps)
-    funcs = rebuild(funcs, sifted.order)
-    level_to_lit = {i: level_to_lit[lvl] for i, lvl in
-                    enumerate(sifted.order) if lvl in level_to_lit}
     lits = {0: 0, 1: 1}  # node -> literal of its multiplexer
-    for n, level, lo, hi in postorder(funcs):
+    for n, level, lo, hi in sifted.records:
         lits[n] = aig.ite_(level_to_lit[level], lits[hi], lits[lo])
-    for name, func in zip(strategy.funcs, funcs):
-        var_sub[lit_var(c_by_name[name])] = lits[func.node]
+    for name, root in zip(strategy.funcs, sifted.roots):
+        var_sub[lit_var(c_by_name[name])] = lits[root]
 
     def map_lit(lit: int) -> int:
         return var_sub[lit_var(lit)] ^ (lit & 1)

@@ -1,12 +1,13 @@
 """Decision diagram engine against truth-table oracles."""
 
+import graphlib
 from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from aigsynt.bdd import BddError, BddManager, Substitution, frontier, \
-    postorder, rebuild, sift
+    postorder, sift
 
 
 def fresh(n=5):
@@ -207,22 +208,35 @@ def test_partial_compose_stops_at_the_deepest_substituted_level(f, levels,
 
 
 def shared_size(roots):
-    return len(postorder(roots))
+    if not roots:
+        return 0
+    return len(postorder(roots[0].mgr._nodes, [r.node for r in roots]))
 
 
-def assert_rebuilt_functions_match(roots, sifted):
-    """The roots rebuilt in the sifted order compute the same functions
-    and have the size ``sift`` reports."""
-    rebuilt = rebuild(roots, sifted.order)
-    old, new = roots[0].mgr, rebuilt[0].mgr
-    n = old.var_count
-    assert [new.var_name(i) for i in range(n)] == \
-        [old.var_name(lvl) for lvl in sifted.order]
-    for bits in product([False, True], repeat=n):
-        moved = [bits[lvl] for lvl in sifted.order]
-        assert [r.evaluate(moved) for r in rebuilt] == \
-            [r.evaluate(list(bits)) for r in roots]
-    assert shared_size(rebuilt) == sifted.size
+def assert_sifted_diagram(mgr, roots, sifted):
+    """The records ``sift`` returns compute the roots' functions on every
+    assignment, each after its children and at a level above theirs in
+    one order, and there are as many as the size ``sift`` counted;
+    returns whether that order is the manager's own."""
+    levels = {0: None, 1: None}
+    above: dict[int, set[int]] = {}  # level -> levels of records above it
+    for n, level, lo, hi in sifted.records:
+        assert lo != hi and lo in levels and hi in levels and n not in levels
+        levels[n] = level
+        for child in (lo, hi):
+            if child > 1:
+                above.setdefault(levels[child], set()).add(level)
+    graphlib.TopologicalSorter(above).prepare()  # raises on a cycle
+    assert len(sifted.records) == sifted.size
+    assert all(root in levels for root in sifted.roots)
+    for bits in product([False, True], repeat=mgr.var_count):
+        value = {0: False, 1: True}
+        for n, level, lo, hi in sifted.records:
+            value[n] = value[hi] if bits[level] else value[lo]
+        assert [value[r] for r in sifted.roots] == \
+            [r.evaluate(bits) for r in roots]
+    return all(level < child for child, parents in above.items()
+               for level in parents)
 
 
 def test_sift_reaches_the_interleaved_order():
@@ -237,7 +251,7 @@ def test_sift_reaches_the_interleaved_order():
     assert sifted.static_size == 14
     assert sifted.size == shared_size([interleaved]) == 6
     assert sifted.swaps > 0
-    assert_rebuilt_functions_match([f], sifted)
+    assert not assert_sifted_diagram(mgr, [f], sifted)
     assert sift(mgr, [f]) == sifted
 
 
@@ -247,22 +261,20 @@ def test_sifted_functions_match_the_originals(fs):
     mgr, refs = fresh(6)
     roots = [build_formula(mgr, refs, f) for f in fs]
     sifted = sift(mgr, roots)
-    assert sorted(sifted.order) == list(range(6))
     assert sifted.size <= sifted.static_size == shared_size(roots)
-    assert (sifted.size < shared_size(roots)) == \
-        (sifted.order != list(range(6)))
-    assert_rebuilt_functions_match(roots, sifted)
+    # a diagram in the manager's own order is the static one
+    assert (sifted.size < sifted.static_size) == \
+        (not assert_sifted_diagram(mgr, roots, sifted))
     assert sift(mgr, roots) == sifted  # deterministic
 
 
 def test_sift_keeps_the_static_order_where_no_swap_shrinks():
     mgr, x = fresh(6)
-    static = list(range(6))
     for roots in ([(x[0] & x[1]) | (x[2] & x[3])],  # already interleaved
                   [x[1] & x[3] & x[5], x[4]],
                   [x[2]], [mgr.true, mgr.false], []):
         sifted = sift(mgr, roots)
-        assert sifted.order == static
+        assert assert_sifted_diagram(mgr, roots, sifted)
         assert sifted.size == sifted.static_size == shared_size(roots)
     with pytest.raises(BddError):
         sift(BddManager(), [x[0]])

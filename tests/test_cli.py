@@ -128,6 +128,29 @@ def test_spec2aag_bundled_specs_pinned(tmp_path, name, options, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of ``synth -o`` on each bundled game: a change to solving,
+# extraction or translation that alters a model's gates fails here
+SYNTH_SHA256 = [
+    ("arbiter", [],
+     "0bc027e1b8d2d8d81414b35435b8ea9a0f6e0b9af26f9563686f33b8e57fdf59"),
+    ("huffman4", [],
+     "bf23ffa02ecb5af7d166f1aa1616e73a479fd06c9fab510dbd3f401a1f120a50"),
+    ("huffman4", ["--standard", "--k", "3"],
+     "12de9a6aab5b08351c918919f6a65da40194855ee20966f5ebc90b57c5b71485"),
+]
+
+
+@pytest.mark.parametrize("name, options, digest", SYNTH_SHA256,
+                         ids=["-".join([n, *(x.lstrip("-") for x in o)])
+                              for n, o, _ in SYNTH_SHA256])
+def test_synth_bundled_models_pinned(tmp_path, name, options, digest):
+    game, model = tmp_path / "game.aag", tmp_path / "model.aag"
+    spec = BENCH.parent / name / f"{name}.smv"
+    assert main(["spec2aag", str(spec), "-o", str(game), *options]) == 0
+    assert main(["synth", str(game), "-o", str(model)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
+
+
 def test_spec2aag_shared_subexpressions_compile_once(tmp_path):
     """A define of 40 nested ``<->`` compiles in well under a second.
 

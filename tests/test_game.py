@@ -13,7 +13,8 @@ from aigsynt.aiger import (
     Aig, AigError, AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, evaluate_vars,
     is_controllable, read_aiger, values_lit, write_aiger,
 )
-from aigsynt.bdd import BddManager, Sifted, frontier, postorder, sift
+from aigsynt.bdd import BddManager, Sifted, _SiftTable, frontier, \
+    postorder, sift
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import (
     Encoding, GameError, Strategy, build_game, cpre, delay_justice,
@@ -702,15 +703,30 @@ def assert_same_root_functions(model, other):
              for lit in model_roots(other)]
 
 
+def sifted_by(mgr, roots, swaps):
+    """``sift``'s result for its private copy of the roots after the
+    copy's own adjacent swaps at the positions ``swaps(levels)`` lists,
+    given the number of levels in the copy."""
+    table = _SiftTable(mgr._nodes, [root.node for root in roots])
+    static_size = table.size
+    for i in swaps(len(table.order)):
+        table.swap(i)
+    return Sifted(postorder(table.nodes, table.roots), table.roots,
+                  static_size, table.size, table.swaps), table.order
+
+
 def static_order(mgr, roots):
     """``sift`` as if no swap shrank the roots."""
-    size = len(postorder(roots))
-    return Sifted(list(range(mgr.var_count)), size, size, 0)
+    return sifted_by(mgr, roots, lambda levels: ())[0]
 
 
 def reversed_order(mgr, roots):
-    """``sift`` as if the reversed order were smaller."""
-    return Sifted(list(range(mgr.var_count))[::-1], 0, 0, 0)
+    """``sift`` as if the reversed order were smaller: each top level
+    sinks below the rest."""
+    sifted, order = sifted_by(mgr, roots, lambda levels: [
+        i for bottom in range(levels - 1, 0, -1) for i in range(bottom)])
+    assert order == sorted(order, reverse=True)
+    return sifted
 
 
 def test_minimized_models_compute_the_plain_translation(monkeypatch):
@@ -986,7 +1002,8 @@ def test_strategy_to_circuit_logs_its_sifted_sizes(caplog, tmp_path,
     strategy = extract_strategy(game, solve(game))
     funcs = list(strategy.funcs.values())
     sifted = sift(game.mgr, funcs)
-    assert sifted.size < sifted.static_size == len(postorder(funcs))
+    assert sifted.size < sifted.static_size == \
+        len(postorder(game.mgr._nodes, [func.node for func in funcs]))
     with caplog.at_level(logging.DEBUG, logger="aigsynt.game"):
         strategy_to_circuit(game.doc, game, strategy)
     assert [r.getMessage() for r in caplog.records] == [
