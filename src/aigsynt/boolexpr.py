@@ -109,29 +109,3 @@ def evaluate(e: BoolExpr, env: Mapping[str, bool]) -> bool:
     if isinstance(e, BOr):
         return any(evaluate(a, env) for a in e.args)
     raise TypeError(f"not a BoolExpr: {e!r}")
-
-
-def free_names(e: BoolExpr) -> frozenset[str]:
-    """The variable names e reads; each shared node is visited once.
-
-    Nodes are told apart by ``id``: the builders share operands (``biff``
-    and ``bxor`` read each one twice), and a dataclass's equality and
-    hash walk the whole subtree, so neither a tree walk nor a set of
-    nodes is linear in the size of the graph.
-    """
-    names: set[str] = set()
-    seen: set[int] = set()
-    stack: list[BoolExpr] = [e]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen.add(id(n))
-        if isinstance(n, BVar):
-            names.add(n.name)
-        elif isinstance(n, BNot):
-            stack.append(n.arg)
-        elif isinstance(n, (BAnd, BOr)):
-            stack.extend(n.args)
-    return frozenset(names)
-

@@ -54,8 +54,10 @@ def _bexpr_to_lit(aig, expr: bx.BoolExpr, signals: dict[str, int],
                   memo: dict[int, int]) -> int:
     """The literal of expr; ``memo`` maps ``id`` of a node to its literal.
 
-    By ``id``, as in ``boolexpr.free_names``: hashing a node walks its
-    whole subtree.  The memo's nodes must outlive it.
+    By ``id``: hashing a node walks its whole subtree.  The memo's nodes
+    must outlive it.  A name not yet in ``signals`` is a CircuitError;
+    this is the one check that a flat model reads only declared names,
+    each define after the defines it reads.
     """
     cached = memo.get(id(expr))
     if cached is not None:

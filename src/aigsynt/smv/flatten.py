@@ -51,33 +51,15 @@ class FlatLatch:
 
 @dataclass(frozen=True)
 class FlatModel:
+    """Inputs, latches and defines, each define after the defines it reads.
+
+    ``circuit.compile_model`` checks that every name is bound before it
+    is read.
+    """
     inputs_u: tuple[str, ...]
     inputs_c: tuple[str, ...]
     latches: tuple[FlatLatch, ...]
     defines: tuple[tuple[str, BoolExpr], ...]
-
-    def validate(self) -> None:
-        if set(self.inputs_u) & set(self.inputs_c):
-            raise SmvFlattenError("controllable and uncontrollable inputs overlap")
-        declared = set(self.inputs_u) | set(self.inputs_c)
-        declared |= {l.name for l in self.latches}
-        seen_defines: set[str] = set()
-        for name, expr in self.defines:
-            missing = bx.free_names(expr) - declared - seen_defines
-            if missing:
-                raise SmvFlattenError(
-                    f"define {name!r} references undeclared or later names: "
-                    f"{sorted(missing)}")
-            seen_defines.add(name)
-        all_names = declared | seen_defines
-        for latch in self.latches:
-            missing = bx.free_names(latch.next) - all_names
-            if missing:
-                raise SmvFlattenError(
-                    f"latch {latch.name!r} references undeclared names: "
-                    f"{sorted(missing)}")
-            if latch.init not in (0, 1):
-                raise SmvFlattenError(f"latch {latch.name!r} has init {latch.init}")
 
 
 def nbits(size: int) -> int:
@@ -135,14 +117,12 @@ class _Flattener:
     def run(self) -> FlatModel:
         self._emit_defines(self.resolved.root)
         self._walk_vars(self.resolved.root)
-        model = FlatModel(
+        return FlatModel(
             inputs_u=tuple(self.inputs_u),
             inputs_c=tuple(self.inputs_c),
             latches=tuple(self.latches),
             defines=tuple(self.defines.items()),
         )
-        model.validate()
-        return model
 
     def _emit_defines(self, ctx: ModuleCtx) -> None:
         for d in ctx.module.defines:

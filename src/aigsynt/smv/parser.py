@@ -1,14 +1,27 @@
 """Lexer and recursive-descent parser for the extended SMV dialect.
 
-Ordinary SMV keywords are case-insensitive.  The three special markers
-are matched exactly as spelled: the ``--controllable`` annotation after
-a VAR keyword, and the ``SYS_AUTOMATON_SPEC`` / ``ENV_AUTOMATON_SPEC``
-section headers whose entries are automaton file paths terminated by
-``;`` and optionally preceded by ``!``.  Both ``--`` and ``//`` start
-line comments.  Arithmetic operators are rejected outright.
+Lexical rules, all in the pattern ``_TOKEN``:
+
+* Space is `` ``, tab, carriage return and newline.  ``//`` and ``--``
+  start comments that run to the end of the line, except that
+  ``--controllable`` not followed by a letter, digit or ``_`` is the
+  controllable marker, which may only follow a VAR keyword.
+* A number is a run of decimal digits, the ones ``int()`` reads (``٣``
+  is 3; ``²`` is an unexpected character).  Arithmetic operators are
+  rejected outright.
+* An identifier is a letter or ``_`` followed by letters, digits and
+  ``_``.  Ordinary SMV keywords are case-insensitive; the section
+  headers ``SYS_AUTOMATON_SPEC`` / ``ENV_AUTOMATON_SPEC`` are matched
+  exactly as spelled.  Their entries are automaton file paths, each
+  running to the next space or ``;``, terminated by ``;`` and
+  optionally preceded by ``!``.
+* A column counts characters from 1, so a tab is one column.
 """
 
 from __future__ import annotations
+
+import re
+from typing import NamedTuple
 
 from .ast import (
     AssignDecl, AutomatonRef, Binary, BOOL, BoolLit, BoolType, Case,
@@ -23,68 +36,58 @@ KEYWORDS = {
 
 SECTION_MARKERS = {"SYS_AUTOMATON_SPEC", "ENV_AUTOMATON_SPEC"}
 
-_PUNCT = [
-    ":=", "..", "<->", "->", "<=", ">=", "!=", "(", ")", "{", "}", ",",
-    ";", ":", "=", "<", ">", "&", "|", "!", "-", "+", "*", "/",
-]
+# the keywords that end a section, the automaton sections included
+SECTION_KEYWORDS = ("MODULE", "VAR", "DEFINE", "ASSIGN")
+
+# space and comments, then one token; no kind matches at a character
+# that starts no token.  \d and \w are Unicode-aware: \d is what int()
+# reads and \w what str.isalnum() accepts, plus "_".
+_TOKEN = re.compile(r"""
+    (?: [ \t\r\n] | //.* | --(?!controllable(?!\w)).* )*
+    (?: (?P<CONTROLLABLE> --controllable )
+      | (?P<NUMBER> \d+ )
+      | (?P<IDENT> [^\W\d]\w* )
+      | (?P<PUNCT> := | \.\. | <-> | -> | <= | >= | != | [(){},;:=<>&|!+*/.-] )
+      | (?P<EOF> \Z ) )?
+""", re.VERBOSE)
+
+# an automaton path runs to the next space or ';'
+_PATH = re.compile(r"[^ \t\r\n;]*")
 
 
-class Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
-
-    def __repr__(self) -> str:
-        return f"Token({self.kind}, {self.text!r}, {self.line}:{self.col})"
+class Token(NamedTuple):
+    kind: str
+    text: str
+    line: int
+    col: int
 
 
 class Lexer:
     def __init__(self, text: str):
         self.text = text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.pos = 0  # the end of the last token read
+        self.line = 1  # the line of pos
+        self.line_start = 0  # where that line starts
         self._peeked: Token | None = None
 
-    def _error(self, msg: str) -> SmvSyntaxError:
-        return SmvSyntaxError(msg, self.line, self.col)
+    def _scan(self) -> tuple[re.Match, str | None, int]:
+        """The match of the next token, its kind and where it starts.
 
-    def _advance(self, n: int) -> None:
-        for ch in self.text[self.pos:self.pos + n]:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += n
+        At a character that starts no token the kind is None, and the
+        token starts at that character.
+        """
+        m = _TOKEN.match(self.text, self.pos)
+        kind = m.lastgroup
+        return m, kind, m.start(kind) if kind else m.end()
 
-    def _skip_space_and_comments(self) -> str | None:
-        """Skip whitespace/comments; returns 'controllable' on that marker."""
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-                continue
-            if self.text.startswith("//", self.pos):
-                eol = self.text.find("\n", self.pos)
-                self._advance((eol if eol >= 0 else len(self.text)) - self.pos)
-                continue
-            if self.text.startswith("--", self.pos):
-                rest = self.text[self.pos + 2:]
-                if rest.startswith("controllable") and not (
-                        len(rest) > len("controllable")
-                        and (rest[len("controllable")].isalnum() or rest[len("controllable")] == "_")):
-                    self._advance(2 + len("controllable"))
-                    return "controllable"
-                eol = self.text.find("\n", self.pos)
-                self._advance((eol if eol >= 0 else len(self.text)) - self.pos)
-                continue
-            break
-        return None
+    def _locate(self, pos: int) -> tuple[int, int]:
+        """Move to ``pos``, and return its line and column."""
+        newlines = self.text.count("\n", self.pos, pos)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.text.rindex("\n", self.pos, pos) + 1
+        self.pos = pos
+        return self.line, pos - self.line_start + 1
 
     def peek(self) -> Token:
         if self._peeked is None:
@@ -97,83 +100,50 @@ class Lexer:
         return tok
 
     def _lex(self) -> Token:
-        mark = self._skip_space_and_comments()
-        line, col = self.line, self.col
-        if mark == "controllable":
-            return Token("CONTROLLABLE", "--controllable", line, col)
-        if self.pos >= len(self.text):
-            return Token("EOF", "", line, col)
-        ch = self.text[self.pos]
-        if ch.isdigit():
-            end = self.pos
-            while end < len(self.text) and self.text[end].isdigit():
-                end += 1
-            text = self.text[self.pos:end]
-            self._advance(end - self.pos)
-            return Token("NUMBER", text, line, col)
-        if ch.isalpha() or ch == "_":
-            end = self.pos
-            while end < len(self.text) and (self.text[end].isalnum() or self.text[end] == "_"):
-                end += 1
-            text = self.text[self.pos:end]
-            self._advance(end - self.pos)
-            if text in SECTION_MARKERS:
-                return Token("MARKER", text, line, col)
-            if text.upper() in KEYWORDS:
-                return Token("KEYWORD", text.upper(), line, col)
-            return Token("IDENT", text, line, col)
-        if ch == ".":
-            # distinguish member access from the range operator
-            if self.text.startswith("..", self.pos):
-                self._advance(2)
-                return Token("PUNCT", "..", line, col)
-            self._advance(1)
-            return Token("PUNCT", ".", line, col)
-        for p in _PUNCT:
-            if self.text.startswith(p, self.pos):
-                self._advance(len(p))
-                return Token("PUNCT", p, line, col)
-        raise self._error(f"unexpected character {ch!r}")
+        m, kind, start = self._scan()
+        line, col = self._locate(start)
+        text = m[kind] if kind else self.text[start]
+        # [^\W\d] also matches numerals that are not decimal, such as ²
+        if kind is None or kind == "IDENT" and not (
+                text[0].isalpha() or text[0] == "_"):
+            raise SmvSyntaxError(f"unexpected character {text[0]!r}", line, col)
+        self.pos = m.end()
+        if kind == "IDENT" and text in SECTION_MARKERS:
+            kind = "MARKER"
+        elif kind == "IDENT" and text.upper() in KEYWORDS:
+            kind, text = "KEYWORD", text.upper()
+        return Token(kind, text, line, col)
 
     def path_entry(self) -> tuple[str, bool] | None:
         """Read one automaton entry in a SYS/ENV section, or None at its end.
 
-        An entry is ``[!] path ;`` where the path runs to the first
-        whitespace or ``;``.  The section ends at the next keyword that
-        can open a section or module, or at end of file.
+        An entry is ``[!] path ;``.  The section ends where any section
+        does: at a keyword that opens a section or module, at the
+        controllable marker, or at end of file.
         """
         if self._peeked is not None:
             raise SmvSyntaxError("internal: token lookahead across path mode")
-        self._skip_space_and_comments()
-        if self.pos >= len(self.text):
+        m, kind, start = self._scan()
+        if kind in ("EOF", "CONTROLLABLE") or kind == "IDENT" and (
+                m[kind] in SECTION_MARKERS or m[kind].upper() in SECTION_KEYWORDS):
             return None
-        rest = self.text[self.pos:]
-        word_end = 0
-        while word_end < len(rest) and (rest[word_end].isalnum() or rest[word_end] == "_"):
-            word_end += 1
-        word = rest[:word_end]
-        if word in SECTION_MARKERS or word.upper() in (
-                "MODULE", "VAR", "DEFINE", "ASSIGN"):
-            return None
-        line, col = self.line, self.col
-        negated = False
-        if self.text[self.pos] == "!":
-            negated = True
-            self._advance(1)
-            self._skip_space_and_comments()
-        if self.pos >= len(self.text):
-            raise SmvSyntaxError("automaton entry after '!' is missing", line, col)
-        end = self.pos
-        while end < len(self.text) and self.text[end] not in " \t\r\n;":
-            end += 1
-        path = self.text[self.pos:end]
-        if not path:
+        line, col = self._locate(start)
+        negated = kind == "PUNCT" and m[kind] == "!"
+        if negated:
+            self.pos = m.end()
+            m, kind, start = self._scan()
+            if kind == "EOF":
+                raise SmvSyntaxError("automaton entry after '!' is missing", line, col)
+        end = _PATH.match(self.text, start).end()
+        if end == start:
             raise SmvSyntaxError("empty automaton path", line, col)
-        self._advance(end - self.pos)
-        self._skip_space_and_comments()
-        if self.pos >= len(self.text) or self.text[self.pos] != ";":
-            raise SmvSyntaxError("automaton entry must end with ';'", self.line, self.col)
-        self._advance(1)
+        path = self.text[start:end]
+        self._locate(end)
+        m, kind, start = self._scan()
+        if kind != "PUNCT" or m[kind] != ";":
+            raise SmvSyntaxError("automaton entry must end with ';'",
+                                 *self._locate(start))
+        self.pos = m.end()
         return path, negated
 
 
@@ -183,42 +153,44 @@ class Parser:
 
     # token helpers ----------------------------------------------------
 
-    def _peek(self) -> Token:
-        return self.lx.peek()
-
-    def _next(self) -> Token:
-        return self.lx.next()
-
     def _error(self, msg: str, tok: Token) -> SmvSyntaxError:
         return SmvSyntaxError(msg, tok.line, tok.col)
 
+    def _int(self, tok: Token) -> int:
+        """The value of a NUMBER token."""
+        try:
+            return int(tok.text)
+        except ValueError:  # more digits than sys.get_int_max_str_digits()
+            raise self._error(
+                f"number of {len(tok.text)} digits is too long", tok) from None
+
     def _expect_punct(self, text: str) -> Token:
-        tok = self._next()
+        tok = self.lx.next()
         if tok.kind != "PUNCT" or tok.text != text:
             raise self._error(f"expected {text!r}, found {tok.text!r}", tok)
         return tok
 
     def _expect_keyword(self, kw: str) -> Token:
-        tok = self._next()
+        tok = self.lx.next()
         if tok.kind != "KEYWORD" or tok.text != kw:
             raise self._error(f"expected {kw}, found {tok.text!r}", tok)
         return tok
 
     def _expect_ident(self, what: str) -> Token:
-        tok = self._next()
+        tok = self.lx.next()
         if tok.kind != "IDENT":
             raise self._error(f"expected {what}, found {tok.text!r}", tok)
         return tok
 
     def _at_punct(self, text: str) -> bool:
-        tok = self._peek()
+        tok = self.lx.peek()
         return tok.kind == "PUNCT" and tok.text == text
 
     def _comma_list(self, parse_item) -> list:
         """One or more items separated by ','."""
         items = [parse_item()]
         while self._at_punct(","):
-            self._next()
+            self.lx.next()
             items.append(parse_item())
         return items
 
@@ -226,13 +198,13 @@ class Parser:
 
     def parse_spec(self) -> SmvSpec:
         modules: list[SmvModule] = []
-        tok = self._peek()
+        tok = self.lx.peek()
         while tok.kind != "EOF":
             if tok.kind == "KEYWORD" and tok.text == "MODULE":
                 modules.append(self._parse_module())
             else:
                 raise self._error(f"expected MODULE, found {tok.text!r}", tok)
-            tok = self._peek()
+            tok = self.lx.peek()
         if not modules:
             raise SmvSyntaxError("empty specification: no modules")
         seen: set[str] = set()
@@ -257,31 +229,31 @@ class Parser:
         name = self._expect_ident("module name").text
         params: list[str] = []
         if self._at_punct("("):
-            self._next()
+            self.lx.next()
             if not self._at_punct(")"):
                 params = self._comma_list(
                     lambda: self._expect_ident("parameter name").text)
             self._expect_punct(")")
         module = SmvModule(name=name, params=tuple(params), line=head.line)
         while True:
-            tok = self._peek()
+            tok = self.lx.peek()
             if tok.kind == "EOF" or (tok.kind == "KEYWORD" and tok.text == "MODULE"):
                 break
             if tok.kind == "KEYWORD" and tok.text == "VAR":
-                self._next()
+                self.lx.next()
                 controllable = False
-                if self._peek().kind == "CONTROLLABLE":
-                    self._next()
+                if self.lx.peek().kind == "CONTROLLABLE":
+                    self.lx.next()
                     controllable = True
                 self._parse_var_section(module, controllable)
             elif tok.kind == "KEYWORD" and tok.text == "DEFINE":
-                self._next()
+                self.lx.next()
                 self._parse_define_section(module)
             elif tok.kind == "KEYWORD" and tok.text == "ASSIGN":
-                self._next()
+                self.lx.next()
                 self._parse_assign_section(module)
             elif tok.kind == "MARKER":
-                self._next()
+                self.lx.next()
                 refs = module.sys_automata if tok.text == "SYS_AUTOMATON_SPEC" \
                     else module.env_automata
                 while True:
@@ -295,11 +267,10 @@ class Parser:
         return module
 
     def _section_done(self) -> bool:
-        tok = self._peek()
+        tok = self.lx.peek()
         if tok.kind in ("EOF", "MARKER", "CONTROLLABLE"):
             return True
-        return tok.kind == "KEYWORD" and tok.text in (
-            "MODULE", "VAR", "DEFINE", "ASSIGN")
+        return tok.kind == "KEYWORD" and tok.text in SECTION_KEYWORDS
 
     def _parse_var_section(self, module: SmvModule, controllable: bool) -> None:
         while not self._section_done():
@@ -316,13 +287,13 @@ class Parser:
                                        line=name_tok.line))
 
     def _parse_type(self):
-        tok = self._next()
+        tok = self.lx.next()
         if tok.kind == "KEYWORD" and tok.text == "BOOLEAN":
             return BOOL
         if tok.kind == "NUMBER" or (tok.kind == "PUNCT" and tok.text == "-"):
             lo = self._finish_signed_number(tok)
             self._expect_punct("..")
-            hi_tok = self._next()
+            hi_tok = self.lx.next()
             hi = self._finish_signed_number(hi_tok)
             if lo > hi:
                 raise self._error(f"empty range {lo}..{hi}", tok)
@@ -337,7 +308,7 @@ class Parser:
         if tok.kind == "IDENT":
             actuals: list[Expr] = []
             if self._at_punct("("):
-                self._next()
+                self.lx.next()
                 if not self._at_punct(")"):
                     actuals = self._comma_list(self._parse_expr)
                 self._expect_punct(")")
@@ -346,13 +317,13 @@ class Parser:
 
     def _finish_signed_number(self, tok: Token) -> int:
         if tok.kind == "PUNCT" and tok.text == "-":
-            num = self._next()
+            num = self.lx.next()
             if num.kind != "NUMBER":
                 raise self._error("expected a number after '-'", num)
-            return -int(num.text)
+            return -self._int(num)
         if tok.kind != "NUMBER":
             raise self._error(f"expected a number, found {tok.text!r}", tok)
-        return int(tok.text)
+        return self._int(tok)
 
     def _parse_define_section(self, module: SmvModule) -> None:
         while not self._section_done():
@@ -365,7 +336,7 @@ class Parser:
 
     def _parse_assign_section(self, module: SmvModule) -> None:
         while not self._section_done():
-            tok = self._next()
+            tok = self.lx.next()
             if tok.kind != "KEYWORD" or tok.text not in ("INIT", "NEXT"):
                 raise self._error(
                     f"expected init(...) or next(...), found {tok.text!r}", tok)
@@ -387,7 +358,7 @@ class Parser:
     def _parse_iff(self) -> Expr:
         left = self._parse_implies()
         while self._at_punct("<->"):
-            tok = self._next()
+            tok = self.lx.next()
             right = self._parse_implies()
             left = Binary("<->", left, right, line=tok.line)
         return left
@@ -395,7 +366,7 @@ class Parser:
     def _parse_implies(self) -> Expr:
         left = self._parse_left_assoc(0)
         if self._at_punct("->"):
-            tok = self._next()
+            tok = self.lx.next()
             right = self._parse_implies()  # right associative
             return Binary("->", left, right, line=tok.line)
         return left
@@ -410,8 +381,8 @@ class Parser:
             return self._parse_comparison()
         kind, text, op = self._LEFT_ASSOC[depth]
         left = self._parse_left_assoc(depth + 1)
-        while (tok := self._peek()).kind == kind and tok.text == text:
-            self._next()
+        while (tok := self.lx.peek()).kind == kind and tok.text == text:
+            self.lx.next()
             left = Binary(op, left, self._parse_left_assoc(depth + 1),
                           line=tok.line)
         return left
@@ -421,38 +392,38 @@ class Parser:
     def _parse_comparison(self) -> Expr:
         left = self._parse_unary()
         self._reject_arith()
-        tok = self._peek()
+        tok = self.lx.peek()
         if tok.kind == "PUNCT" and tok.text in self._CMP_OPS:
-            self._next()
+            self.lx.next()
             right = self._parse_unary()
             self._reject_arith()
             return Binary(tok.text, left, right, line=tok.line)
         return left
 
     def _reject_arith(self) -> None:
-        tok = self._peek()
+        tok = self.lx.peek()
         if tok.kind == "PUNCT" and tok.text in ("+", "-", "*", "/"):
             raise self._error(f"arithmetic operator {tok.text!r} is not supported", tok)
 
     def _parse_unary(self) -> Expr:
-        tok = self._peek()
+        tok = self.lx.peek()
         if tok.kind == "PUNCT" and tok.text == "!":
-            self._next()
+            self.lx.next()
             return Unary("!", self._parse_unary(), line=tok.line)
         if tok.kind == "PUNCT" and tok.text == "-":
-            self._next()
-            num = self._next()
+            self.lx.next()
+            num = self.lx.next()
             if num.kind != "NUMBER":
                 raise self._error("expected a number after unary '-'", num)
-            return IntLit(-int(num.text), line=num.line)
+            return IntLit(-self._int(num), line=num.line)
         return self._parse_atom()
 
     def _parse_atom(self) -> Expr:
-        tok = self._next()
+        tok = self.lx.next()
         if tok.kind == "PUNCT" and tok.text in ("+", "*", "/"):
             raise self._error(f"arithmetic operator {tok.text!r} is not supported", tok)
         if tok.kind == "NUMBER":
-            return IntLit(int(tok.text), line=tok.line)
+            return IntLit(self._int(tok), line=tok.line)
         if tok.kind == "KEYWORD" and tok.text == "TRUE":
             return BoolLit(True, line=tok.line)
         if tok.kind == "KEYWORD" and tok.text == "FALSE":
@@ -460,9 +431,9 @@ class Parser:
         if tok.kind == "KEYWORD" and tok.text == "CASE":
             branches: list[tuple[Expr, Expr]] = []
             while True:
-                nxt = self._peek()
+                nxt = self.lx.peek()
                 if nxt.kind == "KEYWORD" and nxt.text == "ESAC":
-                    self._next()
+                    self.lx.next()
                     break
                 cond = self._parse_expr()
                 self._expect_punct(":")
@@ -479,7 +450,7 @@ class Parser:
         if tok.kind == "IDENT":
             parts = [tok.text]
             while self._at_punct("."):
-                self._next()
+                self.lx.next()
                 parts.append(self._expect_ident("member name").text)
             return Name(tuple(parts), line=tok.line)
         raise self._error(f"unexpected token {tok.text!r} in expression", tok)

@@ -20,6 +20,17 @@ from aigsynt.oracle import solve_explicit
 ROOT = Path(__file__).resolve().parent.parent / "benchmarks"
 
 
+def files_under(directory):
+    return {path.relative_to(directory): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
+def test_perfbench_data_matches_bundled_specs():
+    # the tests read benchmarks/ and the benchmark harness its own copy in
+    # perfbench/data/; a drift would leave the benchmark's inputs untested
+    assert files_under(ROOT) == files_under(ROOT.parent / "perfbench" / "data")
+
+
 @pytest.fixture(scope="module")
 def arbiter_model():
     doc = build_spec_doc(ROOT / "arbiter" / "arbiter.smv")

@@ -355,6 +355,24 @@ def test_spec2aag_non_utf8_input_is_an_input_error(tmp_path, capsys, corrupt):
     assert not out.exists()
 
 
+# a range bound that int() cannot read: a digit that is not decimal, and
+# more digits than sys.get_int_max_str_digits() allows
+@pytest.mark.parametrize("bound, message", [
+    ("\u00b2", "unexpected character '\u00b2'"),
+    ("9" * 5000, "number of 5000 digits is too long"),
+], ids=["superscript-two", "5000-digits"])
+def test_spec2aag_unreadable_number_is_an_input_error(tmp_path, capsys, bound,
+                                                      message):
+    spec = tmp_path / "spec.smv"
+    spec.write_text(f"MODULE main\nVAR\n  x : 0..{bound};\n", encoding="utf-8")
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(spec), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message} (line 3, col 10)\n"
+    assert not out.exists()
+
+
 # an ASCII locale with neither UTF-8 mode nor locale coercion
 ASCII_LOCALE = {"LC_ALL": "POSIX", "PYTHONUTF8": "0",
                 "PYTHONCOERCECLOCALE": "0"}

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aigsynt import boolexpr as bx
+from aigsynt.circuit import CircuitError, compile_model
 from aigsynt.smv import (
-    SmvFlattenError, SmvResolveError, flatten, parse_smv, resolve,
+    FlatModel, SmvFlattenError, SmvResolveError, flatten, parse_smv, resolve,
 )
 from aigsynt.smv.ast import EnumType, RangeType
 from aigsynt.smv.flatten import nbits, value_code
@@ -227,9 +228,15 @@ def test_init_values(text, expected):
         assert [l.init for l in flatten(build(text)).latches] == expected
 
 
-def test_free_names_all_declared():
-    model = flatten(build(LISTING_STYLE))
-    model.validate()  # structural check: every referenced name is declared
+def test_compile_reads_only_bound_signals():
+    # compile_model binds signals in definition order and rejects any it
+    # reads before that; the flattener emits each define after those it reads
+    compile_model(flatten(build(LISTING_STYLE)), [], [])
+    read_before_defined = FlatModel(
+        inputs_u=("x",), inputs_c=(), latches=(),
+        defines=(("a", bx.BVar("b")), ("b", bx.BVar("x"))))
+    with pytest.raises(CircuitError, match="unresolved signal 'b'"):
+        compile_model(read_before_defined, [], [])
 
 
 def _agreement_case(text, max_len=6):

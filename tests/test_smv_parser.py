@@ -112,6 +112,43 @@ def test_syntax_error_carries_position():
     assert exc.value.line == 3  # the missing ';' surfaces at DEFINE
 
 
+# a column counts characters: a tab or a non-ASCII letter is one column
+ERROR_POSITIONS = {
+    "after-a-tab": ("MODULE main\nVAR\n\tx: boolean;\n\ty boolean;\n",
+                    "expected ':'", 4, 4),
+    "after-a-non-ascii-identifier": (
+        "MODULE main VAR déjà: boolean; ça boolean;", "expected ':'", 1, 35),
+    "after-a-dash-comment": (
+        "MODULE main -- a comment\n  VAR x: boolean; y boolean;",
+        "expected ':'", 2, 21),
+    "after-a-slash-comment": (
+        "MODULE main // a comment\n  VAR x: boolean; y boolean;",
+        "expected ':'", 2, 21),
+    "on-a-later-line": (
+        "MODULE main\nVAR\n  x: boolean;\n\n  y: 0..3;\nASSIGN\n"
+        "  next(y) := y + 1;\n", "arithmetic operator '\\+'", 7, 16),
+    "unexpected-character": ("MODULE main VAR x: boolean;\n  DEFINE d := x # x;",
+                             "unexpected character '#'", 2, 17),
+    "automaton-entry-without-semicolon": (
+        "MODULE main\nVAR x: boolean;\nSYS_AUTOMATON_SPEC\n  a.gff;\n"
+        "  b.gff c.gff;\n", "must end with ';'", 5, 9),
+    "automaton-empty-path": (
+        "MODULE main\nVAR x: boolean;\nENV_AUTOMATON_SPEC\n  a.gff;\n  ! ;\n",
+        "empty automaton path", 5, 3),
+    "automaton-negation-at-end": (
+        "MODULE main\nVAR x: boolean;\nENV_AUTOMATON_SPEC\n  a.gff;\n"
+        "  !  -- nothing\n", "after '!' is missing", 5, 3),
+}
+
+
+@pytest.mark.parametrize("text, message, line, col", ERROR_POSITIONS.values(),
+                         ids=ERROR_POSITIONS)
+def test_syntax_error_positions(text, message, line, col):
+    with pytest.raises(SmvSyntaxError, match=message) as exc:
+        parse_smv(text)
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
 def test_arithmetic_rejected():
     with pytest.raises(SmvSyntaxError, match="arithmetic"):
         parse_smv("MODULE main VAR x: 0..3; ASSIGN next(x) := x + 1;")
@@ -193,6 +230,15 @@ def test_comment_forms():
     assert not spec.main.vars[0].controllable
 
 
+def test_controllable_marker_ends_an_automaton_section():
+    # as it ends any section; the marker is a token, not a path or a comment
+    with pytest.raises(SmvSyntaxError,
+                       match="expected a section keyword, found '--controllable'") as exc:
+        parse_smv("MODULE main VAR x: boolean;\nSYS_AUTOMATON_SPEC\n"
+                  "  a.gff;\n  --controllable.gff;\n")
+    assert (exc.value.line, exc.value.col) == (4, 3)
+
+
 def test_automaton_paths_with_directories():
     spec = parse_smv("""
     MODULE main
@@ -203,13 +249,26 @@ def test_automaton_paths_with_directories():
     assert spec.main.sys_automata[0].path == "props/sub.dir/guarantee-1.gff"
 
 
-@given(st.text(alphabet=st.sampled_from(
-    list("MODULEVARDEFINEASSIGN mainxy:=;(){}.!&|<->0123456789\n\t"
-         "abcdef_-")), max_size=200))
+# characters, and the pieces that switch the lexer's rules: a letter and
+# digits beyond ASCII (a superscript, an Arabic-Indic three), a form feed,
+# the exact marker and section header, and comment and range punctuation
+GARBAGE_PIECES = list("MODULEVARDEFINEASSIGN mainxy:=;(){}.!&|<->0123456789\n\t"
+                      "abcdef_-") + [
+    "\u00e9", "\u00b2", "\u0663", "\x0c", "--controllable", "SYS_AUTOMATON_SPEC",
+    "//", ".."]
+# the garbage follows one of these, so that it also lands where a
+# section, a type, an expression or an automaton entry is read
+GARBAGE_PREFIXES = ["", "MODULE main ", "MODULE main VAR x: ",
+                    "MODULE main VAR x: boolean; DEFINE d := ",
+                    "MODULE main VAR x: boolean; SYS_AUTOMATON_SPEC "]
+
+
+@given(st.sampled_from(GARBAGE_PREFIXES),
+       st.lists(st.sampled_from(GARBAGE_PIECES), max_size=200).map("".join))
 @settings(max_examples=300, deadline=None)
-def test_parser_total_over_garbage(text):
+def test_parser_total_over_garbage(prefix, text):
     """Arbitrary input either parses or raises the frontend error type."""
     try:
-        parse_smv(text)
+        parse_smv(prefix + text)
     except SmvSyntaxError:
         pass
