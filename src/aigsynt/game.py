@@ -164,6 +164,10 @@ class Encoding:
             inv = inv & BddRef(mgr, node(lit))
         self.just = mgr.true if jlit is None else BddRef(mgr, node(jlit))
         self.inv = inv & define
+        # the solver's compositions through δ (see ``_mu_steps``): just∘δ,
+        # made on first use, and (Z, Z∘δ) of the last pass's fixpoint Z
+        self._just_moved: BddRef | None = None
+        self._handed: tuple[BddRef, BddRef] | None = None
 
 
 def build_game(doc: AigerDoc) -> Encoding:
@@ -214,10 +218,16 @@ def solve(game: Encoding) -> BddRef:
     Greatest fixpoint over Z of the least fixpoint over Y of
     cpre((just and Z) or Y); each pass over Z is ``mu_levels(game, z)``.
     With a trivial justice literal this degenerates to the pure safety
-    fixpoint.  At debug level each pass logs its μY iteration count, the
-    node count, the sizes of the young and old ``ite`` caches, and how
-    many μY steps took a restricted frontier, with the node counts of
-    those frontiers against those of their levels.
+    fixpoint.  No pass composes its core ``just ∧ Z`` through δ whole:
+    its composition is ``just∘δ ∧ Z∘δ``, and ``Z∘δ`` is the ∨ of the
+    frontier compositions ``D_i∘δ`` (i ≥ 1) that the pass which found Z
+    made and handed on (``_mu_steps``).  The last pass leaves the one of
+    the region returned on the game, where ``move_relation`` reads it.
+    At debug level each pass logs its μY iteration count, the node
+    count, the node count of the composition it hands on, the sizes of
+    the young and old ``ite`` caches, and how many μY steps took a
+    restricted frontier, with the node counts of those frontiers against
+    those of their levels.
     """
     mgr = game.mgr
     z = mgr.true
@@ -230,10 +240,11 @@ def solve(game: Encoding) -> BddRef:
                 front = frontier(ring, inner)  # mu_levels's, from caches
                 if front != ring:
                     sizes.append((front.dag_size(), ring.dag_size()))
-            log.debug("solve pass %d: %d mu iterations, %d nodes, ite cache "
-                      "%d young / %d old, %d restricted frontiers of %d "
-                      "nodes against %d in their levels", i, len(levels),
-                      mgr.node_count, young, old, len(sizes),
+            log.debug("solve pass %d: %d mu iterations, %d nodes, %d nodes "
+                      "handed on, ite cache %d young / %d old, %d restricted "
+                      "frontiers of %d nodes against %d in their levels", i,
+                      len(levels), mgr.node_count,
+                      game._handed[1].dag_size(), young, old, len(sizes),
                       sum(f for f, _ in sizes), sum(y for _, y in sizes))
         y = levels[-1]
         if y == z:
@@ -249,28 +260,45 @@ def _mu_steps(game: Encoding, z: BddRef):
     ``frontier(Y_{i+1}, Y_i)`` (``bdd.frontier``), the states the step
     added, so ``M_i = D_0∘δ ∨ … ∨ D_i∘δ`` is ``(core ∨ Y_i)∘δ``.  The
     pass keeps the escape ``E_i`` of ``core ∨ Y_i`` (see ``cpre``) and
-    grows it as ``E_{i+1} = E_i ∨ ∃C (¬bad ∧ D_{i+1}∘δ)``.  Step i is
-    the one call ``Y_{i+1} = cpre(game, D_i, E_{i-1})``, with no escape
-    for i = 0, and that is ``cpre(core ∨ Y_i)``.  This is exact:
-    ``Y_i ⊆ Y_{i+1}`` and ``D_{i+1}`` lies between ``Y_{i+1} ∧ ¬Y_i``
-    and ``Y_{i+1}``, so ``core ∨ Y_i ∨ D_{i+1}`` is ``core ∨ Y_{i+1}``,
-    and composition and ∃ distribute over ∨.  Every iterate is the same
-    function, hence the same node, as with whole targets.
+    grows it as ``E_{i+1} = E_i ∨ ∃C (¬bad ∧ D_{i+1}∘δ)``.  Step 0 is
+    ``Y_1 = cpre(game, ∅, E_0)``, and step i ≥ 1 the one call ``Y_{i+1}
+    = cpre(game, D_i, E_{i-1})``; each is ``cpre(core ∨ Y_i)``.  This is
+    exact: ``Y_i ⊆ Y_{i+1}`` and ``D_{i+1}`` lies between ``Y_{i+1} ∧
+    ¬Y_i`` and ``Y_{i+1}``, so ``core ∨ Y_i ∨ D_{i+1}`` is ``core ∨
+    Y_{i+1}``, and composition and ∃ distribute over ∨.  Every iterate
+    is the same function, hence the same node, as with whole targets.
+
+    The core itself is never composed.  Composition distributes over ∧
+    and ∨ too, so ``D_0∘δ = just∘δ ∧ z∘δ``, with ``just∘δ`` made once per
+    game, and a pass whose fixpoint is ``Y_n`` has ``Y_n∘δ = D_1∘δ ∨ … ∨
+    D_n∘δ``: with ``Y_0 = ∅`` those frontiers cover ``Y_n`` exactly.
+    The pass grows that ∨ and hands ``(Y_n, Y_n∘δ)`` on in the game; the
+    next pass reads it when its z is that ``Y_n``, and composes any other
+    z directly.
 
     The pass first ages the manager's ``ite`` cache
     (``BddManager.age``): a pass reads mostly what the pass before it
     made, so an entry that neither made nor read is dropped.
     """
     game.mgr.age()
-    y, target, escape = game.mgr.false, game.just & z, None
-    while True:
+    if game._just_moved is None:
+        game._just_moved = game.just.compose(game.delta)
+    handed = game._handed
+    z_moved = handed[1] if handed is not None and handed[0] == z \
+        else z.compose(game.delta)
+    y = reached = game.mgr.false
+    moved = game._just_moved & z_moved  # D_0∘δ
+    escape = _escape(game, moved)  # E_0, of core ∨ Y_0 = core
+    yield y, moved
+    nxt = cpre(game, y, escape)  # step 0: the target ∅ adds nothing to E_0
+    while nxt != y:
+        y, target = nxt, frontier(nxt, y)
         moved = target.compose(game.delta)
+        reached = reached | moved
         yield y, moved
         nxt = cpre(game, target, escape)
-        if nxt == y:
-            return
         escape = _escape(game, moved, escape)  # the one cpre just built
-        y, target = nxt, frontier(nxt, y)
+    game._handed = y, reached
 
 
 def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
@@ -280,8 +308,10 @@ def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
     these are the attractor layers ``move_relation`` ranks moves by.
     Each step composes and ∃C-quantifies only the states the step before
     it added, its frontier, and grows the escape of the last step by
-    them (``_mu_steps``); ∀U runs on the whole escape.  The pass ages
-    the manager's ``ite`` cache first.
+    them (``_mu_steps``); ∀U runs on the whole escape.  The core's
+    composition is ``just∘δ ∧ z∘δ``, with ``z∘δ`` the one the pass that
+    found z handed on, or composed directly for any other z.  The pass
+    ages the manager's ``ite`` cache first.
     """
     return [y for y, _ in _mu_steps(game, z)]
 
@@ -305,7 +335,10 @@ def move_relation(game: Encoding, winning: BddRef) -> BddRef:
     region ``solve`` returned.  The targets' compositions ``M_i = (core
     ∨ Y_i)∘δ`` are grown from the pass's frontiers as ``M_{i-1} ∨
     D_i∘δ`` (``_mu_steps``), the same functions as composing each
-    ``core ∨ Y_i`` whole, without its cost.
+    ``core ∨ Y_i`` whole, without its cost.  ``M_0``, the core's, is
+    ``just∘δ ∧ W∘δ``, with ``W∘δ`` the ∨ of the frontier compositions of
+    ``solve``'s last pass, which that pass left on the game; neither the
+    core nor W is composed whole.
     """
     levels: list[BddRef] = []
     moves = rank_ok = game.mgr.false

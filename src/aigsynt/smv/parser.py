@@ -10,11 +10,12 @@ Lexical rules, all in the pattern ``_TOKEN``:
   is 3; ``²`` is an unexpected character).  Arithmetic operators are
   rejected outright.
 * An identifier is a letter or ``_`` followed by letters, digits and
-  ``_``.  Ordinary SMV keywords are case-insensitive; the section
-  headers ``SYS_AUTOMATON_SPEC`` / ``ENV_AUTOMATON_SPEC`` are matched
-  exactly as spelled.  Their entries are automaton file paths, each
-  running to the next space or ``;``, terminated by ``;`` and
-  optionally preceded by ``!``.
+  ``_``.  Ordinary SMV keywords are case-insensitive in ASCII only
+  (``aſſıgn`` is an identifier, though ``str.upper`` makes it
+  ``ASSIGN``); the section headers ``SYS_AUTOMATON_SPEC`` /
+  ``ENV_AUTOMATON_SPEC`` are matched exactly as spelled.  Their
+  entries are automaton file paths, each running to the next space or
+  ``;``, terminated by ``;`` and optionally preceded by ``!``.
 * A column counts characters from 1, so a tab is one column.
 """
 
@@ -38,6 +39,13 @@ SECTION_MARKERS = {"SYS_AUTOMATON_SPEC", "ENV_AUTOMATON_SPEC"}
 
 # the keywords that end a section, the automaton sections included
 SECTION_KEYWORDS = ("MODULE", "VAR", "DEFINE", "ASSIGN")
+
+
+def _ascii_upper(text: str) -> str:
+    """``text`` in upper case if it is ASCII, else as it is, so that no
+    non-ASCII identifier reads as a keyword."""
+    return text.upper() if text.isascii() else text
+
 
 # space and comments, then one token; no kind matches at a character
 # that starts no token.  \d and \w are Unicode-aware: \d is what int()
@@ -110,7 +118,7 @@ class Lexer:
         self.pos = m.end()
         if kind == "IDENT" and text in SECTION_MARKERS:
             kind = "MARKER"
-        elif kind == "IDENT" and text.upper() in KEYWORDS:
+        elif kind == "IDENT" and _ascii_upper(text) in KEYWORDS:
             kind, text = "KEYWORD", text.upper()
         return Token(kind, text, line, col)
 
@@ -125,7 +133,8 @@ class Lexer:
             raise SmvSyntaxError("internal: token lookahead across path mode")
         m, kind, start = self._scan()
         if kind in ("EOF", "CONTROLLABLE") or kind == "IDENT" and (
-                m[kind] in SECTION_MARKERS or m[kind].upper() in SECTION_KEYWORDS):
+                m[kind] in SECTION_MARKERS
+                or _ascii_upper(m[kind]) in SECTION_KEYWORDS):
             return None
         line, col = self._locate(start)
         negated = kind == "PUNCT" and m[kind] == "!"

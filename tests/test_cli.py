@@ -24,7 +24,8 @@ from aigsynt.oracle import solve_explicit
 
 from helpers import enumerate_fair_lasso, enumerate_lasso_fg_not_just
 from test_aiger import NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED
-from test_game import all_states, assert_encoding_simulates, doc_with
+from test_game import all_states, assert_encoding_simulates, benchmark_doc, \
+    doc_with
 from test_mc import replay
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "huffman4"
@@ -149,6 +150,21 @@ def test_synth_bundled_models_pinned(tmp_path, name, options, digest):
     assert main(["spec2aag", str(spec), "-o", str(game), *options]) == 0
     assert main(["synth", str(game), "-o", str(model)]) == 0
     assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
+
+
+# SHA-256 of ``synth -o`` on the benchmark's 8-letter stress game: the
+# model of the game the benchmark times stays the same too
+STRESS8_SYNTH_SHA256 = \
+    "1dddd9244e6fdf9abe413aeb261a77ed0439772e9e3cb6639268d48fdededb2b"
+
+
+def test_synth_stress8_model_pinned(tmp_path, monkeypatch):
+    game, model = tmp_path / "game.aag", tmp_path / "model.aag"
+    game.write_text(write_aiger(benchmark_doc("stress8", tmp_path,
+                                              monkeypatch)))
+    assert main(["synth", str(game), "-o", str(model)]) == 0
+    assert hashlib.sha256(model.read_bytes()).hexdigest() == \
+        STRESS8_SYNTH_SHA256
 
 
 def test_spec2aag_shared_subexpressions_compile_once(tmp_path):
@@ -370,6 +386,21 @@ def test_spec2aag_unreadable_number_is_an_input_error(tmp_path, capsys, bound,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message} (line 3, col 10)\n"
+    assert not out.exists()
+
+
+def test_spec2aag_keyword_folding_only_ascii(tmp_path, capsys):
+    # "aſſıgn" upper-cases to "ASSIGN" (ſ to S, ı to I), but only ASCII
+    # case folds, so the VAR section reads it as a variable's name
+    spec = tmp_path / "spec.smv"
+    spec.write_text("MODULE main vAr x: boolean; a\u017f\u017f\u0131gn "
+                    "next(x) := !x;\n", encoding="utf-8")
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(spec), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == \
+        "error: expected ':', found 'NEXT' (line 1, col 36)\n"
     assert not out.exists()
 
 

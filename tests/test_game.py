@@ -13,11 +13,11 @@ from aigsynt.aiger import (
     Aig, AigError, AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, evaluate_vars,
     is_controllable, read_aiger, values_lit, write_aiger,
 )
-from aigsynt.bdd import BddManager, Sifted, _SiftTable, frontier, \
+from aigsynt.bdd import BddManager, BddRef, Sifted, _SiftTable, frontier, \
     postorder, sift
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import (
-    Encoding, GameError, Strategy, build_game, cpre, delay_justice,
+    Encoding, GameError, Strategy, _mu_steps, build_game, cpre, delay_justice,
     extract_strategy, is_realizable, justice_depends_on_inputs,
     move_relation, mu_levels, solve, strategy_to_circuit, synthesize,
 )
@@ -376,6 +376,88 @@ def test_restricted_frontiers_match_the_plain_recurrence(
               for r in caplog.records]
     assert [sum(int(row[k]) for row in logged) for k in range(3)] == \
         [len(taken), sum(f for f, _ in taken), sum(y for _, y in taken)]
+
+
+def assert_handed_on_compositions_are_direct(game, monkeypatch):
+    """Each pass of ``solve``, and ``move_relation``'s, hands on the
+    composition of its fixpoint through δ, and composing that fixpoint
+    directly gives the same node; so does the core's composition each
+    pass starts from.  The direct compositions read no handed-on one:
+    ``compose`` reads only its own cache."""
+    passes = []
+
+    def checked(game, z):
+        core_moved = next(_mu_steps(game, z))[1]
+        assert core_moved == (game.just & z).compose(game.delta)
+        levels = mu_levels(game, z)
+        fixpoint, moved = game._handed
+        assert fixpoint == levels[-1]
+        assert moved == fixpoint.compose(game.delta)
+        passes.append(z)
+        return levels
+
+    with monkeypatch.context() as m:
+        m.setattr("aigsynt.game.mu_levels", checked)
+        w = solve(game)
+    move_relation(game, w)
+    assert game._handed[0] == w
+    assert game._handed[1] == w.compose(game.delta)
+    # a pass over any other z composes that z itself
+    for z in passes[:-1]:
+        levels = mu_levels(game, z)
+        assert levels == plain_mu_levels(game, z)
+        assert game._handed[0] == levels[-1]
+    return len(passes)
+
+
+def test_handed_on_compositions_are_the_fixpoints_composed(monkeypatch):
+    passes = []
+    for seed in range(120):
+        doc = random_game_doc(seed + 7400, n_latches=2 + seed % 5,
+                              n_gates=6 + seed % 11,
+                              with_justice=seed % 4 != 0,
+                              with_constraint=seed % 3 != 0)
+        if seed % 5 == 0:
+            doc = as_old_format(doc)
+        passes.append(assert_handed_on_compositions_are_direct(
+            build_game(doc), monkeypatch))
+    assert sum(n > 2 for n in passes) >= 10  # some games take several passes
+
+
+@pytest.mark.parametrize("name", ["huffman4", "stress4"])
+def test_handed_on_compositions_on_benchmarks(name, tmp_path, monkeypatch):
+    doc = benchmark_doc(name, tmp_path, monkeypatch)
+    assert assert_handed_on_compositions_are_direct(build_game(doc),
+                                                    monkeypatch) > 2
+
+
+@pytest.mark.parametrize("name", ["huffman4", "stress4"])
+def test_synthesis_never_composes_a_core_or_the_region(name, tmp_path,
+                                                       monkeypatch):
+    """``synthesize`` composes ``just`` once and no pass's core ``just ∧
+    z`` or the winning region W whole: their compositions are built from
+    those of ``just`` and of the frontiers."""
+    doc = benchmark_doc(name, tmp_path, monkeypatch)
+    composed, passes = [], []
+    compose = BddRef.compose
+
+    def counted_compose(ref, submap):
+        composed.append((ref.node, submap))
+        return compose(ref, submap)
+
+    def counted_mu_levels(game, z):
+        passes.append(z)
+        return mu_levels(game, z)
+
+    monkeypatch.setattr(BddRef, "compose", counted_compose)
+    monkeypatch.setattr("aigsynt.game.mu_levels", counted_mu_levels)
+    realizable, _, game = synthesize(doc)
+    assert realizable and len(passes) > 2
+    through_delta = [n for n, sub in composed if sub is game.delta]
+    assert through_delta.count(game.just.node) == 1
+    cores = [game.just & z for z in passes[1:]]
+    assert not {core.node for core in cores} & set(through_delta)
+    assert passes[-1].node not in through_delta  # W
 
 
 def test_cpre_with_an_escape_is_cpre_of_the_union():
@@ -981,7 +1063,7 @@ def test_solve_logs_each_pass_at_debug_level(caplog, monkeypatch):
 
     def counted(game, z):
         levels = mu_levels(game, z)
-        passes.append(len(levels))
+        passes.append((len(levels), game._handed[1].dag_size()))
         return levels
 
     monkeypatch.setattr("aigsynt.game.mu_levels", counted)
@@ -990,7 +1072,10 @@ def test_solve_logs_each_pass_at_debug_level(caplog, monkeypatch):
         solve(build_game(doc))
     assert len(passes) >= 2
     assert [r.getMessage().split(",")[0] for r in caplog.records] == \
-        [f"solve pass {i}: {n} mu iterations" for i, n in enumerate(passes)]
+        [f"solve pass {i}: {n} mu iterations"
+         for i, (n, _) in enumerate(passes)]
+    assert [r.getMessage().split(", ")[2] for r in caplog.records] == \
+        [f"{handed} nodes handed on" for _, handed in passes]
     caplog.clear()
     solve(build_game(doc))  # the default level logs nothing
     assert not caplog.records

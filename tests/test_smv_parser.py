@@ -214,6 +214,37 @@ def test_case_insensitive_keywords():
     assert spec.main.assigns[0].kind == "next"
 
 
+# "aſſıgn" upper-cases to "ASSIGN": ſ (long s) to S, ı (dotless i) to I
+FOLDS_TO_ASSIGN = "a\u017f\u017f\u0131gn"
+
+
+def test_keywords_fold_ascii_case_only():
+    # vAr and Assign stay keywords; aſſıgn is an identifier, here the
+    # name of a variable declared in the VAR section
+    spec = parse_smv(f"MODULE main vAr x: boolean; {FOLDS_TO_ASSIGN}: boolean;"
+                     f" Assign next(x) := !{FOLDS_TO_ASSIGN};")
+    assert spec.main.var_decl(FOLDS_TO_ASSIGN) is not None
+    assert spec.main.assigns[0].kind == "next"
+    # so it cannot start an ASSIGN section
+    with pytest.raises(SmvSyntaxError, match="expected ':', found 'NEXT'"):
+        parse_smv(f"MODULE main vAr x: boolean; {FOLDS_TO_ASSIGN} "
+                  "next(x) := !x;")
+
+
+def test_non_ascii_keyword_spelling_does_not_end_an_automaton_section():
+    spec = parse_smv("MODULE main VAR x: boolean;\nSYS_AUTOMATON_SPEC\n"
+                     f"  a.gff;\n  {FOLDS_TO_ASSIGN};\nAssign\n"
+                     "  next(x) := x;\n")
+    assert [r.path for r in spec.main.sys_automata] == ["a.gff",
+                                                        FOLDS_TO_ASSIGN]
+    assert spec.main.assigns[0].kind == "next"
+    # the entry is a path, which runs to the next space
+    with pytest.raises(SmvSyntaxError, match=r"automaton entry must end with "
+                                             r"';' \(line 5, col 3\)"):
+        parse_smv("MODULE main VAR x: boolean;\nSYS_AUTOMATON_SPEC\n"
+                  f"  a.gff;\n{FOLDS_TO_ASSIGN}\n  next(x) := x;\n")
+
+
 def test_marker_spelling_is_exact():
     # lowercase marker is not a section; it parses as a variable name,
     # which then fails on the missing type
