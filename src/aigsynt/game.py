@@ -22,6 +22,16 @@ formula (``∃C ∀U`` in ``cpre``, ``∃inputs`` in the model checker); with
 the quantified inputs on top, that strips the top of each diagram and
 keeps the latch functions below it shared, where a latches-first order
 rebuilds every diagram down to its input levels.
+
+``synthesize`` writes the winning region W into the model it returns,
+as a block at the end of the AIGER comments: ``winning_block`` writes
+it and ``read_winning_block`` reads it, side by side below, and the
+model checker proves safety with it (see ``mc``).  The block adds no
+gate and no symbol, and other AIGER tools skip comments.  A rewrite
+whose latches or properties differ from its source's (``delay_justice``,
+the ``transforms`` rewrites, ``strategy_to_circuit``, which copies a
+game's comments) drops the block with ``without_winning_block``, so a
+document never carries a stale or a second one.
 """
 
 from __future__ import annotations
@@ -33,7 +43,8 @@ from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, \
     is_controllable, lit_var, sweep
-from .bdd import BddManager, BddRef, Substitution, frontier, sift
+from .bdd import BddManager, BddRef, Substitution, frontier, postorder, \
+    sift
 
 log = logging.getLogger(__name__)
 
@@ -62,7 +73,8 @@ def delay_justice(doc: AigerDoc) -> AigerDoc:
     jlit = doc.justice_literal()
     if jlit is None:
         raise GameError("document has no justice literal to delay")
-    new = doc.copy(latches=[], justice=[])
+    new = doc.copy(latches=[], justice=[],
+                   comments=without_winning_block(doc.comments))
     lit = new.add_latch(DELAY_LATCH_NAME, next_lit=jlit)
     new.latches += doc.latches
     new.justice.append(([lit], doc.justice[0][1]))
@@ -332,23 +344,25 @@ def move_relation(game: Encoding, winning: BddRef) -> BddRef:
     moves into (just and W) or the ith level; discharged steps (inv
     false now) are always allowed.  The layers are those of the last
     pass of ``solve``, re-run from cache hits; ``winning`` must be the
-    region ``solve`` returned.  The targets' compositions ``M_i = (core
-    ∨ Y_i)∘δ`` are grown from the pass's frontiers as ``M_{i-1} ∨
-    D_i∘δ`` (``_mu_steps``), the same functions as composing each
-    ``core ∨ Y_i`` whole, without its cost.  ``M_0``, the core's, is
+    region ``solve`` returned.
+
+    With the pass's steps ``(Y_j, D_j∘δ)`` (``_mu_steps``) and ``Y_n =
+    W``, the ranked moves are ``∨_{i=1..n} (Y_i ∧ ¬Y_{i-1} ∧ M_{i-1})``
+    with ``M_i = (core ∨ Y_i)∘δ = D_0∘δ ∨ … ∨ D_i∘δ``.  Gathered by
+    frontier, that is ``∨_{j<n} (W ∧ ¬Y_j ∧ D_j∘δ)``, and since the
+    ``¬Y_j`` shrink as j grows it is built in Horner form from the last
+    layer down: ``R_n = ∅`` and ``R_j = (W ∧ ¬Y_j) ∧ (D_j∘δ ∨
+    R_{j+1})``, so no ``M_i`` is built.  ``D_0∘δ``, the core's, is
     ``just∘δ ∧ W∘δ``, with ``W∘δ`` the ∨ of the frontier compositions of
     ``solve``'s last pass, which that pass left on the game; neither the
     core nor W is composed whole.
     """
-    levels: list[BddRef] = []
-    moves = rank_ok = game.mgr.false
-    for y, moved in _mu_steps(game, winning):
-        if levels:
-            rank_ok = rank_ok | (y & ~levels[-1] & moves)
-        moves = moves | moved
-        levels.append(y)
-    if levels[-1] != winning:
+    steps = list(_mu_steps(game, winning))
+    if steps[-1][0] != winning:
         raise GameError("attractor iteration did not reproduce the region")
+    rank_ok = game.mgr.false
+    for y, moved in reversed(steps[:-1]):
+        rank_ok = (winning & ~y) & (moved | rank_ok)
     return ~game.inv | (~game.bad & rank_ok)
 
 
@@ -411,7 +425,8 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     if len(doc.latches) != len(game.latch_levels) or \
             len(doc.inputs) != len(game.input_levels):
         raise GameError("document does not match the game it was solved as")
-    new = AigerDoc(aig=TwoLevelAig(), fmt=doc.fmt, comments=list(doc.comments))
+    new = AigerDoc(aig=TwoLevelAig(), fmt=doc.fmt,
+                   comments=without_winning_block(doc.comments))
     aig = new.aig
     level_to_lit: dict[int, int] = {}
     var_sub: dict[int, int] = {0: 0}  # constants map to themselves
@@ -469,11 +484,91 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
 
 
 def synthesize(doc: AigerDoc) -> tuple[bool, AigerDoc | None, Encoding]:
-    """Full solve-and-extract; returns (realizable, model, game)."""
+    """Full solve-and-extract; returns (realizable, model, game).
+
+    The model's comments end in its winning-region block
+    (``winning_block``), which the model checker reads.
+    """
     game = build_game(doc)
     winning = solve(game)
     if not is_realizable(game, winning):
         return False, None, game
     strategy = extract_strategy(game, winning)
     model = strategy_to_circuit(game.doc, game, strategy)
+    model.comments += winning_block(game, winning)
     return True, model, game
+
+
+# the winning-region block ----------------------------------------------------
+
+WINNING_BLOCK = "aigsynt-winning-region"
+
+
+def _block_start(comments: Sequence[str]) -> int | None:
+    """Index of the block's header among the comment lines, if any."""
+    for i, line in enumerate(comments):
+        if line.split(" ", 1)[0] == WINNING_BLOCK:
+            return i
+    return None
+
+
+def without_winning_block(comments: Sequence[str]) -> list[str]:
+    """The comment lines before the block; a rewrite with other latches
+    or other properties keeps these and drops the block."""
+    start = _block_start(comments)
+    return list(comments[:start])
+
+
+def winning_block(game: Encoding, winning: BddRef) -> list[str]:
+    """The comment lines stating the winning region W over the latches.
+
+    The header is ``aigsynt-winning-region L``, with L the latch count.
+    One line ``latch lo hi`` follows per node of W's diagram, children
+    first (``bdd.postorder``): the node tests latch number ``latch``,
+    counted from 0 in document order, and ``lo``/``hi`` are its
+    children, 0 for false, 1 for true and k ≥ 2 for the node on line
+    k - 1 after the header.  W is the last node, and true when there is
+    none.  A model is written only when the initial state is in W, so W
+    is never false.  The block runs to the end of the comments.
+    """
+    latch = {lvl: i for i, lvl in enumerate(game.latch_levels)}
+    ids = {0: 0, 1: 1}
+    lines = [f"{WINNING_BLOCK} {len(game.latch_levels)}"]
+    for n, level, lo, hi in postorder(game.mgr._nodes, [winning.node]):
+        ids[n] = len(ids)
+        lines.append(f"{latch[level]} {ids[lo]} {ids[hi]}")
+    return lines
+
+
+def read_winning_block(enc: Encoding) -> BddRef | None:
+    """W from the block in ``enc.doc``'s comments, in enc's manager.
+
+    None when there is no block; a ``GameError`` when the header names
+    another latch count or a node line is not three numbers naming a
+    latch and two earlier nodes.  Each node is built with ``ite`` on its
+    latch's variable, never as a raw node, so a block whose levels are
+    out of order still gives the function it states and never an
+    unreduced or misordered diagram.
+    """
+    comments = enc.doc.comments
+    start = _block_start(comments)
+    if start is None:
+        return None
+    n_latches = len(enc.latch_levels)
+    if comments[start] != f"{WINNING_BLOCK} {n_latches}":
+        raise GameError(f"header {comments[start]!r} does not name the "
+                        f"model's {n_latches} latches")
+    mgr = enc.mgr
+    nodes = [mgr.false, mgr.true]
+    for line in comments[start + 1:]:
+        try:
+            latch, lo, hi = map(int, line.split(" "))
+        except ValueError:
+            raise GameError(f"malformed node line {line!r}") from None
+        if not (0 <= latch < n_latches and 0 <= lo < len(nodes)
+                and 0 <= hi < len(nodes)):
+            raise GameError(f"node line {line!r} names no latch or no "
+                            f"earlier node")
+        nodes.append(mgr.var(enc.latch_levels[latch]).ite(nodes[hi],
+                                                          nodes[lo]))
+    return nodes[-1]

@@ -47,6 +47,18 @@ has the same answer with or without the cuts, because the cuts are
 determined by the inputs and the state, so ``pick_input`` makes the
 same choices.
 
+A model written by ``synth -o`` ends its comments with a block stating
+the solver's winning region W over its latches (``game.winning_block``,
+in the spirit of Certifaiger's witness circuits: Yu, Biere & Heljanko,
+CAV 2021).  ``check_safety`` builds W in the model's manager, and when
+the initial state is in W and ``∃(inputs, cuts). W ∧ inv ∧ (bad ∨
+¬W∘δ)`` is empty, W is an inductive invariant that excludes every
+violation, so safety holds and no ring is searched.  A block that is
+malformed or proves nothing gets one note on stderr and the ring search
+runs as without it, so no block can make a violated model hold.  The
+justice checks, ``find_fair_trace`` and every violation keep their
+searches.
+
 The checks take a document or a ``_SymbolicModel`` of one; the ``mc``
 command runs both universal checks on one model, so the justice check
 reuses the encoding, the manager and the operation cache of the safety
@@ -61,11 +73,12 @@ that importing this module does not import numpy.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
 from .bdd import BddRef, frontier
-from .game import Encoding
+from .game import Encoding, GameError, read_winning_block
 
 
 class McError(Exception):
@@ -245,16 +258,51 @@ def _model(doc: AigerDoc | _SymbolicModel) -> _SymbolicModel:
     return doc if isinstance(doc, _SymbolicModel) else _SymbolicModel(doc)
 
 
+def _block_proves_safety(sm: _SymbolicModel) -> bool:
+    """Whether the document's winning-region block proves safety.
+
+    The block states a set W of states (``game.winning_block``).  W
+    proves safety when the initial state is in W and ``∃(inputs, cuts).
+    W ∧ inv ∧ (bad ∨ ¬W∘δ)`` is empty: a step from W that keeps the
+    constraints raises no bad and stays in W, so no trace keeping them
+    from the initial state ever raises bad.  That holds for any W, so a
+    block cannot make a violated model hold.  A block that is malformed
+    or proves nothing gets one note on stderr; without a block, or
+    after the note, the caller searches.
+    """
+    try:
+        winning = read_winning_block(sm)
+    except GameError as exc:
+        reason = str(exc)
+    else:
+        if winning is None:
+            return False
+        if not sm.contains(winning, sm.init_state):
+            reason = "the initial state is outside W"
+        elif not sm.now_exists(winning & sm.inv & (
+                sm.bad | ~winning.compose(sm.delta))).is_false:
+            reason = "W is not closed under steps that keep the constraints"
+        else:
+            return True
+    print(f"note: winning-region block not used: {reason}; searching instead",
+          file=sys.stderr)
+    return False
+
+
 def check_safety(doc: AigerDoc | _SymbolicModel) -> CheckResult:
     """Search for a finite violation of the weak-until safety part.
 
     ``doc`` is a document or a model built from one.
 
-    The backward rings stop at the first one holding the initial state;
-    the counterexample walks down from that ring, so it is a shortest one
-    and needs no ring beyond it.
+    A synthesized model carries its winning region W in a block of its
+    comments, and when W proves safety (``_block_proves_safety``) no
+    search runs.  Otherwise the backward rings stop at the first one
+    holding the initial state; the counterexample walks down from that
+    ring, so it is a shortest one and needs no ring beyond it.
     """
     sm = _model(doc)
+    if _block_proves_safety(sm):
+        return CheckResult(holds=True)
     violate_now = sm.now_exists(sm.inv & sm.bad)
     rings, fronts = _rings(sm, violate_now, sm.inv, sm.init_state)
     if not sm.contains(rings[-1], sm.init_state):

@@ -122,12 +122,13 @@ class Lexer:
             kind, text = "KEYWORD", text.upper()
         return Token(kind, text, line, col)
 
-    def path_entry(self) -> tuple[str, bool] | None:
+    def path_entry(self) -> tuple[str, bool, int] | None:
         """Read one automaton entry in a SYS/ENV section, or None at its end.
 
-        An entry is ``[!] path ;``.  The section ends where any section
-        does: at a keyword that opens a section or module, at the
-        controllable marker, or at end of file.
+        An entry is ``[!] path ;``; the result is its path, whether it
+        is negated and the line it starts on.  The section ends where
+        any section does: at a keyword that opens a section or module,
+        at the controllable marker, or at end of file.
         """
         if self._peeked is not None:
             raise SmvSyntaxError("internal: token lookahead across path mode")
@@ -153,7 +154,7 @@ class Lexer:
             raise SmvSyntaxError("automaton entry must end with ';'",
                                  *self._locate(start))
         self.pos = m.end()
-        return path, negated
+        return path, negated, line
 
 
 class Parser:
@@ -269,8 +270,8 @@ class Parser:
                     entry = self.lx.path_entry()
                     if entry is None:
                         break
-                    path, negated = entry
-                    refs.append(AutomatonRef(path=path, negated=negated, line=tok.line))
+                    path, negated, line = entry
+                    refs.append(AutomatonRef(path=path, negated=negated, line=line))
             else:
                 raise self._error(f"expected a section keyword, found {tok.text!r}", tok)
         return module

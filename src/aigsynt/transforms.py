@@ -18,11 +18,16 @@ latches their decision-diagram levels in document order, and an
 observer with few modes placed on top splits each diagram into a few
 branches that share the copied design's sub-diagrams; see
 ``circuit.py``.
+
+Every rewrite keeps the source's comments but drops its winning-region
+block (``game.without_winning_block``): the block states a set of the
+source's states, and the rewrite's latches or properties differ.
 """
 
 from __future__ import annotations
 
 from .aiger import AigerDoc, FALSE_LIT, TRUE_LIT
+from .game import without_winning_block
 
 
 class TransformError(Exception):
@@ -40,7 +45,8 @@ def _old_format_copy(doc: AigerDoc) -> AigerDoc:
     """Copy without property sections or latches; the caller adds its
     observer latches, then ``doc.latches`` after them."""
     return doc.copy(latches=[], outputs=[], bad=[], constraints=[],
-                    justice=[], fmt="old")
+                    justice=[], fmt="old",
+                    comments=without_winning_block(doc.comments))
 
 
 def _fresh_name(doc: AigerDoc, base: str) -> str:
@@ -134,7 +140,8 @@ def reverse_justice(doc: AigerDoc) -> AigerDoc:
     """
     just = _single_justice_literal(doc)
 
-    new = doc.copy(latches=[], justice=[], fmt="new")
+    new = doc.copy(latches=[], justice=[], fmt="new",
+                   comments=without_winning_block(doc.comments))
     aig = new.aig
     aux = new.add_input(_fresh_name(doc, "aux"))
     armed = new.add_latch(_fresh_name(doc, "aux_seen"))

@@ -129,33 +129,49 @@ def test_spec2aag_bundled_specs_pinned(tmp_path, name, options, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# SHA-256 of ``synth -o`` on each bundled game: a change to solving,
-# extraction or translation that alters a model's gates fails here
+def before_comments(data: bytes) -> bytes:
+    """The bytes of an AIGER file before its comment line ``c``."""
+    head, sep, _ = data.partition(b"\nc\n")
+    return head + b"\n" if sep else data
+
+
+# SHA-256 of ``synth -o`` on each bundled game, of the text before the
+# ``c`` line and of the whole file: a change to solving, extraction or
+# translation that alters a model's gates fails the first, and one that
+# alters its winning-region block the second
 SYNTH_SHA256 = [
     ("arbiter", [],
-     "0bc027e1b8d2d8d81414b35435b8ea9a0f6e0b9af26f9563686f33b8e57fdf59"),
+     "0bc027e1b8d2d8d81414b35435b8ea9a0f6e0b9af26f9563686f33b8e57fdf59",
+     "16bdc793a2ac7ad7fd9017ad938d7dad15908871450e7827a45641f999ab4741"),
     ("huffman4", [],
-     "bf23ffa02ecb5af7d166f1aa1616e73a479fd06c9fab510dbd3f401a1f120a50"),
+     "bf23ffa02ecb5af7d166f1aa1616e73a479fd06c9fab510dbd3f401a1f120a50",
+     "3370a090308f96e0ac4de2d7bec29c5e1acd14ad5b3e4618ce7457deb62f30fb"),
     ("huffman4", ["--standard", "--k", "3"],
-     "12de9a6aab5b08351c918919f6a65da40194855ee20966f5ebc90b57c5b71485"),
+     "12de9a6aab5b08351c918919f6a65da40194855ee20966f5ebc90b57c5b71485",
+     "315f409cf4b04bd32f8ec53c283c8c49cad8451d6731ba040e857963fb11fc48"),
 ]
 
 
-@pytest.mark.parametrize("name, options, digest", SYNTH_SHA256,
+@pytest.mark.parametrize("name, options, digest, whole", SYNTH_SHA256,
                          ids=["-".join([n, *(x.lstrip("-") for x in o)])
-                              for n, o, _ in SYNTH_SHA256])
-def test_synth_bundled_models_pinned(tmp_path, name, options, digest):
+                              for n, o, _, _ in SYNTH_SHA256])
+def test_synth_bundled_models_pinned(tmp_path, name, options, digest, whole):
     game, model = tmp_path / "game.aag", tmp_path / "model.aag"
     spec = BENCH.parent / name / f"{name}.smv"
     assert main(["spec2aag", str(spec), "-o", str(game), *options]) == 0
     assert main(["synth", str(game), "-o", str(model)]) == 0
-    assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
+    data = model.read_bytes()
+    assert hashlib.sha256(before_comments(data)).hexdigest() == digest
+    assert hashlib.sha256(data).hexdigest() == whole
 
 
-# SHA-256 of ``synth -o`` on the benchmark's 8-letter stress game: the
-# model of the game the benchmark times stays the same too
+# SHA-256 of ``synth -o`` on the benchmark's 8-letter stress game, before
+# the ``c`` line and whole: the model of the game the benchmark times
+# stays the same too
 STRESS8_SYNTH_SHA256 = \
     "1dddd9244e6fdf9abe413aeb261a77ed0439772e9e3cb6639268d48fdededb2b"
+STRESS8_SYNTH_WHOLE_SHA256 = \
+    "cafb68cfa328dde2b220ef034a247efcd80122e57be42dabb237b4168e3dba71"
 
 
 def test_synth_stress8_model_pinned(tmp_path, monkeypatch):
@@ -163,8 +179,10 @@ def test_synth_stress8_model_pinned(tmp_path, monkeypatch):
     game.write_text(write_aiger(benchmark_doc("stress8", tmp_path,
                                               monkeypatch)))
     assert main(["synth", str(game), "-o", str(model)]) == 0
-    assert hashlib.sha256(model.read_bytes()).hexdigest() == \
+    data = model.read_bytes()
+    assert hashlib.sha256(before_comments(data)).hexdigest() == \
         STRESS8_SYNTH_SHA256
+    assert hashlib.sha256(data).hexdigest() == STRESS8_SYNTH_WHOLE_SHA256
 
 
 def test_spec2aag_shared_subexpressions_compile_once(tmp_path):

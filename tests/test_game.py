@@ -17,9 +17,10 @@ from aigsynt.bdd import BddManager, BddRef, Sifted, _SiftTable, frontier, \
     postorder, sift
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import (
-    Encoding, GameError, Strategy, _mu_steps, build_game, cpre, delay_justice,
-    extract_strategy, is_realizable, justice_depends_on_inputs,
-    move_relation, mu_levels, solve, strategy_to_circuit, synthesize,
+    WINNING_BLOCK, Encoding, GameError, Strategy, _mu_steps, build_game, cpre,
+    delay_justice, extract_strategy, is_realizable, justice_depends_on_inputs,
+    move_relation, mu_levels, read_winning_block, solve, strategy_to_circuit,
+    synthesize,
 )
 from aigsynt.mc import (
     _cut_vars, check_justice_universal, check_safety, find_fair_trace,
@@ -313,6 +314,33 @@ def plain_move_relation(game, winning):
         diff = levels[i + 1] & ~levels[i]
         rank_ok = rank_ok | (diff & (core | levels[i]).compose(game.delta))
     return ~game.inv | (~game.bad & rank_ok)
+
+
+def chained_move_relation(game, winning):
+    """The move relation as a ∨ over the layers, each ranked move into
+    ``M_{i-1} = D_0∘δ ∨ … ∨ D_{i-1}∘δ`` grown as a chain of ∨s."""
+    levels = []
+    moves = rank_ok = game.mgr.false
+    for y, moved in _mu_steps(game, winning):
+        if levels:
+            rank_ok = rank_ok | (y & ~levels[-1] & moves)
+        moves = moves | moved
+        levels.append(y)
+    assert levels[-1] == winning
+    return ~game.inv | (~game.bad & rank_ok)
+
+
+def test_horner_move_relation_is_the_chained_one():
+    """Built from the last layer down, the relation is the same node as
+    the ∨ over the layers of the ranked moves, on random games."""
+    multi_layer = 0
+    for seed in range(200):
+        doc = random_game_doc(seed + 1400, n_latches=3 + seed % 6)
+        game = build_game(doc)
+        w = solve(game)
+        assert move_relation(game, w) == chained_move_relation(game, w), seed
+        multi_layer += len(mu_levels(game, w)) > 2  # ∅ and two layers
+    assert multi_layer >= 40
 
 
 def assert_passes_match_the_plain_recurrence(game):
@@ -621,6 +649,61 @@ def test_synthesized_models_pass_both_checks():
             continue
         assert check_safety(model).holds, seed
         assert check_justice_universal(model).holds, seed
+
+
+def test_model_block_states_the_winning_region():
+    """Read back in the model's own encoding, each model's block is the
+    game's winning region, at every state."""
+    models = 0
+    for seed in range(60):
+        doc = random_game_doc(seed + 1400, n_latches=3 + seed % 6)
+        ok, model, game = synthesize(doc)
+        if not ok:
+            continue
+        w = solve(game)
+        enc = Encoding(model)
+        stated = read_winning_block(enc)
+        for state in product((False, True), repeat=len(model.latches)):
+            assert stated.evaluate(dict(zip(enc.latch_levels, state))) == \
+                w.evaluate(dict(zip(game.latch_levels, state))), seed
+        models += 1
+    assert models >= 30
+
+
+def block_doc(*lines):
+    """A two-latch document whose comments are the given lines."""
+    doc = doc_with(n_latches=2)
+    doc.comments = ["made by hand", *lines]
+    return doc
+
+
+def test_block_nodes_in_any_level_order_give_the_stated_function():
+    """Nodes are built with ``ite``, so a block whose nodes test a latch
+    below their children's still states its function."""
+    for nodes in (["1 0 1", "0 0 2"],   # l1 below l0, as the order has it
+                  ["0 0 1", "1 0 2"]):  # l0 below l1
+        enc = Encoding(block_doc(f"{WINNING_BLOCK} 2", *nodes))
+        l0, l1 = (enc.mgr.var(lvl) for lvl in enc.latch_levels)
+        assert read_winning_block(enc) == l0 & l1
+    # no node line states true, and no block states nothing
+    assert read_winning_block(Encoding(block_doc(f"{WINNING_BLOCK} 2"))) \
+        .is_true
+    assert read_winning_block(Encoding(block_doc())) is None
+
+
+@pytest.mark.parametrize("lines, message", [
+    ([f"{WINNING_BLOCK} 3", "0 0 1"], "does not name the model's 2 latches"),
+    ([f"{WINNING_BLOCK}", "0 0 1"], "does not name"),
+    ([f"{WINNING_BLOCK} 2", "0 0"], "malformed node line"),
+    ([f"{WINNING_BLOCK} 2", "0 0 x"], "malformed node line"),
+    ([f"{WINNING_BLOCK} 2", "2 0 1"], "names no latch"),
+    ([f"{WINNING_BLOCK} 2", "-1 0 1"], "names no latch"),
+    ([f"{WINNING_BLOCK} 2", "0 0 2"], "no earlier node"),
+    ([f"{WINNING_BLOCK} 2", "0 1 0", f"{WINNING_BLOCK} 2"], "malformed"),
+])
+def test_malformed_block_raises(lines, message):
+    with pytest.raises(GameError, match=message):
+        read_winning_block(Encoding(block_doc(*lines)))
 
 
 def test_game_without_latches():

@@ -7,10 +7,11 @@ import pytest
 
 from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit, write_aiger
 from aigsynt.cli import build_spec_doc, main
-from aigsynt.game import synthesize
+from aigsynt.game import WINNING_BLOCK, build_game, read_winning_block, \
+    solve, synthesize, winning_block
 from aigsynt.mc import (
-    McError, _SymbolicModel, _cut_vars, _rings, _walk_to_ring0,
-    check_justice_universal, check_safety, find_fair_trace,
+    McError, _SymbolicModel, _block_proves_safety, _cut_vars, _rings,
+    _walk_to_ring0, check_justice_universal, check_safety, find_fair_trace,
 )
 from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import reverse_justice
@@ -534,3 +535,118 @@ def test_explicit_safe_reachable_agrees_on_verdict():
         safe = solve_explicit(kdoc, mode="safe_reachable")
         assert full.realizable == safe.realizable, seed
         assert len(safe.states) <= len(full.states)
+
+
+# the winning-region block --------------------------------------------------
+
+
+def realizable_models(n_seeds: int):
+    """(seed, model) for each realizable game among the first n_seeds of
+    the random-game set."""
+    for seed in range(n_seeds):
+        ok, model, _ = synthesize(random_game_doc(seed + 1400,
+                                                  n_latches=3 + seed % 6))
+        if ok:
+            yield seed, model
+
+
+def _mc(doc: AigerDoc, path: Path, capsys) -> tuple[int, str, str]:
+    """Exit status, stdout and stderr of ``mc`` on doc, written to path."""
+    path.write_text(write_aiger(doc))
+    code = main(["mc", str(path)])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _noted(err: str, plain_err: str) -> bool:
+    """Whether ``mc``'s stderr is that of the run without the block with
+    one note ahead of it, rather than that stderr itself."""
+    if err == plain_err:
+        return False
+    note, rest = err.split("\n", 1)
+    assert note.startswith("note: winning-region block not used: ")
+    assert rest == plain_err
+    return True
+
+
+def test_winning_region_block_keeps_every_mc_result(tmp_path, capsys):
+    """``mc`` exits and prints the same on every synthesized model of the
+    random-game set with its block as without it, and every block
+    proves safety on its own."""
+    path = tmp_path / "model.aag"
+    models = 0
+    for seed, model in realizable_models(200):
+        assert model.comments[0] == f"{WINNING_BLOCK} {len(model.latches)}"
+        assert _block_proves_safety(_SymbolicModel(model)), seed
+        assert _mc(model, path, capsys) == \
+            _mc(model.copy(comments=[]), path, capsys), seed
+        models += 1
+    assert models >= 100
+
+
+def test_winning_region_block_never_makes_a_violated_document_hold(
+        tmp_path, capsys):
+    """The random games read as closed documents, every input free, carry
+    a block of W = true or of the game's winning region: each verdict,
+    stdout and trace stays as it was, and a block that proves nothing
+    adds one note ahead of the trace."""
+    path = tmp_path / "doc.aag"
+    violated = notes = 0
+    for seed in range(200):
+        doc = random_game_doc(seed + 1400, n_latches=3 + seed % 6)
+        game = build_game(doc)
+        assert game.doc is doc  # a state-based justice literal
+        plain = _mc(doc, path, capsys)
+        violated += plain[1] == "VIOLATED (safety)\n"
+        for block in ([f"{WINNING_BLOCK} {len(doc.latches)}"],
+                      winning_block(game, solve(game))):
+            code, out, err = _mc(doc.copy(comments=block), path, capsys)
+            assert (code, out) == plain[:2], seed
+            notes += _noted(err, plain[2])
+    assert violated >= 50 and notes >= 100
+
+
+def _corrupted_blocks(model: AigerDoc) -> list[tuple[str, list[str]]]:
+    """(kind, block) for each corruption of the model's block that
+    applies to it."""
+    sm = _SymbolicModel(model)
+    w = read_winning_block(sm)
+    header, *lines = model.comments
+    blocks = [("wrong latch count",
+               [f"{WINNING_BLOCK} {len(model.latches) + 1}", *lines])]
+    if lines:  # else W is true
+        latch, lo, hi = lines[-1].split()
+        blocks += [("flipped child",
+                    [header, *lines[:-1], f"{latch} {hi} {lo}"]),
+                   ("dropped line", [header, *lines[1:]])]
+    without_init = w & ~sm.state_cube(sm.init_state)
+    if not without_init.is_false:  # an empty W would be written as true
+        blocks.append(("no initial state", winning_block(sm, without_init)))
+    bad_states = sm.now_exists(sm.inv & sm.bad) & ~w
+    if not bad_states.is_false:
+        picked = bad_states.sat_one()
+        state = tuple(picked.get(lvl, False) for lvl in sm.latch_levels)
+        blocks.append(("not inductive",
+                       winning_block(sm, w | sm.state_cube(state))))
+    return blocks
+
+
+def test_corrupted_winning_region_block_changes_no_verdict(tmp_path, capsys):
+    """A corrupted block never changes what ``mc`` prints or exits with and
+    never raises; each corruption that states no proof gets its note."""
+    path = tmp_path / "model.aag"
+    seen: dict[str, int] = {}
+    noted: dict[str, int] = {}
+    for seed, model in realizable_models(120):
+        plain = _mc(model.copy(comments=[]), path, capsys)
+        for kind, block in _corrupted_blocks(model):
+            code, out, err = _mc(model.copy(comments=block), path, capsys)
+            assert (code, out) == plain[:2], (seed, kind)
+            seen[kind] = seen.get(kind, 0) + 1
+            noted[kind] = noted.get(kind, 0) + _noted(err, plain[2])
+    assert set(seen) == {"flipped child", "dropped line", "wrong latch count",
+                         "no initial state", "not inductive"}
+    for kind in ("wrong latch count", "no initial state", "not inductive"):
+        assert noted[kind] == seen[kind] >= 20, kind
+    for kind in ("flipped child", "dropped line"):
+        assert noted[kind] >= seen[kind] // 2, kind

@@ -280,6 +280,17 @@ def test_automaton_paths_with_directories():
     assert spec.main.sys_automata[0].path == "props/sub.dir/guarantee-1.gff"
 
 
+def test_each_automaton_entry_has_its_own_line():
+    spec = parse_smv("MODULE main VAR x: boolean;\nSYS_AUTOMATON_SPEC\n"
+                     "  a.gff;\n\n  b.gff; !c.gff;\nENV_AUTOMATON_SPEC\n"
+                     "  -- an assumption\n  !\n  d.gff\n  ;\n")
+    assert [(r.path, r.line) for r in spec.main.sys_automata] == [
+        ("a.gff", 3), ("b.gff", 5), ("c.gff", 5)]
+    # a negated entry starts at its '!'
+    assert [(r.path, r.negated, r.line) for r in spec.main.env_automata] == [
+        ("d.gff", True, 8)]
+
+
 # characters, and the pieces that switch the lexer's rules: a letter and
 # digits beyond ASCII (a superscript, an Arabic-Indic three), a form feed,
 # the exact marker and section header, and comment and range punctuation

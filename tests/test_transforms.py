@@ -9,6 +9,7 @@ from aigsynt.aiger import (
     write_aiger,
 )
 from aigsynt.cli import build_spec_doc
+from aigsynt.game import WINNING_BLOCK, delay_justice, synthesize
 from aigsynt.mc import find_fair_trace
 from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import (
@@ -201,6 +202,25 @@ def test_added_latches_listed_first():
     folded = fold_constraints_into_bad(doc)
     assert [n for _, _, n in folded.latches] == ["env_broken"] + copied
     assert folded.latches[1:] == doc.latches
+
+
+def test_rewrites_drop_the_winning_region_block():
+    """Every rewrite keeps the comments ahead of the block and drops the
+    block, whose state space is the source's; a synthesized model keeps
+    the game's comments and carries its own block only."""
+    block = [f"{WINNING_BLOCK} 3", "2 0 1"]
+    doc = random_game_doc(8, n_latches=3)  # realizable
+    doc.comments = ["made by hand", *block]
+    rewrites = [justice_to_safety(doc, 2), reverse_justice(doc),
+                delay_justice(doc),
+                fold_constraints_into_bad(doc.copy(justice=[]))]
+    for new in rewrites:
+        assert new.comments == ["made by hand"]
+    ok, model, game = synthesize(doc)
+    assert ok and model.comments[0] == "made by hand"
+    assert model.comments[1] == f"{WINNING_BLOCK} {len(game.doc.latches)}"
+    assert sum(line.startswith(WINNING_BLOCK)
+               for line in model.comments) == 1
 
 
 # reverse_justice --------------------------------------------------------------
