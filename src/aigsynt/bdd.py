@@ -478,6 +478,12 @@ class BddRef:
         return len(self.mgr._dag(self.node)) + 2
 
 
+# A diagram of fewer nodes than this (``dag_size``) is carried forward as
+# it is: on it neither a frontier (``frontier``) nor the model checker's
+# one-step test of the initial state (``mc._rings``) pays for itself.
+SMALL_DIAGRAM_NODES = 64
+
+
 def frontier(ring: BddRef, inner: BddRef) -> BddRef:
     """What a growing iteration has to carry forward from ``ring``.
 
@@ -490,21 +496,28 @@ def frontier(ring: BddRef, inner: BddRef) -> BddRef:
     ``inner``, gives its value on ``ring``.
 
     ``ring`` itself is returned where a frontier cannot pay: when the
-    ring has fewer than 64 nodes, or the frontier more than 9/10 of the
-    ring's.  The ring shares the sub-diagrams of ``inner``, whose
-    compositions are cached, where the frontier's nodes are mostly new,
-    and the frontier costs a negation and a ``restrict`` of its own.
-    On the stress8 game and its windows the model checker's first
-    frontier is 2-3 % smaller than its ring, and composing it made up
-    to 12 % more nodes; on small models, where nearly every ring has
+    ring has fewer than ``SMALL_DIAGRAM_NODES`` nodes, or the frontier
+    more than 9/10 of the ring's.  The ring shares the sub-diagrams of
+    ``inner``, whose compositions are cached, where the frontier's nodes
+    are mostly new, and the frontier costs a negation and a ``restrict``
+    of its own.  On the stress8 game and its windows the model checker's
+    first frontier is 2-3 % smaller than its ring, and composing it made
+    up to 12 % more nodes; on small models, where nearly every ring has
     fewer than 64 nodes, frontiers made 2-5 % more nodes.
     """
+    return sized_frontier(ring, inner)[0]
+
+
+def sized_frontier(ring: BddRef, inner: BddRef) -> tuple[BddRef, int]:
+    """``frontier(ring, inner)`` and its ``dag_size``, read off the walks
+    that chose it, so a caller that needs the size walks no diagram."""
     size = ring.dag_size()
-    if size >= 64:
+    if size >= SMALL_DIAGRAM_NODES:
         restricted = ring.restrict(~inner)
-        if 10 * restricted.dag_size() <= 9 * size:
-            return restricted
-    return ring
+        restricted_size = restricted.dag_size()
+        if 10 * restricted_size <= 9 * size:
+            return restricted, restricted_size
+    return ring, size
 
 
 class Substitution(Mapping):

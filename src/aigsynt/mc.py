@@ -17,7 +17,20 @@ The searches stop as soon as the initial state decides the verdict,
 with the same result and the same traces as the full fixpoints.  A
 backward ring search toward a stem or a violation stops at the first
 ring holding the initial state, since a trace walks down from that
-ring and reads none beyond it.  The fair-cycle search of both justice
+ring and reads none beyond it.  The safety search stops one pre-image
+earlier: before it takes the pre-image of a frontier of
+``bdd.SMALL_DIAGRAM_NODES`` (64) nodes or more, it asks whether the
+initial state has a step into the frontier, with the step predicate
+and δ specialized to that state, so the question is a diagram over the
+inputs and cuts alone.  A step exists exactly when the next ring holds
+the state, so the search stops where it would have, without building
+that ring, the largest of the search; the trace's first step takes its
+inputs from the specialized predicate, with the same choices.  Smaller
+frontiers are not tested, since there the test costs more kernel calls
+than the pre-image it saves.  The stem searches of the justice
+readings keep the plain rule: they either never reach the initial
+state or take their rings from the cache, so the test would only add
+work.  The fair-cycle search of both justice
 readings returns "no trace" as soon as the initial state leaves the stem
 set E[inv U recur] of one νZ iteration's candidate region ``recur``:
 the region only shrinks, so no later stem set holds the initial state
@@ -73,12 +86,16 @@ that importing this module does not import numpy.
 
 from __future__ import annotations
 
+import logging
 import sys
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
-from .bdd import BddRef, frontier
+from .bdd import SMALL_DIAGRAM_NODES, BddRef, Substitution, sized_frontier
 from .game import Encoding, GameError, read_winning_block
+
+log = logging.getLogger(__name__)
 
 
 class McError(Exception):
@@ -179,6 +196,21 @@ class _SymbolicModel(Encoding):
     def now_exists(self, pred: BddRef) -> BddRef:
         return pred.exists(self.quantified)
 
+    def at_state(self, state: tuple[bool, ...], step_pred: BddRef
+                 ) -> tuple[BddRef, Substitution]:
+        """step_pred and δ with the state's latch values substituted.
+
+        Both then read only inputs and cuts, so ``F.compose(delta)`` is
+        ``F∘δ`` at the state, a small diagram for any set F of states.
+        """
+        mgr = self.mgr
+        values = Substitution(mgr, {
+            lvl: mgr.true if value else mgr.false
+            for lvl, value in zip(self.latch_levels, state)})
+        delta = Substitution(mgr, {lvl: func.compose(values)
+                                   for lvl, func in self.delta.items()})
+        return step_pred.compose(values), delta
+
     def pick_input(self, state: tuple[bool, ...], pred: BddRef) -> tuple[bool, ...]:
         """A deterministic input assignment satisfying pred at state."""
         constrained = self.state_cube(state) & pred
@@ -197,14 +229,41 @@ class _SymbolicModel(Encoding):
                      steps=steps, loop_start=loop_start)
 
 
+class _Rings(NamedTuple):
+    """The rings and frontiers ``_rings`` built, and where it found its
+    ``until`` state: ``found`` is the first ring holding it, or
+    ``len(rings)`` when it has a step into ``fronts[-1]``, or None when
+    the search never reached it.  In the second case ``first_step`` is
+    the predicate of that step at the state (``_SymbolicModel.at_state``)."""
+    rings: list[BddRef]
+    fronts: list[BddRef]
+    found: int | None
+    first_step: BddRef | None = None
+
+
 def _rings(sm: _SymbolicModel, target: BddRef, step_pred: BddRef,
-           until: tuple[bool, ...] | None = None
-           ) -> tuple[list[BddRef], list[BddRef]]:
+           until: tuple[bool, ...] | None = None,
+           one_step: bool = False) -> _Rings:
     """Cumulative backward layers of target under step_pred-steps, and
     the frontiers ``F`` their pre-images were taken of.
 
     With ``until``, stops at the first ring containing that state: a walk
     from it reads no ring beyond the first one that holds it.
+
+    With ``one_step`` as well, it stops one pre-image earlier.  Before
+    taking the pre-image of a frontier ``F[i]``, it asks whether the
+    state has a step_pred step into ``F[i]``: step_pred and δ
+    specialized to the state (``_SymbolicModel.at_state``, once per
+    search) and ``F[i]`` composed through that δ read only inputs and
+    cuts, so the question costs a tiny diagram, where the pre-image is
+    the largest of the search.  A step exists exactly when the state is
+    in ``ring[i] ∨ pre(F[i])``, the next ring, so the search stops where
+    it would without the test.  A frontier of fewer than
+    ``bdd.SMALL_DIAGRAM_NODES`` nodes is not tested: its pre-image is
+    cheap, and on small models the tests cost more kernel calls than the
+    pre-images they save.  Only ``check_safety`` asks for the test; the
+    stem searches of ``_fair_lasso`` either never reach the initial state
+    or take their rings from the cache, so there it saves nothing.
 
     Each pre-image is taken of the frontier ``F[i] =
     frontier(ring[i], ring[i-1])`` (``bdd.frontier``: the ring
@@ -218,21 +277,36 @@ def _rings(sm: _SymbolicModel, target: BddRef, step_pred: BddRef,
     """
     rings = [target]
     fronts: list[BddRef] = []
-    while until is None or not sm.contains(rings[-1], until):
-        front = frontier(rings[-1], rings[-2]) if len(rings) > 1 \
-            else rings[-1]
+    at_until = None  # step_pred and δ at until, made for the first test
+    while True:
+        if until is not None and sm.contains(rings[-1], until):
+            return _Rings(rings, fronts, len(rings) - 1)
+        if len(rings) > 1:
+            front, size = sized_frontier(rings[-1], rings[-2])
+        else:
+            front = rings[-1]
+            size = front.dag_size() if one_step else 0
         fronts.append(front)
+        if one_step and size >= SMALL_DIAGRAM_NODES:
+            if at_until is None:
+                at_until = sm.at_state(until, step_pred)
+            pred, delta = at_until
+            first_step = pred & front.compose(delta)
+            if not first_step.is_false:
+                return _Rings(rings, fronts, len(rings), first_step)
         nxt = rings[-1] | sm.pre_exists(front, step_pred)
         if nxt == rings[-1]:
-            break
+            return _Rings(rings, fronts, None)
         rings.append(nxt)
-    return rings, fronts
 
 
-def _walk_to_ring0(sm: _SymbolicModel, rings: list[BddRef],
-                   fronts: list[BddRef], state: tuple[bool, ...],
-                   step_pred: BddRef, steps: list):
+def _walk_to_ring0(sm: _SymbolicModel, search: _Rings,
+                   state: tuple[bool, ...], step_pred: BddRef, steps: list,
+                   level: int | None = None):
     """Drive the state into rings[0]; appends steps, returns the new state.
+
+    ``level`` is the first ring holding the state, or ``search.found``
+    for the state ``_rings`` searched for; it is computed when None.
 
     A state first in ring ``l`` moves into the frontier ``F[l-1]``,
     which ``_rings`` built already, not into the full ring ``l-1``.
@@ -241,11 +315,28 @@ def _walk_to_ring0(sm: _SymbolicModel, rings: list[BddRef],
     step_pred-successors lies in ``ring[l-2]``, and outside
     ``ring[l-2]`` the frontier agrees with ``ring[l-1]``.  So
     ``pick_input`` makes the same choices and the trace is the same.
+
+    A state that ``_rings`` found by its one-step test, with a step into
+    the last frontier ``F`` (``level == len(rings)``; only
+    ``check_safety`` asks for the test, and only on frontiers of
+    ``bdd.SMALL_DIAGRAM_NODES`` nodes or more, so a stem walk never
+    starts there), takes its first step from ``search.first_step``.
+    That predicate is ``state_cube ∧ step_pred ∧ F∘δ`` with the state's
+    latches substituted, and the inputs sit above the latches, so
+    ``pick_input`` chooses the same inputs from it as from ``step_pred
+    ∧ F∘δ``.  The later steps compose frontiers that the search
+    composed already, from the cache.
     """
-    level = next(i for i in range(len(rings)) if sm.contains(rings[i], state))
+    rings, fronts = search.rings, search.fronts
+    if level is None:
+        level = next(i for i in range(len(rings))
+                     if sm.contains(rings[i], state))
     while level > 0:
-        moved = fronts[level - 1].compose(sm.delta)
-        inputs = sm.pick_input(state, step_pred & moved)
+        if level == len(rings):
+            pred = search.first_step
+        else:
+            pred = step_pred & fronts[level - 1].compose(sm.delta)
+        inputs = sm.pick_input(state, pred)
         steps.append((inputs, state))
         state = sm.step(state, inputs)
         level -= 1
@@ -298,17 +389,31 @@ def check_safety(doc: AigerDoc | _SymbolicModel) -> CheckResult:
     comments, and when W proves safety (``_block_proves_safety``) no
     search runs.  Otherwise the backward rings stop at the first one
     holding the initial state; the counterexample walks down from that
-    ring, so it is a shortest one and needs no ring beyond it.
+    ring, so it is a shortest one and needs no ring beyond it.  That
+    last ring is not built either: before each pre-image of a frontier
+    of ``bdd.SMALL_DIAGRAM_NODES`` nodes or more, the search asks
+    whether the initial state has a step into the frontier, with step
+    predicate and δ specialized to that state (``_rings``), and the
+    counterexample's first step takes its inputs from that test.
+    Smaller frontiers take their pre-images untested, and the justice
+    checks' stem searches never test: there the test costs more than it
+    saves.  At debug level the search logs the rings it built, the
+    pre-images it took and whether the one-step test stopped it.
     """
     sm = _model(doc)
     if _block_proves_safety(sm):
         return CheckResult(holds=True)
     violate_now = sm.now_exists(sm.inv & sm.bad)
-    rings, fronts = _rings(sm, violate_now, sm.inv, sm.init_state)
-    if not sm.contains(rings[-1], sm.init_state):
+    search = _rings(sm, violate_now, sm.inv, sm.init_state, one_step=True)
+    stepped = search.found == len(search.rings)
+    log.debug("check_safety: %d rings, %d pre-images, one-step stop: %s",
+              len(search.rings), len(search.fronts) - stepped,
+              "yes" if stepped else "no")
+    if search.found is None:
         return CheckResult(holds=True)
     steps: list = []
-    state = _walk_to_ring0(sm, rings, fronts, sm.init_state, sm.inv, steps)
+    state = _walk_to_ring0(sm, search, sm.init_state, sm.inv, steps,
+                           search.found)
     inputs = sm.pick_input(state, sm.inv & sm.bad)
     steps.append((inputs, state))
     return CheckResult(holds=False, trace=sm.make_trace(steps))
@@ -334,24 +439,24 @@ def _fair_lasso(sm: _SymbolicModel, loop_step: BddRef,
     """
     recur = sm.mgr.true
     while True:
-        loop, loop_fronts = _rings(sm, recur, loop_step)
-        stem, stem_fronts = _rings(sm, recur, sm.inv, sm.init_state)
-        if not sm.contains(stem[-1], sm.init_state):
+        loop = _rings(sm, recur, loop_step)
+        stem = _rings(sm, recur, sm.inv, sm.init_state)
+        if stem.found is None:
             return None
-        nxt = sm.pre_exists(loop[-1], fair_step)
+        nxt = sm.pre_exists(loop.rings[-1], fair_step)
         if nxt == recur:
             break
         recur = nxt
     steps: list = []
-    state = _walk_to_ring0(sm, stem, stem_fronts, sm.init_state, sm.inv,
-                           steps)
+    state = _walk_to_ring0(sm, stem, sm.init_state, sm.inv, steps, stem.found)
     seen: dict[tuple[bool, ...], int] = {}
     while state not in seen:
         seen[state] = len(steps)
-        inputs = sm.pick_input(state, fair_step & loop[-1].compose(sm.delta))
+        inputs = sm.pick_input(state,
+                               fair_step & loop.rings[-1].compose(sm.delta))
         steps.append((inputs, state))
-        state = _walk_to_ring0(sm, loop, loop_fronts, sm.step(state, inputs),
-                               loop_step, steps)
+        state = _walk_to_ring0(sm, loop, sm.step(state, inputs), loop_step,
+                               steps)
     return sm.make_trace(steps, loop_start=seen[state])
 
 

@@ -1,25 +1,27 @@
 """Model checker verdicts, trace validity, and the explicit oracle."""
 
+import logging
 from itertools import product
 from pathlib import Path
 
 import pytest
 
-from aigsynt.aiger import AigerDoc, evaluate_vars, values_lit, write_aiger
+from aigsynt.aiger import AigerDoc, Simulator, evaluate_vars, values_lit, \
+    write_aiger
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import WINNING_BLOCK, build_game, read_winning_block, \
     solve, synthesize, winning_block
 from aigsynt.mc import (
-    McError, _SymbolicModel, _block_proves_safety, _cut_vars, _rings,
+    McError, _Rings, _SymbolicModel, _block_proves_safety, _cut_vars, _rings,
     _walk_to_ring0, check_justice_universal, check_safety, find_fair_trace,
 )
 from aigsynt.oracle import solve_explicit
-from aigsynt.transforms import reverse_justice
+from aigsynt.transforms import justice_to_safety, reverse_justice
 
 from helpers import (
     enumerate_lasso_fg_not_just, random_game_doc, with_random_outputs,
 )
-from test_game import doc_with
+from test_game import benchmark_doc, doc_with
 from test_transforms import closed_doc
 
 
@@ -264,7 +266,7 @@ def test_frontiers_give_the_rings_and_the_walks_of_full_rings():
         quiet = sm.inv & ~sm.just
         for target, step in ((sm.now_exists(sm.inv & sm.bad), sm.inv),
                              (sm.now_exists(quiet & sm.bad), quiet)):
-            rings, _ = _rings(sm, target, step)
+            rings = _rings(sm, target, step).rings
             fronts = [rings[0]] + [rings[i].restrict(~rings[i - 1])
                                    for i in range(1, len(rings))]
             differ += sum(f != r for f, r in zip(fronts, rings))
@@ -275,12 +277,131 @@ def test_frontiers_give_the_rings_and_the_walks_of_full_rings():
                 if not sm.contains(rings[-1], state):
                     continue
                 full, frontier = [], []
-                end = _walk_to_ring0(sm, rings, rings, state, step, full)
-                assert _walk_to_ring0(sm, rings, fronts, state, step,
-                                      frontier) == end
+                end = _walk_to_ring0(sm, _Rings(rings, rings, None), state,
+                                     step, full)
+                assert _walk_to_ring0(sm, _Rings(rings, fronts, None), state,
+                                      step, frontier) == end
                 assert frontier == full, seed
                 walked += len(full)
     assert walked >= 300 and differ >= 20
+
+
+def _safety_walk_over_full_rings(sm):
+    """``check_safety``'s trace as a walk over the full rings, taken to
+    their fixpoint with no stop rule, each ring its own frontier; and
+    the first ring holding the initial state."""
+    full = _rings(sm, sm.now_exists(sm.inv & sm.bad), sm.inv).rings
+    level = next(i for i, ring in enumerate(full)
+                 if sm.contains(ring, sm.init_state))
+    steps = []
+    state = _walk_to_ring0(sm, _Rings(full, full, None), sm.init_state,
+                           sm.inv, steps)
+    steps.append((sm.pick_input(state, sm.inv & sm.bad), state))
+    return sm.make_trace(steps), level
+
+
+def test_check_safety_tests_the_last_ring_without_building_it(
+        tmp_path, monkeypatch, caplog):
+    """On the stress4 windows and game, ``check_safety`` stops one
+    pre-image before the first ring holding the initial state: it finds
+    a step from that state into the frontier below.  Its trace is the
+    walk over full rings, and it replays on ``Simulator``."""
+    game = benchmark_doc("stress4", tmp_path, monkeypatch)
+    calls = []
+    original = _SymbolicModel.pre_exists
+
+    def counting(self, region, step_pred):
+        calls.append(region)
+        return original(self, region, step_pred)
+
+    for doc in [justice_to_safety(game, k) for k in range(1, 5)] + [game]:
+        sm = _SymbolicModel(doc)
+        reference, level = _safety_walk_over_full_rings(sm)
+        calls.clear()
+        caplog.clear()
+        with monkeypatch.context() as m, \
+                caplog.at_level(logging.DEBUG, logger="aigsynt.mc"):
+            m.setattr(_SymbolicModel, "pre_exists", counting)
+            result = check_safety(_SymbolicModel(doc))
+        # stopping at the first ring holding the state takes two
+        assert level == 2 and len(calls) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            "check_safety: 2 rings, 1 pre-images, one-step stop: yes"]
+        assert not result.holds
+        assert result.trace.render() == reference.render()
+        bad_lits, constraint_lits, _ = doc.checked_lits()
+        sim = Simulator(doc)
+        for i, (inputs, latches) in enumerate(result.trace.steps):
+            assert tuple(sim.latch_values) == latches
+            values = sim.step(list(inputs))
+            assert all(values_lit(values, lit) for lit in constraint_lits)
+            last = i == len(result.trace.steps) - 1
+            assert any(values_lit(values, lit) for lit in bad_lits) == last
+
+
+def test_check_safety_logs_its_search_at_debug_level(caplog, monkeypatch):
+    """One line per search: its rings, the pre-images it took (counted
+    here) and whether the one-step test stopped it, which on these
+    small rings it never does.  A proof by the winning-region block
+    searches nothing and logs nothing."""
+    calls = []
+    original = _SymbolicModel.pre_exists
+    monkeypatch.setattr(_SymbolicModel, "pre_exists", lambda self, *args:
+                        calls.append(args) or original(self, *args))
+    for seed in range(20):
+        doc = random_game_doc(seed + 1500, n_latches=3 + seed % 4)
+        sm = _SymbolicModel(doc)
+        rings = _rings(sm, sm.now_exists(sm.inv & sm.bad), sm.inv,
+                       sm.init_state).rings
+        calls.clear()
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="aigsynt.mc"):
+            check_safety(sm)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"check_safety: {len(rings)} rings, {len(calls)} pre-images, "
+            "one-step stop: no"], seed
+    doc = doc_with()
+    sm = _SymbolicModel(doc)
+    doc.comments += winning_block(sm, sm.mgr.true)
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="aigsynt.mc"):
+        assert check_safety(doc).holds
+    assert not caplog.records
+
+
+def test_state_specialized_step_agrees_with_the_full_step():
+    """From every state reachable in up to three steps, into every
+    frontier of the safety rings: step_pred and δ specialized to the
+    state (``at_state``) give an empty step exactly when ``step_pred ∧
+    F∘δ`` is empty at that state, and ``pick_input`` chooses the same
+    inputs from both."""
+    compared = stepped = 0
+    for seed in range(60):
+        doc = with_random_outputs(
+            random_game_doc(seed + 1600, n_latches=4 + seed % 4, n_c=1), seed)
+        sm = _SymbolicModel(doc)
+        rings = _rings(sm, sm.now_exists(sm.inv & sm.bad), sm.inv).rings
+        fronts = set(rings) | {rings[i].restrict(~rings[i - 1])
+                               for i in range(1, len(rings))}
+        layer = seen = {sm.init_state}
+        for _ in range(3):
+            layer = {sm.step(state, inputs) for state in layer
+                     for inputs in product((False, True),
+                                           repeat=len(doc.inputs))} - seen
+            seen = seen | layer
+        for state in seen:
+            pred, delta = sm.at_state(state, sm.inv)
+            for front in fronts:
+                special = pred & front.compose(delta)
+                full = sm.inv & front.compose(sm.delta)
+                assert special.is_false == \
+                    (sm.state_cube(state) & full).is_false, seed
+                if not special.is_false:
+                    assert sm.pick_input(state, special) == \
+                        sm.pick_input(state, full), seed
+                    stepped += 1
+                compared += 1
+    assert compared >= 1000 and stepped >= 500
 
 
 def test_trace_render_format():
