@@ -95,7 +95,8 @@ class Aig:
         if var in self._ands:
             raise AigError(f"AND node {var} defined twice")
         self._ands[var] = (rhs0, rhs1)
-        self.declare_var(var)
+        if var > self.max_var:  # declare_var, inlined: it runs per gate read
+            self.max_var = var
         self._hash.setdefault((rhs0, rhs1), 2 * var)
 
     def and_(self, a: int, b: int) -> int:
@@ -449,9 +450,31 @@ def write_aiger(doc: AigerDoc) -> str:
     return "\n".join(lines) + "\n"
 
 
+def read_number(tok: str) -> int:
+    """The number a token of ASCII digits states.
+
+    A leading ``-`` is read too, so that a negative count or literal is
+    reported as out of range; any other token, one with a ``+``, an
+    underscore, a non-ASCII digit or space in it among them, raises
+    ``ValueError`` with ``int``'s message.
+    """
+    digits = tok[1:] if tok[:1] == "-" else tok
+    if not (digits.isdigit() and digits.isascii()):
+        raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
+    return int(tok)
+
+
+def _plain(lines: list[str]) -> bool:
+    """No line holds a ``+``, an underscore or a non-ASCII character,
+    the characters ``int`` reads in a number and ``read_number`` does
+    not."""
+    text = "\n".join(lines)
+    return text.isascii() and "+" not in text and "_" not in text
+
+
 def _parse_lit(tok: str, what: str, max_lit: int) -> int:
     try:
-        lit = int(tok)
+        lit = read_number(tok)
     except ValueError:
         raise AigError(f"{what}: not a literal: {tok!r}") from None
     if lit < 0 or lit > max_lit:
@@ -496,8 +519,12 @@ def read_aiger(text: str) -> AigerDoc:
     Each line is converted and range-checked inline.  A line failing
     that check is parsed again by the ``_parse_*`` helpers, which check
     its tokens in order and raise the first fault; they are the
-    reference for what a valid line is.  A truncated section raises
-    after the lines it does have are read, so an earlier fault wins.
+    reference for what a valid line is.  A number is ASCII digits
+    (``read_number``); ``int``, which converts inline, reads more, so
+    each run of lines it converts is first checked in one piece
+    (``_plain``), and a run that may hold such a token goes to the
+    helpers whole.  A truncated section raises after the lines it does
+    have are read, so an earlier fault wins.
     """
     lines = text.splitlines()
     n_lines = len(lines)
@@ -511,6 +538,11 @@ def read_aiger(text: str) -> AigerDoc:
         raise AigError(f"malformed header: expected 5 to 9 counts, got {len(fields)}")
     try:
         nums = [int(f) for f in fields]
+        # int() reads more than read_number does, so the header and the
+        # lines converted inline below are checked in one piece
+        plain = _plain(lines[:1 + sum(nums[1:4]) + sum(nums[5:8])])
+        if not plain:
+            nums = [read_number(f) for f in fields]
     except ValueError as exc:
         raise AigError(f"malformed header: {exc}") from None
     if any(n < 0 for n in nums):
@@ -526,6 +558,9 @@ def read_aiger(text: str) -> AigerDoc:
     doc.aig.declare_var(m)
     max_lit = 2 * m + 1
     pos = 1
+    # where a run of lines is not plain, fast_max fails every inline
+    # range check in it, and the helpers read each line
+    fast_max = max_lit if plain else -1
 
     end = pos + ni
     for i, line in enumerate(lines[pos:end]):
@@ -533,7 +568,7 @@ def read_aiger(text: str) -> AigerDoc:
             lit = int(line)
         except ValueError:
             lit = 0
-        if lit & 1 or not 0 < lit <= max_lit:
+        if lit & 1 or not 0 < lit <= fast_max:
             lit = _parse_defining_lit(line.strip(), f"input {i}", max_lit)
         doc.inputs.append((lit, None))
     if end > n_lines:
@@ -545,7 +580,7 @@ def read_aiger(text: str) -> AigerDoc:
         parts = line.split()
         try:
             lit, nxt = map(int, parts)
-            valid = not lit & 1 and 0 < lit <= max_lit and 0 <= nxt <= max_lit
+            valid = not lit & 1 and 0 < lit <= fast_max and 0 <= nxt <= max_lit
         except ValueError:
             valid = False
         if not valid:
@@ -564,7 +599,7 @@ def read_aiger(text: str) -> AigerDoc:
                 lit = int(line)
             except ValueError:
                 lit = -1
-            if not 0 <= lit <= max_lit:
+            if not 0 <= lit <= fast_max:
                 lit = _parse_lit(line.strip(), f"{what} {i}", max_lit)
             entries.append((lit, None))
         if end > n_lines:
@@ -576,7 +611,7 @@ def read_aiger(text: str) -> AigerDoc:
         if pos >= n_lines:
             raise _truncated("justice sizes")
         try:
-            size = int(lines[pos])
+            size = read_number(lines[pos].strip())
         except ValueError:
             size = -1
         if size < 0:
@@ -593,12 +628,13 @@ def read_aiger(text: str) -> AigerDoc:
         doc.justice.append((group, None))
 
     end = pos + na
+    fast_max = max_lit if _plain(lines[pos:end]) else -1
     add_and = doc.aig.add_and_raw
     for i, line in enumerate(lines[pos:end]):
         parts = line.split()
         try:
             lhs, rhs0, rhs1 = map(int, parts)
-            valid = not lhs & 1 and 0 < lhs <= max_lit and \
+            valid = not lhs & 1 and 0 < lhs <= fast_max and \
                 0 <= rhs0 <= max_lit and 0 <= rhs1 <= max_lit
         except ValueError:
             valid = False
@@ -611,6 +647,7 @@ def read_aiger(text: str) -> AigerDoc:
 
     sections = {"i": doc.inputs, "l": doc.latches, "o": doc.outputs,
                 "b": doc.bad, "c": doc.constraints, "j": doc.justice}
+    ascii_text = text.isascii()  # then isdigit() means ASCII digits
     for k in range(pos, n_lines):
         line = lines[k]
         if line == "c":
@@ -622,8 +659,10 @@ def read_aiger(text: str) -> AigerDoc:
         sep = line.find(" ", 1)
         if sep < 2:
             raise AigError(f"malformed symbol entry: {line!r}")
+        tok = line[1:sep]
         try:
-            idx = int(line[1:sep])
+            idx = int(tok) if tok.isdigit() and ascii_text \
+                else read_number(tok)
         except ValueError:
             raise AigError(f"malformed symbol entry: {line!r}") from None
         if idx < 0 or idx >= len(entries):

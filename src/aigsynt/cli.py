@@ -77,7 +77,12 @@ def read_input(path: str | Path) -> str:
 
 
 def build_spec_doc(spec_path: Path) -> AigerDoc:
-    """Frontend plus monitor compilation for one specification file."""
+    """Frontend plus monitor compilation for one specification file.
+
+    An automaton that cannot be read, validated or turned into a monitor
+    raises ``AutomatonError`` prefixed with its entry's path and the
+    line of the specification that lists it.
+    """
     spec = parse_smv(read_input(spec_path))
     resolved = resolve(spec)
     model = flatten(resolved)
@@ -87,9 +92,14 @@ def build_spec_doc(spec_path: Path) -> AigerDoc:
                                  ("env", spec.main.env_automata, "assumption")):
         for ref in refs:
             text = read_input(base / ref.path)
-            automaton = parse_gff(text)
-            validated = validate_for_role(automaton, role, negated=ref.negated)
-            monitors[role_key].append(to_monitor(validated))
+            try:
+                validated = validate_for_role(parse_gff(text), role,
+                                              negated=ref.negated)
+                monitor = to_monitor(validated)
+            except AutomatonError as exc:
+                raise AutomatonError(f"{ref.path} (spec line {ref.line}): "
+                                     f"{exc}") from None
+            monitors[role_key].append(monitor)
     return compile_model(model, monitors["sys"], monitors["env"])
 
 

@@ -23,6 +23,11 @@ the quantified inputs on top, that strips the top of each diagram and
 keeps the latch functions below it shared, where a latches-first order
 rebuilds every diagram down to its input levels.
 
+The solver's path is ``solve`` → ``move_relation`` → ``extract_strategy``.
+Each μY pass of ``solve`` is kept on the game until the next one
+(``_mu_steps``); the last is the pass over the winning region, and
+``move_relation`` reads its layers, so extraction runs no pass.
+
 ``synthesize`` writes the winning region W into the model it returns,
 as a block at the end of the AIGER comments: ``winning_block`` writes
 it and ``read_winning_block`` reads it, side by side below, and the
@@ -42,7 +47,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .aiger import AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, \
-    is_controllable, lit_var, sweep
+    is_controllable, lit_var, read_number, sweep
 from .bdd import BddManager, BddRef, Substitution, frontier, postorder, \
     sift
 
@@ -114,6 +119,8 @@ class Encoding:
 
     ``bad``, ``inv`` and ``just`` read ``doc.checked_lits()``; without
     a justice literal ``just`` is true, as the game reads it.
+    ``_last_pass`` is the solver's one slot: the μY pass ``_mu_steps``
+    ran last, None before the first.
     """
 
     def __init__(self, doc: AigerDoc, cut_vars: Sequence[int] = (),
@@ -122,11 +129,10 @@ class Encoding:
         self.mgr = mgr = BddManager()
         refs: dict[int, BddRef] = {0: mgr.false}  # AIG literal -> variable
         controllable = [is_controllable(name) for _, name in doc.inputs]
-        input_names = doc.input_names()
         self.input_levels = [0] * len(doc.inputs)  # in doc.inputs order
         # a stable sort keeps document order within each group
         for i in sorted(range(len(doc.inputs)), key=controllable.__getitem__):
-            refs[doc.inputs[i][0]] = ref = mgr.add_var(input_names[i])
+            refs[doc.inputs[i][0]] = ref = mgr.add_var()
             self.input_levels[i] = ref.level
         self.u_levels = [lvl for lvl, c in zip(self.input_levels, controllable)
                          if not c]
@@ -134,11 +140,11 @@ class Encoding:
                          if c]
         self.quantified = list(self.input_levels)
         for var in cut_vars:
-            refs[2 * var] = ref = mgr.add_var(f"cut{var}")
+            refs[2 * var] = ref = mgr.add_var()
             self.quantified.append(ref.level)
         self.latch_levels = []  # in doc.latches order
-        for (lit, _, _), label in zip(doc.latches, doc.latch_names()):
-            refs[lit] = ref = mgr.add_var(label)
+        for lit, _, _ in doc.latches:
+            refs[lit] = ref = mgr.add_var()
             self.latch_levels.append(ref.level)
 
         # gates as node ids: a handle per gate is slower on large circuits
@@ -176,10 +182,8 @@ class Encoding:
             inv = inv & BddRef(mgr, node(lit))
         self.just = mgr.true if jlit is None else BddRef(mgr, node(jlit))
         self.inv = inv & define
-        # the solver's compositions through δ (see ``_mu_steps``): just∘δ,
-        # made on first use, and (Z, Z∘δ) of the last pass's fixpoint Z
-        self._just_moved: BddRef | None = None
-        self._handed: tuple[BddRef, BddRef] | None = None
+        # (z, steps) of the last μY pass
+        self._last_pass: tuple[BddRef, list[_Step]] | None = None
 
 
 def build_game(doc: AigerDoc) -> Encoding:
@@ -230,16 +234,14 @@ def solve(game: Encoding) -> BddRef:
     Greatest fixpoint over Z of the least fixpoint over Y of
     cpre((just and Z) or Y); each pass over Z is ``mu_levels(game, z)``.
     With a trivial justice literal this degenerates to the pure safety
-    fixpoint.  No pass composes its core ``just ∧ Z`` through δ whole:
-    its composition is ``just∘δ ∧ Z∘δ``, and ``Z∘δ`` is the ∨ of the
-    frontier compositions ``D_i∘δ`` (i ≥ 1) that the pass which found Z
-    made and handed on (``_mu_steps``).  The last pass leaves the one of
-    the region returned on the game, where ``move_relation`` reads it.
-    At debug level each pass logs its μY iteration count, the node
-    count, the node count of the composition it hands on, the sizes of
+    fixpoint.  Each pass is kept on the game until the next one
+    (``_mu_steps``): the next pass folds ``Z∘δ`` from the kept frontier
+    compositions, and the last one, the pass over the region returned,
+    holds the layers ``move_relation`` ranks moves by.  At debug level
+    each pass logs its μY iteration count, the node count, the sizes of
     the young and old ``ite`` caches, and how many μY steps took a
     restricted frontier, with the node counts of those frontiers against
-    those of their levels.
+    those of their levels, all read off the kept pass.
     """
     mgr = game.mgr
     z = mgr.true
@@ -247,16 +249,12 @@ def solve(game: Encoding) -> BddRef:
         levels = mu_levels(game, z)
         if log.isEnabledFor(logging.DEBUG):
             young, old = mgr.ite_cache_sizes
-            sizes = []  # of the restricted frontiers and their levels
-            for inner, ring in zip(levels, levels[1:]):
-                front = frontier(ring, inner)  # mu_levels's, from caches
-                if front != ring:
-                    sizes.append((front.dag_size(), ring.dag_size()))
-            log.debug("solve pass %d: %d mu iterations, %d nodes, %d nodes "
-                      "handed on, ite cache %d young / %d old, %d restricted "
-                      "frontiers of %d nodes against %d in their levels", i,
-                      len(levels), mgr.node_count,
-                      game._handed[1].dag_size(), young, old, len(sizes),
+            sizes = [(front.dag_size(), y.dag_size())
+                     for y, front, _ in game._last_pass[1][1:] if front != y]
+            log.debug("solve pass %d: %d mu iterations, %d nodes, ite cache "
+                      "%d young / %d old, %d restricted frontiers of %d nodes "
+                      "against %d in their levels", i, len(levels),
+                      mgr.node_count, young, old, len(sizes),
                       sum(f for f, _ in sizes), sum(y for _, y in sizes))
         y = levels[-1]
         if y == z:
@@ -264,68 +262,77 @@ def solve(game: Encoding) -> BddRef:
         z = y
 
 
-def _mu_steps(game: Encoding, z: BddRef):
+# one step of a μY pass: the iterate Y_i, its frontier D_i (None for D_0,
+# the core, which is never built) and D_i∘δ
+_Step = tuple[BddRef, "BddRef | None", BddRef]
+
+
+def _mu_steps(game: Encoding, z: BddRef) -> list[_Step]:
     """One pass of the least fixpoint of cpre((just and z) or Y).
 
-    Yields ``(Y_i, D_i∘δ)`` for each iterate, from ``Y_0`` empty up to
-    the fixpoint.  ``D_0`` is ``core = just ∧ z`` and ``D_{i+1}`` is
-    ``frontier(Y_{i+1}, Y_i)`` (``bdd.frontier``), the states the step
-    added, so ``M_i = D_0∘δ ∨ … ∨ D_i∘δ`` is ``(core ∨ Y_i)∘δ``.  The
-    pass keeps the escape ``E_i`` of ``core ∨ Y_i`` (see ``cpre``) and
-    grows it as ``E_{i+1} = E_i ∨ ∃C (¬bad ∧ D_{i+1}∘δ)``.  Step 0 is
-    ``Y_1 = cpre(game, ∅, E_0)``, and step i ≥ 1 the one call ``Y_{i+1}
-    = cpre(game, D_i, E_{i-1})``; each is ``cpre(core ∨ Y_i)``.  This is
-    exact: ``Y_i ⊆ Y_{i+1}`` and ``D_{i+1}`` lies between ``Y_{i+1} ∧
-    ¬Y_i`` and ``Y_{i+1}``, so ``core ∨ Y_i ∨ D_{i+1}`` is ``core ∨
-    Y_{i+1}``, and composition and ∃ distribute over ∨.  Every iterate
-    is the same function, hence the same node, as with whole targets.
+    Returns the steps ``(Y_i, D_i, D_i∘δ)`` of the iterates, from ``Y_0``
+    empty up to the fixpoint, and keeps them with z on the game in
+    ``_last_pass``, replacing the pass before.  ``D_0`` is ``core = just
+    ∧ z`` and ``D_{i+1}`` is ``frontier(Y_{i+1}, Y_i)`` (``bdd.frontier``),
+    the states the step added, so ``M_i = D_0∘δ ∨ … ∨ D_i∘δ`` is ``(core
+    ∨ Y_i)∘δ``.  The pass keeps the escape ``E_i`` of ``core ∨ Y_i`` (see
+    ``cpre``) and grows it as ``E_{i+1} = E_i ∨ ∃C (¬bad ∧ D_{i+1}∘δ)``.
+    Step 0 is ``Y_1 = cpre(game, ∅, E_0)``, and step i ≥ 1 the one call
+    ``Y_{i+1} = cpre(game, D_i, E_{i-1})``; each is ``cpre(core ∨ Y_i)``.
+    This is exact: ``Y_i ⊆ Y_{i+1}`` and ``D_{i+1}`` lies between
+    ``Y_{i+1} ∧ ¬Y_i`` and ``Y_{i+1}``, so ``core ∨ Y_i ∨ D_{i+1}`` is
+    ``core ∨ Y_{i+1}``, and composition and ∃ distribute over ∨.  Every
+    iterate is the same function, hence the same node, as with whole
+    targets.
 
-    The core itself is never composed.  Composition distributes over ∧
-    and ∨ too, so ``D_0∘δ = just∘δ ∧ z∘δ``, with ``just∘δ`` made once per
-    game, and a pass whose fixpoint is ``Y_n`` has ``Y_n∘δ = D_1∘δ ∨ … ∨
-    D_n∘δ``: with ``Y_0 = ∅`` those frontiers cover ``Y_n`` exactly.
-    The pass grows that ∨ and hands ``(Y_n, Y_n∘δ)`` on in the game; the
-    next pass reads it when its z is that ``Y_n``, and composes any other
-    z directly.
+    The core itself is never built or composed.  Composition distributes
+    over ∧ and ∨ too, so ``D_0∘δ = just∘δ ∧ z∘δ``; ``just∘δ`` is made by
+    the first pass and read from the manager's compose cache after it.
+    A pass whose fixpoint is ``Y_n`` has ``Y_n∘δ = D_1∘δ ∨ … ∨ D_n∘δ``:
+    with ``Y_0 = ∅`` those frontiers cover ``Y_n`` exactly.  So when z is
+    the kept pass's fixpoint, ``z∘δ`` is that ∨ of the kept pass's
+    compositions, folded once, left to right; any other z is composed
+    directly.
 
     The pass first ages the manager's ``ite`` cache
     (``BddManager.age``): a pass reads mostly what the pass before it
     made, so an entry that neither made nor read is dropped.
     """
-    game.mgr.age()
-    if game._just_moved is None:
-        game._just_moved = game.just.compose(game.delta)
-    handed = game._handed
-    z_moved = handed[1] if handed is not None and handed[0] == z \
-        else z.compose(game.delta)
-    y = reached = game.mgr.false
-    moved = game._just_moved & z_moved  # D_0∘δ
+    mgr = game.mgr
+    mgr.age()
+    _, kept = game._last_pass or (None, ())
+    if kept and kept[-1][0] == z:
+        z_moved = mgr.false
+        for _, _, moved in kept[1:]:
+            z_moved = z_moved | moved
+    else:
+        z_moved = z.compose(game.delta)
+    y = mgr.false
+    moved = game.just.compose(game.delta) & z_moved  # D_0∘δ
+    steps: list[_Step] = [(y, None, moved)]
     escape = _escape(game, moved)  # E_0, of core ∨ Y_0 = core
-    yield y, moved
     nxt = cpre(game, y, escape)  # step 0: the target ∅ adds nothing to E_0
     while nxt != y:
         y, target = nxt, frontier(nxt, y)
         moved = target.compose(game.delta)
-        reached = reached | moved
-        yield y, moved
+        steps.append((y, target, moved))
         nxt = cpre(game, target, escape)
         escape = _escape(game, moved, escape)  # the one cpre just built
-    game._handed = y, reached
+    game._last_pass = z, steps
+    return steps
 
 
 def mu_levels(game: Encoding, z: BddRef) -> list[BddRef]:
     """Iterates of the least fixpoint of cpre((just and z) or Y).
 
-    The list runs from empty up to the fixpoint.  At the winning region
-    these are the attractor layers ``move_relation`` ranks moves by.
+    The list runs from empty up to the fixpoint; z may be any state set.
     Each step composes and ∃C-quantifies only the states the step before
     it added, its frontier, and grows the escape of the last step by
-    them (``_mu_steps``); ∀U runs on the whole escape.  The core's
-    composition is ``just∘δ ∧ z∘δ``, with ``z∘δ`` the one the pass that
-    found z handed on, or composed directly for any other z.  The pass
-    ages the manager's ``ite`` cache first.
+    them.  The pass is kept on the game (``_mu_steps``): at the winning
+    region its layers are the ones ``move_relation`` ranks moves by.
+    The pass ages the manager's ``ite`` cache first.
     """
-    return [y for y, _ in _mu_steps(game, z)]
+    return [y for y, _, _ in _mu_steps(game, z)]
 
 
 def is_realizable(game: Encoding, winning: BddRef) -> bool:
@@ -342,26 +349,24 @@ def move_relation(game: Encoding, winning: BddRef) -> BddRef:
 
     From states in the i+1st attractor level difference the system
     moves into (just and W) or the ith level; discharged steps (inv
-    false now) are always allowed.  The layers are those of the last
-    pass of ``solve``, re-run from cache hits; ``winning`` must be the
-    region ``solve`` returned.
+    false now) are always allowed.  The layers are those of the pass
+    kept on the game (``_mu_steps``), which must be a pass over
+    ``winning`` that reproduced it: after ``solve``, its last pass.
+    Nothing is re-run; any other kept pass raises ``GameError``.
 
-    With the pass's steps ``(Y_j, D_j∘δ)`` (``_mu_steps``) and ``Y_n =
-    W``, the ranked moves are ``∨_{i=1..n} (Y_i ∧ ¬Y_{i-1} ∧ M_{i-1})``
-    with ``M_i = (core ∨ Y_i)∘δ = D_0∘δ ∨ … ∨ D_i∘δ``.  Gathered by
-    frontier, that is ``∨_{j<n} (W ∧ ¬Y_j ∧ D_j∘δ)``, and since the
-    ``¬Y_j`` shrink as j grows it is built in Horner form from the last
-    layer down: ``R_n = ∅`` and ``R_j = (W ∧ ¬Y_j) ∧ (D_j∘δ ∨
-    R_{j+1})``, so no ``M_i`` is built.  ``D_0∘δ``, the core's, is
-    ``just∘δ ∧ W∘δ``, with ``W∘δ`` the ∨ of the frontier compositions of
-    ``solve``'s last pass, which that pass left on the game; neither the
-    core nor W is composed whole.
+    With the pass's steps ``(Y_j, D_j, D_j∘δ)`` and ``Y_n = W``, the
+    ranked moves are ``∨_{i=1..n} (Y_i ∧ ¬Y_{i-1} ∧ M_{i-1})`` with
+    ``M_i = (core ∨ Y_i)∘δ = D_0∘δ ∨ … ∨ D_i∘δ``.  Gathered by frontier,
+    that is ``∨_{j<n} (W ∧ ¬Y_j ∧ D_j∘δ)``, and since the ``¬Y_j`` shrink
+    as j grows it is built in Horner form from the last layer down:
+    ``R_n = ∅`` and ``R_j = (W ∧ ¬Y_j) ∧ (D_j∘δ ∨ R_{j+1})``, so no
+    ``M_i`` is built, and neither the core nor W is composed whole.
     """
-    steps = list(_mu_steps(game, winning))
-    if steps[-1][0] != winning:
-        raise GameError("attractor iteration did not reproduce the region")
+    kept_z, kept = game._last_pass or (None, ())
+    if kept_z != winning or kept[-1][0] != winning:
+        raise GameError("the last μY pass did not reproduce the region")
     rank_ok = game.mgr.false
-    for y, moved in reversed(steps[:-1]):
+    for y, _, moved in reversed(kept[:-1]):
         rank_ok = (winning & ~y) & (moved | rank_ok)
     return ~game.inv | (~game.bad & rank_ok)
 
@@ -562,7 +567,7 @@ def read_winning_block(enc: Encoding) -> BddRef | None:
     nodes = [mgr.false, mgr.true]
     for line in comments[start + 1:]:
         try:
-            latch, lo, hi = map(int, line.split(" "))
+            latch, lo, hi = map(read_number, line.split(" "))
         except ValueError:
             raise GameError(f"malformed node line {line!r}") from None
         if not (0 <= latch < n_latches and 0 <= lo < len(nodes)

@@ -436,6 +436,37 @@ MALFORMED = {
                               "symbol entry 'i-1 name' out of range"),
     "symbol_empty_section": ("aag 1 1 0 0 0\n2\nl0 name\n",
                              "symbol entry 'l0 name' out of range"),
+    # a number is ASCII digits: int() would read a sign, underscores and
+    # non-ASCII digits too; a leading '-' is read only to report a range
+    "header_plus_sign": (
+        "aag +1 1 0 0 0\n2\n",
+        "malformed header: invalid literal for int() with base 10: '+1'"),
+    "header_underscore": (
+        "aag 1_0 1 0 0 0\n2\n",
+        "malformed header: invalid literal for int() with base 10: '1_0'"),
+    "input_plus_sign": ("aag 1 1 0 0 0\n+2\n", "input 0: not a literal: '+2'"),
+    "input_underscore": ("aag 1 1 0 0 0\n0_2\n",
+                         "input 0: not a literal: '0_2'"),
+    "input_non_ascii_digit": ("aag 1 1 0 0 0\n\u0662\n",
+                              "input 0: not a literal: '\u0662'"),
+    "input_sign_before_range_fault": ("aag 2 2 0 0 0\n+2\n9\n",
+                                      "input 0: not a literal: '+2'"),
+    "latch_next_plus_sign": ("aag 1 0 1 0 0\n2 +2\n",
+                             "latch 0 next: not a literal: '+2'"),
+    "output_non_ascii_digit": ("aag 1 1 0 1 0\n2\n\u0663\n",
+                               "output 0: not a literal: '\u0663'"),
+    "justice_size_plus_sign": ("aag 1 1 0 0 0 0 0 1 0\n2\n+1\n2\n",
+                               "justice group 0: malformed size"),
+    "justice_underscore": ("aag 1 1 0 0 0 0 0 1 0\n2\n1\n0_2\n",
+                           "justice 0: not a literal: '0_2'"),
+    "and_operand_plus_sign": ("aag 3 2 0 0 1\n2\n4\n6 2 +4\n",
+                              "AND 0: not a literal: '+4'"),
+    "and_lhs_underscore": ("aag 3 2 0 0 1\n2\n4\n0_6 2 4\n",
+                           "AND 0: not a literal: '0_6'"),
+    "symbol_plus_sign_index": ("aag 1 1 0 0 0\n2\ni+0 name\n",
+                               "malformed symbol entry: 'i+0 name'"),
+    "symbol_non_ascii_index": ("aag 1 1 0 0 0\n2\ni\u0660 name\n",
+                               "malformed symbol entry: 'i\u0660 name'"),
 }
 
 

@@ -12,7 +12,7 @@ from aigsynt.bdd import BddError, BddManager, Substitution, frontier, \
 
 def fresh(n=5):
     mgr = BddManager()
-    refs = [mgr.add_var(f"v{i}") for i in range(n)]
+    refs = [mgr.add_var() for _ in range(n)]
     return mgr, refs
 
 
@@ -175,12 +175,12 @@ def shannon_compose(f, sub):
     mgr = f.mgr
     memo = {0: mgr.false, 1: mgr.true}
 
-    def go(g):
-        if g.node not in memo:
-            memo[g.node] = sub.get(g.level, mgr.var(g.level)).ite(
-                go(g.high), go(g.low))
-        return memo[g.node]
-    return go(f)
+    def go(n):
+        if n not in memo:
+            level, lo, hi = mgr._nodes[n]
+            memo[n] = sub.get(level, mgr.var(level)).ite(go(hi), go(lo))
+        return memo[n]
+    return go(f.node)
 
 
 @given(formulas(n_vars=6), st.lists(st.integers(0, 5), min_size=1,
@@ -307,11 +307,16 @@ def test_restrict_examples():
 
 
 def transfer(ref, refs):
-    """ref's function in another manager with the same variables."""
-    if ref.is_terminal:
-        return refs[0].mgr.true if ref.is_true else refs[0].mgr.false
-    return refs[ref.level].ite(transfer(ref.high, refs),
-                               transfer(ref.low, refs))
+    """ref's function in another manager with the same variables, read
+    off the records of ref's nodes."""
+    nodes = ref.mgr._nodes
+
+    def go(n):
+        if n <= 1:
+            return refs[0].mgr.true if n else refs[0].mgr.false
+        level, lo, hi = nodes[n]
+        return refs[level].ite(go(hi), go(lo))
+    return go(ref.node)
 
 
 @given(formulas(), formulas(), formulas(), substitutions(),
@@ -454,7 +459,7 @@ def test_young_misses_skip_the_old_generation_when_it_cannot_hold_the_key():
             return super().get(key, default)
 
     mgr._ite_old = Spy(mgr._ite_old)
-    new = mgr.add_var("new")  # made after the age: no old key holds it
+    new = mgr.add_var()  # made after the age: no old key holds it
     new & x
     assert reads == []
     x & y  # every node of the key is older: read and promoted
@@ -526,8 +531,8 @@ def test_substitute_examples():
 def test_managers_do_not_mix():
     m1 = BddManager()
     m2 = BddManager()
-    a = m1.add_var("a")
-    b = m2.add_var("b")
+    a = m1.add_var()
+    b = m2.add_var()
     with pytest.raises(BddError):
         _ = a & b
     with pytest.raises(BddError):

@@ -345,6 +345,25 @@ def test_negative_justice_size_is_an_input_error(tmp_path, capsys, command):
     assert not (tmp_path / "out.aag").exists()
 
 
+# numbers that int() reads but AIGER does not: a sign, an underscore
+# and a non-ASCII digit in a literal, and an underscore in a count
+NOT_NUMBERS = {"plus": "aag 1 1 0 0 0\n+2\n", "underscore": "aag 1 1 0 0 0\n0_2\n",
+               "arabic_indic": "aag 1 1 0 0 0\n\u0662\n",
+               "header": "aag 1_0 1 0 0 0\n2\n"}
+
+
+@pytest.mark.parametrize("text", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
+@pytest.mark.parametrize("command", AIGER_COMMANDS)
+def test_a_number_is_ascii_digits(tmp_path, capsys, command, text):
+    path = tmp_path / "game.aag"
+    path.write_text(text, encoding="utf-8")
+    assert main(aiger_argv(command, path, tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "not a literal" in err or "invalid literal" in err
+    assert not (tmp_path / "out.aag").exists()
+
+
 # the start of a binary AIGER file, SYNTCOMP's default format
 BINARY_AIGER = b"aig 200 1 0 1 199\n400\n\x82\x01\x05\x03"
 
@@ -359,6 +378,31 @@ def test_binary_aiger_is_an_input_error(tmp_path, capsys, command):
     assert "can't decode byte 0x82" in err
     assert str(path) in err
     assert not (tmp_path / "out.aag").exists()
+
+
+def test_automaton_error_names_its_file_and_spec_line(tmp_path, capsys):
+    from test_automata import gff
+
+    (tmp_path / "spec.smv").write_text(
+        "MODULE main\nVAR\n  p: boolean;\n\n"
+        "VAR --controllable\n  q: boolean;\n\n"
+        "SYS_AUTOMATON_SPEC\n  first.gff;\n  second.gff;\n")
+    (tmp_path / "first.gff").write_text(gff(
+        ["ok"], "ok", [("ok", "True", "ok")], ["ok"], props=["p", "q"]))
+    # both of calm's moves are enabled where p and q hold
+    (tmp_path / "second.gff").write_text(gff(
+        ["calm"], "calm", [("calm", "p", "calm"), ("calm", "q", "calm"),
+                           ("calm", "~p ~q", "calm")], ["calm"],
+        props=["p", "q"]))
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: second.gff (spec line 10): nondeterministic: state 'calm' "
+        "enables both ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("corrupt", ["spec.smv", "guarantee.gff"])

@@ -70,10 +70,10 @@ def test_encode_orders_inputs_above_latches():
     enc = Encoding(doc)
     assert max(enc.u_levels) < min(enc.c_levels)
     assert max(enc.input_levels) < min(enc.latch_levels)
-    assert [enc.mgr.var_name(lvl) for lvl in enc.input_levels] == \
-        doc.input_names()
-    assert [enc.mgr.var_name(lvl) for lvl in enc.latch_levels] == \
-        doc.latch_names()
+    # uncontrollables, then controllables, each in document order
+    assert enc.input_levels == [2, 0, 3, 1]
+    assert enc.latch_levels == [4, 5, 6]
+    assert enc.mgr.var_count == 7
     assert enc.just.is_true
     assert build_game(doc).just.is_true
 
@@ -321,7 +321,7 @@ def chained_move_relation(game, winning):
     ``M_{i-1} = D_0∘δ ∨ … ∨ D_{i-1}∘δ`` grown as a chain of ∨s."""
     levels = []
     moves = rank_ok = game.mgr.false
-    for y, moved in _mu_steps(game, winning):
+    for y, _, moved in _mu_steps(game, winning):
         if levels:
             rank_ok = rank_ok | (y & ~levels[-1] & moves)
         moves = moves | moved
@@ -407,34 +407,38 @@ def test_restricted_frontiers_match_the_plain_recurrence(
 
 
 def assert_handed_on_compositions_are_direct(game, monkeypatch):
-    """Each pass of ``solve``, and ``move_relation``'s, hands on the
-    composition of its fixpoint through δ, and composing that fixpoint
-    directly gives the same node; so does the core's composition each
-    pass starts from.  The direct compositions read no handed-on one:
-    ``compose`` reads only its own cache."""
+    """Each pass of ``solve`` keeps its steps on the game: its own z, the
+    iterates, the frontiers and their compositions.  The core's
+    composition each pass starts from is the core composed directly,
+    each frontier's is the frontier's, and the ∨ of the frontier
+    compositions, which the next pass folds into its ``z∘δ``, is the
+    fixpoint composed directly.  The direct compositions read no kept
+    one: ``compose`` reads only its own cache."""
     passes = []
 
     def checked(game, z):
-        core_moved = next(_mu_steps(game, z))[1]
-        assert core_moved == (game.just & z).compose(game.delta)
         levels = mu_levels(game, z)
-        fixpoint, moved = game._handed
-        assert fixpoint == levels[-1]
-        assert moved == fixpoint.compose(game.delta)
+        kept_z, steps = game._last_pass
+        assert kept_z == z and [y for y, _, _ in steps] == levels
+        assert steps[0][1] is None  # the core is never built
+        assert steps[0][2] == (game.just & z).compose(game.delta)
+        folded = game.mgr.false
+        for y, front, moved in steps[1:]:
+            assert moved == front.compose(game.delta)
+            folded = folded | moved
+        assert folded == levels[-1].compose(game.delta)
         passes.append(z)
         return levels
 
     with monkeypatch.context() as m:
         m.setattr("aigsynt.game.mu_levels", checked)
         w = solve(game)
-    move_relation(game, w)
-    assert game._handed[0] == w
-    assert game._handed[1] == w.compose(game.delta)
-    # a pass over any other z composes that z itself
+    assert game._last_pass[0] == w == game._last_pass[1][-1][0]
+    # a pass over any other z composes that z itself, and keeps that z
     for z in passes[:-1]:
         levels = mu_levels(game, z)
         assert levels == plain_mu_levels(game, z)
-        assert game._handed[0] == levels[-1]
+        assert game._last_pass[0] == z
     return len(passes)
 
 
@@ -464,28 +468,100 @@ def test_synthesis_never_composes_a_core_or_the_region(name, tmp_path,
                                                        monkeypatch):
     """``synthesize`` composes ``just`` once and no pass's core ``just ∧
     z`` or the winning region W whole: their compositions are built from
-    those of ``just`` and of the frontiers."""
+    those of ``just`` and of the frontiers.  ``just`` is composed on each
+    pass's call, and only the first call misses the compose cache."""
     doc = benchmark_doc(name, tmp_path, monkeypatch)
-    composed, passes = [], []
-    compose = BddRef.compose
+    composed, misses, passes = [], [], []
+    compose, inner = BddRef.compose, BddManager._compose
 
     def counted_compose(ref, submap):
         composed.append((ref.node, submap))
         return compose(ref, submap)
+
+    def counted_inner(mgr, f, sub, sub_id, last):
+        if (f, sub_id) not in mgr._cache:
+            misses.append((f, sub_id))
+        return inner(mgr, f, sub, sub_id, last)
 
     def counted_mu_levels(game, z):
         passes.append(z)
         return mu_levels(game, z)
 
     monkeypatch.setattr(BddRef, "compose", counted_compose)
+    monkeypatch.setattr(BddManager, "_compose", counted_inner)
     monkeypatch.setattr("aigsynt.game.mu_levels", counted_mu_levels)
     realizable, _, game = synthesize(doc)
     assert realizable and len(passes) > 2
+    assert not game.just.is_terminal
     through_delta = [n for n, sub in composed if sub is game.delta]
-    assert through_delta.count(game.just.node) == 1
+    assert through_delta.count(game.just.node) == len(passes)
+    assert misses.count((game.just.node, game.delta.sub_id)) == 1
     cores = [game.just & z for z in passes[1:]]
     assert not {core.node for core in cores} & set(through_delta)
     assert passes[-1].node not in through_delta  # W
+
+
+@pytest.mark.parametrize("name", ["huffman4", "stress4"])
+def test_extraction_runs_no_pass(name, tmp_path, monkeypatch):
+    """``extract_strategy`` reads the pass ``solve`` kept: it takes no
+    controllable predecessor, no frontier and no cache generation."""
+    game = build_game(benchmark_doc(name, tmp_path, monkeypatch))
+    w = solve(game)
+    calls = []
+
+    def recorded(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr("aigsynt.game.cpre", recorded("cpre", cpre))
+    monkeypatch.setattr("aigsynt.game.frontier",
+                        recorded("frontier", frontier))
+    monkeypatch.setattr(BddManager, "age", recorded("age", BddManager.age))
+    assert extract_strategy(game, w).funcs
+    assert calls == []
+
+
+def test_move_relation_needs_the_pass_over_the_region():
+    """After a pass over another z the kept layers are not W's, even
+    where that pass's fixpoint is W, and ``move_relation`` refuses them;
+    a pass over W makes it answer again, with the same node."""
+    refused = 0
+    for seed in range(40):
+        game = build_game(random_game_doc(seed + 7400, n_latches=3))
+        z, w = game.mgr.true, solve(game)
+        relation = move_relation(game, w)
+        for other in (z, mu_levels(game, z)[-1]):
+            if other == w:
+                continue
+            mu_levels(game, other)
+            with pytest.raises(GameError, match="did not reproduce"):
+                move_relation(game, w)
+            refused += 1
+        mu_levels(game, w)
+        assert move_relation(game, w) == relation
+    fresh = build_game(random_game_doc(1, n_latches=3))  # no pass run yet
+    with pytest.raises(GameError, match="did not reproduce"):
+        move_relation(fresh, fresh.mgr.true)
+    assert refused >= 20
+
+
+# node counts of the huffman4 and stress4 games after ``solve`` and after
+# ``synthesize``: extraction reading the kept pass makes the very nodes
+# that running the pass again made
+SOLVE_NODES = {"huffman4": (14312, 17188), "stress4": (24025, 27696)}
+
+
+@pytest.mark.parametrize("name", sorted(SOLVE_NODES))
+def test_synthesis_node_counts_are_pinned(name, tmp_path, monkeypatch):
+    doc = benchmark_doc(name, tmp_path, monkeypatch)
+    game = build_game(doc)
+    solve(game)
+    realizable, _, synthesized = synthesize(doc)
+    assert realizable
+    assert (game.mgr.node_count, synthesized.mgr.node_count) == \
+        SOLVE_NODES[name]
 
 
 def test_cpre_with_an_escape_is_cpre_of_the_union():
@@ -700,6 +776,10 @@ def test_block_nodes_in_any_level_order_give_the_stated_function():
     ([f"{WINNING_BLOCK} 2", "-1 0 1"], "names no latch"),
     ([f"{WINNING_BLOCK} 2", "0 0 2"], "no earlier node"),
     ([f"{WINNING_BLOCK} 2", "0 1 0", f"{WINNING_BLOCK} 2"], "malformed"),
+    # a number is ASCII digits, as in the AIGER reader
+    ([f"{WINNING_BLOCK} 2", "+0 0 1"], "malformed node line"),
+    ([f"{WINNING_BLOCK} 2", "0 0_0 1"], "malformed node line"),
+    ([f"{WINNING_BLOCK} 2", "0 0 \u0661"], "malformed node line"),
 ])
 def test_malformed_block_raises(lines, message):
     with pytest.raises(GameError, match=message):
@@ -1109,7 +1189,15 @@ def test_legal_move_check_catches_a_flipped_forced_bit():
 
 def test_ageing_the_ite_cache_changes_no_node_and_no_output(monkeypatch):
     """Solving with the ite cache aged per pass, and with it never aged,
-    gives the same nodes, models and check results."""
+    gives the same nodes, models and check results.  The ageing does
+    drop entries: ``dropped`` counts the ``age`` calls that discard an
+    old generation holding keys not promoted into the young one."""
+    age = BddManager.age
+    dropped_at_age = []
+
+    def counted_age(mgr):
+        dropped_at_age.append(len(mgr._ite_old.keys() - mgr._ite_young.keys()))
+        age(mgr)
 
     def run(doc):
         game = build_game(doc)
@@ -1123,21 +1211,23 @@ def test_ageing_the_ite_cache_changes_no_node_and_no_output(monkeypatch):
         renders = [(r.holds, r.trace and r.trace.render())
                    for d in checked
                    for r in (check_safety(d), check_justice_universal(d))]
-        return (w.node, game.mgr.node_count, text, renders), \
-            sum(game.mgr.ite_cache_sizes)
+        return w.node, game.mgr.node_count, text, renders
 
     realizable = dropped = 0
     for seed in range(60):
         doc = random_game_doc(seed + 1000, n_latches=3 + seed % 4)
         if seed % 2:
             doc = with_random_outputs(doc, seed)
-        aged, aged_entries = run(doc)
+        dropped_at_age.clear()
+        with monkeypatch.context() as m:
+            m.setattr(BddManager, "age", counted_age)
+            aged = run(doc)
         with monkeypatch.context() as m:
             m.setattr(BddManager, "age", lambda self: None)
-            kept, kept_entries = run(doc)
+            kept = run(doc)
         assert aged == kept, seed
         realizable += aged[2] is not None
-        dropped += aged_entries < kept_entries
+        dropped += sum(n > 0 for n in dropped_at_age)
     assert realizable >= 20 and dropped >= 40
 
 
@@ -1146,7 +1236,10 @@ def test_solve_logs_each_pass_at_debug_level(caplog, monkeypatch):
 
     def counted(game, z):
         levels = mu_levels(game, z)
-        passes.append((len(levels), game._handed[1].dag_size()))
+        sizes = [(front.dag_size(), y.dag_size())
+                 for y, front, _ in game._last_pass[1][1:] if front != y]
+        passes.append((len(levels), game.mgr.node_count, len(sizes),
+                       sum(f for f, _ in sizes), sum(y for _, y in sizes)))
         return levels
 
     monkeypatch.setattr("aigsynt.game.mu_levels", counted)
@@ -1154,11 +1247,12 @@ def test_solve_logs_each_pass_at_debug_level(caplog, monkeypatch):
     with caplog.at_level(logging.DEBUG, logger="aigsynt.game"):
         solve(build_game(doc))
     assert len(passes) >= 2
-    assert [r.getMessage().split(",")[0] for r in caplog.records] == \
-        [f"solve pass {i}: {n} mu iterations"
-         for i, (n, _) in enumerate(passes)]
-    assert [r.getMessage().split(", ")[2] for r in caplog.records] == \
-        [f"{handed} nodes handed on" for _, handed in passes]
+    pattern = (r"solve pass (\d+): (\d+) mu iterations, (\d+) nodes, ite "
+               r"cache \d+ young / \d+ old, (\d+) restricted frontiers of "
+               r"(\d+) nodes against (\d+) in their levels")
+    assert [tuple(map(int, re.fullmatch(pattern, r.getMessage()).groups()))
+            for r in caplog.records] == \
+        [(i, *figures) for i, figures in enumerate(passes)]
     caplog.clear()
     solve(build_game(doc))  # the default level logs nothing
     assert not caplog.records
