@@ -91,12 +91,15 @@ class Aig:
         return len(self._ands)
 
     def add_and_raw(self, var: int, rhs0: int, rhs1: int) -> None:
-        """Record a node as read from a file, without folding or dedup."""
+        """Record a node as read from a file, without folding or dedup.
+
+        ``var`` must be declared already (``declare_var``, ``new_var``):
+        the reader declares the header's M before any gate and bounds
+        each gate by it, and ``sweep`` takes each gate from ``new_var``.
+        """
         if var in self._ands:
             raise AigError(f"AND node {var} defined twice")
         self._ands[var] = (rhs0, rhs1)
-        if var > self.max_var:  # declare_var, inlined: it runs per gate read
-            self.max_var = var
         self._hash.setdefault((rhs0, rhs1), 2 * var)
 
     def and_(self, a: int, b: int) -> int:
@@ -317,23 +320,24 @@ class AigerDoc:
     def validate(self) -> None:
         """Raise AigError at the first structural fault of the document.
 
-        AND operands, the bulk of a document, are checked inline; the
-        message naming the gate is formatted only for one that fails.
-        A gate must be defined after every gate it reads.
+        Each AND operand and each checked literal is tested with one set
+        lookup, the variables defined before it (the constant, the
+        inputs, the latches and the gates above it), and one range test
+        against ``max_var``; the message is formatted only for a literal
+        that fails.  So a gate must be defined after every gate it reads.
         """
         if self.fmt not in ("old", "new"):
             raise AigError(f"unknown format {self.fmt!r}")
         if self.fmt == "old" and (self.bad or self.constraints or self.justice):
             raise AigError("old format cannot carry bad/constraint/justice sections")
         ands = self.aig._ands
-        defining = [lit_var(lit) for lit, _ in self.inputs]
-        defining += [lit_var(lit) for lit, _, _ in self.latches]
-        defining += ands
-        defined = set(defining)
-        defined.add(0)
-        if len(defined) <= len(defining):  # some variable is defined twice
+        defining = [lit >> 1 for lit, _ in self.inputs]
+        defining += [lit >> 1 for lit, _, _ in self.latches]
+        known = {0, *defining}
+        if (len(known) <= len(defining)
+                or not known.isdisjoint(ands)):  # a variable defined twice
             seen = {0}
-            for var in defining:
+            for var in defining + list(ands):
                 if var in seen:
                     raise AigError(f"variable {var} is defined more than once")
                 seen.add(var)
@@ -345,15 +349,11 @@ class AigerDoc:
             if is_negated(lit):
                 raise AigError(f"latch literal {lit} must be even")
         max_var = self.aig.max_var
-        above: set[int] = set()  # the gates defined so far
         for var, operands in ands.items():
             for rhs in operands:
-                rhs_var = rhs >> 1
-                if rhs_var > max_var or rhs_var not in defined:
-                    _check_defined(rhs, f"AND {var}", max_var, defined)
-                if rhs_var in ands and rhs_var not in above:
-                    raise AigError(f"AND {var}: operand {rhs} is not topological")
-            above.add(var)
+                if rhs >> 1 not in known or rhs >> 1 > max_var:
+                    raise _literal_fault(rhs, f"AND {var}", max_var, ands)
+            known.add(var)
         sections = (("latch next", [nxt for _, nxt, _ in self.latches]),
                     ("output", [lit for lit, _ in self.outputs]),
                     ("bad", [lit for lit, _ in self.bad]),
@@ -362,7 +362,8 @@ class AigerDoc:
                                  for lit in group]))
         for what, lits in sections:
             for lit in lits:
-                _check_defined(lit, what, max_var, defined)
+                if lit >> 1 not in known or lit >> 1 > max_var:
+                    raise _literal_fault(lit, what, max_var, ands)
 
 
 def sweep(doc: AigerDoc) -> AigerDoc:
@@ -404,11 +405,13 @@ def sweep(doc: AigerDoc) -> AigerDoc:
         fmt=doc.fmt, comments=list(doc.comments))
 
 
-def _check_defined(lit: int, what: str, max_var: int, defined: set[int]) -> None:
-    if lit_var(lit) > max_var:
-        raise AigError(f"{what}: literal {lit} out of range")
-    if lit_var(lit) not in defined:
-        raise AigError(f"{what}: literal {lit} is undefined")
+def _literal_fault(lit: int, what: str, max_var: int, ands) -> AigError:
+    """The fault of a literal read before its variable is defined."""
+    if lit >> 1 > max_var:
+        return AigError(f"{what}: literal {lit} out of range")
+    if lit >> 1 not in ands:
+        return AigError(f"{what}: literal {lit} is undefined")
+    return AigError(f"{what}: operand {lit} is not topological")
 
 
 def write_aiger(doc: AigerDoc) -> str:
@@ -458,55 +461,31 @@ def read_number(tok: str) -> int:
     underscore, a non-ASCII digit or space in it among them, raises
     ``ValueError`` with ``int``'s message.
     """
-    digits = tok[1:] if tok[:1] == "-" else tok
+    digits = tok.removeprefix("-")
     if not (digits.isdigit() and digits.isascii()):
         raise ValueError(f"invalid literal for int() with base 10: {tok!r}")
     return int(tok)
 
 
-def _plain(lines: list[str]) -> bool:
-    """No line holds a ``+``, an underscore or a non-ASCII character,
-    the characters ``int`` reads in a number and ``read_number`` does
-    not."""
-    text = "\n".join(lines)
-    return text.isascii() and "+" not in text and "_" not in text
+def _lit(tok: str, max_lit: int, what: str, i: int) -> int:
+    """The literal a token of ASCII digits states, at most ``max_lit``.
 
-
-def _parse_lit(tok: str, what: str, max_lit: int) -> int:
+    Any other token raises, naming its line ``what.format(i)``, a format
+    only a failing token pays for.  A leading ``-`` is read
+    (``read_number``), so a negative literal is reported out of range,
+    and a token of more digits than ``int`` reads is not a literal.
+    """
     try:
-        lit = read_number(tok)
+        lit = int(tok) if tok.isdigit() and tok.isascii() else read_number(tok)
     except ValueError:
-        raise AigError(f"{what}: not a literal: {tok!r}") from None
-    if lit < 0 or lit > max_lit:
-        raise AigError(f"{what}: literal {lit} out of range (max {max_lit})")
-    return lit
+        raise AigError(f"{what.format(i)}: not a literal: {tok!r}") from None
+    if 0 <= lit <= max_lit:
+        return lit
+    raise AigError(f"{what.format(i)}: literal {lit} out of range (max {max_lit})")
 
 
-def _parse_defining_lit(tok: str, what: str, max_lit: int,
-                        role: str = "literal") -> int:
-    lit = _parse_lit(tok, what, max_lit)
-    if is_negated(lit) or lit == 0:
-        raise AigError(f"{what}: {role} {lit} must be a positive even literal")
-    return lit
-
-
-def _parse_latch(parts: list[str], i: int, max_lit: int) -> tuple[int, int]:
-    if len(parts) == 3:
-        if parts[2] != "0":
-            raise AigError(f"latch {i}: only reset value 0 is supported")
-        parts = parts[:2]
-    if len(parts) != 2:
-        raise AigError(f"latch {i}: expected 'lit next'")
-    return (_parse_defining_lit(parts[0], f"latch {i}", max_lit),
-            _parse_lit(parts[1], f"latch {i} next", max_lit))
-
-
-def _parse_and(parts: list[str], i: int, max_lit: int) -> tuple[int, int, int]:
-    if len(parts) != 3:
-        raise AigError(f"AND {i}: expected 'lhs rhs0 rhs1'")
-    return (_parse_defining_lit(parts[0], f"AND {i}", max_lit, role="lhs"),
-            _parse_lit(parts[1], f"AND {i}", max_lit),
-            _parse_lit(parts[2], f"AND {i}", max_lit))
+def _not_defining(what: str, i: int, role: str, lit: int) -> AigError:
+    return AigError(f"{what} {i}: {role} {lit} must be a positive even literal")
 
 
 def _truncated(what: str) -> AigError:
@@ -516,17 +495,20 @@ def _truncated(what: str) -> AigError:
 def read_aiger(text: str) -> AigerDoc:
     """Parse ASCII AIGER in one pass over its lines, then validate it.
 
-    Each line is converted and range-checked inline.  A line failing
-    that check is parsed again by the ``_parse_*`` helpers, which check
-    its tokens in order and raise the first fault; they are the
-    reference for what a valid line is.  A number is ASCII digits
-    (``read_number``); ``int``, which converts inline, reads more, so
-    each run of lines it converts is first checked in one piece
-    (``_plain``), and a run that may hold such a token goes to the
-    helpers whole.  A truncated section raises after the lines it does
-    have are read, so an earlier fault wins.
+    A line ends at ``\\n``; one ``\\r`` before it is dropped, so CRLF
+    files read alike, and any other character, a lone ``\\r`` among
+    them, belongs to its line: a symbol name or a comment may hold it.
+    Every literal is read in file order by ``_lit``, which raises the
+    first fault of its line; the counts of the header and of the
+    justice groups and the symbol indices are read by ``read_number``.
+    A truncated section raises after the lines it does have are read,
+    so an earlier fault wins.
     """
-    lines = text.splitlines()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
     n_lines = len(lines)
     if not lines:
         raise _truncated("header")
@@ -537,12 +519,7 @@ def read_aiger(text: str) -> AigerDoc:
     if len(fields) < 5 or len(fields) > 9:
         raise AigError(f"malformed header: expected 5 to 9 counts, got {len(fields)}")
     try:
-        nums = [int(f) for f in fields]
-        # int() reads more than read_number does, so the header and the
-        # lines converted inline below are checked in one piece
-        plain = _plain(lines[:1 + sum(nums[1:4]) + sum(nums[5:8])])
-        if not plain:
-            nums = [read_number(f) for f in fields]
+        nums = [read_number(f) for f in fields]
     except ValueError as exc:
         raise AigError(f"malformed header: {exc}") from None
     if any(n < 0 for n in nums):
@@ -558,18 +535,12 @@ def read_aiger(text: str) -> AigerDoc:
     doc.aig.declare_var(m)
     max_lit = 2 * m + 1
     pos = 1
-    # where a run of lines is not plain, fast_max fails every inline
-    # range check in it, and the helpers read each line
-    fast_max = max_lit if plain else -1
 
     end = pos + ni
     for i, line in enumerate(lines[pos:end]):
-        try:
-            lit = int(line)
-        except ValueError:
-            lit = 0
-        if lit & 1 or not 0 < lit <= fast_max:
-            lit = _parse_defining_lit(line.strip(), f"input {i}", max_lit)
+        lit = _lit(line.strip(), max_lit, "input {}", i)
+        if lit & 1 or not lit:
+            raise _not_defining("input", i, "literal", lit)
         doc.inputs.append((lit, None))
     if end > n_lines:
         raise _truncated("inputs")
@@ -578,30 +549,27 @@ def read_aiger(text: str) -> AigerDoc:
     end = pos + nl
     for i, line in enumerate(lines[pos:end]):
         parts = line.split()
-        try:
-            lit, nxt = map(int, parts)
-            valid = not lit & 1 and 0 < lit <= fast_max and 0 <= nxt <= max_lit
-        except ValueError:
-            valid = False
-        if not valid:
-            lit, nxt = _parse_latch(parts, i, max_lit)
-        doc.latches.append((lit, nxt, None))
+        if len(parts) == 3:
+            if parts[2] != "0":
+                raise AigError(f"latch {i}: only reset value 0 is supported")
+            del parts[2]
+        if len(parts) != 2:
+            raise AigError(f"latch {i}: expected 'lit next'")
+        lit = _lit(parts[0], max_lit, "latch {}", i)
+        if lit & 1 or not lit:
+            raise _not_defining("latch", i, "literal", lit)
+        doc.latches.append((lit, _lit(parts[1], max_lit, "latch {} next", i), None))
     if end > n_lines:
         raise _truncated("latches")
     pos = end
 
     for count, entries, what, section in (
-            (no, doc.outputs, "output", "outputs"), (nb, doc.bad, "bad", "bad"),
-            (nc, doc.constraints, "constraint", "constraints")):
+            (no, doc.outputs, "output {}", "outputs"),
+            (nb, doc.bad, "bad {}", "bad"),
+            (nc, doc.constraints, "constraint {}", "constraints")):
         end = pos + count
         for i, line in enumerate(lines[pos:end]):
-            try:
-                lit = int(line)
-            except ValueError:
-                lit = -1
-            if not 0 <= lit <= fast_max:
-                lit = _parse_lit(line.strip(), f"{what} {i}", max_lit)
-            entries.append((lit, None))
+            entries.append((_lit(line.strip(), max_lit, what, i), None))
         if end > n_lines:
             raise _truncated(section)
         pos = end
@@ -619,35 +587,30 @@ def read_aiger(text: str) -> AigerDoc:
         group_sizes.append(size)
         pos += 1
     for i, size in enumerate(group_sizes):
-        group = []
-        for line in lines[pos:pos + size]:
-            group.append(_parse_lit(line.strip(), f"justice {i}", max_lit))
+        group = [_lit(line.strip(), max_lit, "justice {}", i)
+                 for line in lines[pos:pos + size]]
         if pos + size > n_lines:
             raise _truncated("justice literals")
         pos += size
         doc.justice.append((group, None))
 
     end = pos + na
-    fast_max = max_lit if _plain(lines[pos:end]) else -1
     add_and = doc.aig.add_and_raw
     for i, line in enumerate(lines[pos:end]):
         parts = line.split()
-        try:
-            lhs, rhs0, rhs1 = map(int, parts)
-            valid = not lhs & 1 and 0 < lhs <= fast_max and \
-                0 <= rhs0 <= max_lit and 0 <= rhs1 <= max_lit
-        except ValueError:
-            valid = False
-        if not valid:
-            lhs, rhs0, rhs1 = _parse_and(parts, i, max_lit)
-        add_and(lhs >> 1, rhs0, rhs1)
+        if len(parts) != 3:
+            raise AigError(f"AND {i}: expected 'lhs rhs0 rhs1'")
+        lhs = _lit(parts[0], max_lit, "AND {}", i)
+        if lhs & 1 or not lhs:
+            raise _not_defining("AND", i, "lhs", lhs)
+        add_and(lhs >> 1, _lit(parts[1], max_lit, "AND {}", i),
+                _lit(parts[2], max_lit, "AND {}", i))
     if end > n_lines:
         raise _truncated("AND nodes")
     pos = end
 
     sections = {"i": doc.inputs, "l": doc.latches, "o": doc.outputs,
                 "b": doc.bad, "c": doc.constraints, "j": doc.justice}
-    ascii_text = text.isascii()  # then isdigit() means ASCII digits
     for k in range(pos, n_lines):
         line = lines[k]
         if line == "c":
@@ -659,10 +622,8 @@ def read_aiger(text: str) -> AigerDoc:
         sep = line.find(" ", 1)
         if sep < 2:
             raise AigError(f"malformed symbol entry: {line!r}")
-        tok = line[1:sep]
         try:
-            idx = int(tok) if tok.isdigit() and ascii_text \
-                else read_number(tok)
+            idx = read_number(line[1:sep])
         except ValueError:
             raise AigError(f"malformed symbol entry: {line!r}") from None
         if idx < 0 or idx >= len(entries):

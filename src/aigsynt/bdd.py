@@ -485,28 +485,17 @@ def frontier(ring: BddRef, inner: BddRef) -> BddRef:
     ``inner``, gives its value on ``ring``.
 
     ``ring`` itself is returned where a frontier cannot pay: when the
-    ring has fewer than ``SMALL_DIAGRAM_NODES`` nodes, or the frontier
-    more than 9/10 of the ring's.  The ring shares the sub-diagrams of
-    ``inner``, whose compositions are cached, where the frontier's nodes
-    are mostly new, and the frontier costs a negation and a ``restrict``
-    of its own.  On the stress8 game and its windows the model checker's
-    first frontier is 2-3 % smaller than its ring, and composing it made
-    up to 12 % more nodes; on small models, where nearly every ring has
-    fewer than 64 nodes, frontiers made 2-5 % more nodes.
+    ring has fewer than ``SMALL_DIAGRAM_NODES`` nodes.  The ring shares
+    the sub-diagrams of ``inner``, whose compositions are cached, where
+    the frontier's nodes are mostly new, and the frontier costs a
+    negation and a ``restrict`` of its own; on small models, where
+    nearly every ring has fewer than 64 nodes, frontiers made 2-5 % more
+    nodes.  The frontier is taken on every larger ring, even one it
+    does not shrink.
     """
-    return sized_frontier(ring, inner)[0]
-
-
-def sized_frontier(ring: BddRef, inner: BddRef) -> tuple[BddRef, int]:
-    """``frontier(ring, inner)`` and its ``dag_size``, read off the walks
-    that chose it, so a caller that needs the size walks no diagram."""
-    size = ring.dag_size()
-    if size >= SMALL_DIAGRAM_NODES:
-        restricted = ring.restrict(~inner)
-        restricted_size = restricted.dag_size()
-        if 10 * restricted_size <= 9 * size:
-            return restricted, restricted_size
-    return ring, size
+    if ring.dag_size() < SMALL_DIAGRAM_NODES:
+        return ring
+    return ring.restrict(~inner)
 
 
 class Substitution(Mapping):

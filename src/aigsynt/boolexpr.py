@@ -97,6 +97,37 @@ def bxor(a: BoolExpr, b: BoolExpr) -> BoolExpr:
     return bor(band(a, bnot(b)), band(bnot(a), b))
 
 
+def fold(root: BoolExpr, step, memo: dict) -> object:
+    """The value ``step`` gives ``root``, found without recursing.
+
+    ``step(node)`` is a generator that yields each node whose value it
+    needs, is sent that value, and returns the value of ``node``; so it
+    reads like a recursive function, and nodes are visited in the order
+    that function would visit them, however deep the tree (a ``case``
+    nests one level per branch).  ``memo`` maps ``id`` of a node to its
+    value, since hashing a node walks its whole subtree; its nodes must
+    outlive it.
+    """
+    stack = []  # (node, its step) of each node whose value is pending
+    node = root
+    while True:
+        if id(node) in memo:
+            value = memo[id(node)]
+        else:
+            stack.append((node, step(node)))
+            value = None
+        while stack:  # send the value up until a step yields a node
+            top, steps = stack[-1]
+            try:
+                node = steps.send(value)
+                break
+            except StopIteration as done:
+                stack.pop()
+                value = memo[id(top)] = done.value
+        else:
+            return value
+
+
 def evaluate(e: BoolExpr, env: Mapping[str, bool]) -> bool:
     if isinstance(e, BConst):
         return e.value

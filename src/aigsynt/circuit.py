@@ -24,7 +24,7 @@ through the model would end in its own copy of the observer's function.
 from __future__ import annotations
 
 from . import boolexpr as bx
-from .aiger import AigerDoc, CONTROLLABLE_PREFIX, FALSE_LIT
+from .aiger import AigerDoc, CONTROLLABLE_PREFIX, FALSE_LIT, TRUE_LIT
 from .automata import Label, Monitor
 from .smv.flatten import FlatModel
 
@@ -54,33 +54,35 @@ def _bexpr_to_lit(aig, expr: bx.BoolExpr, signals: dict[str, int],
                   memo: dict[int, int]) -> int:
     """The literal of expr; ``memo`` maps ``id`` of a node to its literal.
 
-    By ``id``: hashing a node walks its whole subtree.  The memo's nodes
-    must outlive it.  A name not yet in ``signals`` is a CircuitError;
-    this is the one check that a flat model reads only declared names,
-    each define after the defines it reads.
+    A name not yet in ``signals`` is a CircuitError; this is the one
+    check that a flat model reads only declared names, each define after
+    the defines it reads.  Each argument of an ∧ or ∨ is joined into the
+    literal so far as soon as it is translated, as ``and_many`` would
+    join it; that fixes the order in which the gates are made.
     """
-    cached = memo.get(id(expr))
-    if cached is not None:
-        return cached
-    if isinstance(expr, bx.BConst):
-        lit = 1 if expr.value else 0
-    elif isinstance(expr, bx.BVar):
-        try:
-            lit = signals[expr.name]
-        except KeyError:
-            raise CircuitError(f"unresolved signal {expr.name!r}") from None
-    elif isinstance(expr, bx.BNot):
-        lit = _bexpr_to_lit(aig, expr.arg, signals, memo) ^ 1
-    elif isinstance(expr, bx.BAnd):
-        lit = aig.and_many(_bexpr_to_lit(aig, a, signals, memo)
-                           for a in expr.args)
-    elif isinstance(expr, bx.BOr):
-        lit = aig.or_many(_bexpr_to_lit(aig, a, signals, memo)
-                          for a in expr.args)
-    else:
-        raise TypeError(expr)
-    memo[id(expr)] = lit
-    return lit
+    def step(node):
+        if isinstance(node, bx.BConst):
+            return 1 if node.value else 0
+        if isinstance(node, bx.BVar):
+            try:
+                return signals[node.name]
+            except KeyError:
+                raise CircuitError(f"unresolved signal {node.name!r}") from None
+        if isinstance(node, bx.BNot):
+            return (yield node.arg) ^ 1
+        if isinstance(node, bx.BAnd):
+            lit = TRUE_LIT
+            for arg in node.args:
+                lit = aig.and_(lit, (yield arg))
+            return lit
+        if isinstance(node, bx.BOr):
+            lit = FALSE_LIT
+            for arg in node.args:
+                lit = aig.or_(lit, (yield arg))
+            return lit
+        raise TypeError(node)
+
+    return bx.fold(expr, step, memo)
 
 
 def _label_lit(aig, label: Label, prop_lits: dict[str, int]) -> int:

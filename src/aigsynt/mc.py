@@ -92,7 +92,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .aiger import AigerDoc, evaluate_vars, lit_var, values_lit
-from .bdd import SMALL_DIAGRAM_NODES, BddRef, Substitution, sized_frontier
+from .bdd import SMALL_DIAGRAM_NODES, BddRef, Substitution, frontier
 from .game import Encoding, GameError, read_winning_block
 
 log = logging.getLogger(__name__)
@@ -281,13 +281,10 @@ def _rings(sm: _SymbolicModel, target: BddRef, step_pred: BddRef,
     while True:
         if until is not None and sm.contains(rings[-1], until):
             return _Rings(rings, fronts, len(rings) - 1)
-        if len(rings) > 1:
-            front, size = sized_frontier(rings[-1], rings[-2])
-        else:
-            front = rings[-1]
-            size = front.dag_size() if one_step else 0
+        front = (frontier(rings[-1], rings[-2]) if len(rings) > 1
+                 else rings[-1])
         fronts.append(front)
-        if one_step and size >= SMALL_DIAGRAM_NODES:
+        if one_step and front.dag_size() >= SMALL_DIAGRAM_NODES:
             if at_until is None:
                 at_until = sm.at_state(until, step_pred)
             pred, delta = at_until
@@ -315,6 +312,8 @@ def _walk_to_ring0(sm: _SymbolicModel, search: _Rings,
     step_pred-successors lies in ``ring[l-2]``, and outside
     ``ring[l-2]`` the frontier agrees with ``ring[l-1]``.  So
     ``pick_input`` makes the same choices and the trace is the same.
+    The same argument puts the successor first in ring ``l-1``, so each
+    step lowers the level by exactly one and no ring is tested again.
 
     A state that ``_rings`` found by its one-step test, with a step into
     the last frontier ``F`` (``level == len(rings)``; only
@@ -340,8 +339,6 @@ def _walk_to_ring0(sm: _SymbolicModel, search: _Rings,
         steps.append((inputs, state))
         state = sm.step(state, inputs)
         level -= 1
-        while level > 0 and sm.contains(rings[level - 1], state):
-            level -= 1
     return state
 
 

@@ -277,22 +277,21 @@ class _Flattener:
 def _inline_defines(bits: list[BoolExpr],
                     defines: dict[str, BoolExpr]) -> list[BoolExpr]:
     """``bits`` with each define they read replaced by its bits, folded."""
-    memo: dict[int, BoolExpr] = {}  # by id: shared subtrees are visited once
+    memo: dict[int, BoolExpr] = {}  # shared subtrees are visited once
 
-    def inline(e: BoolExpr) -> BoolExpr:
-        if id(e) not in memo:
-            if isinstance(e, BVar):
-                memo[id(e)] = inline(defines[e.name]) if e.name in defines else e
-            elif isinstance(e, BNot):
-                memo[id(e)] = bx.bnot(inline(e.arg))
-            elif isinstance(e, (BAnd, BOr)):
-                join = bx.band if isinstance(e, BAnd) else bx.bor
-                memo[id(e)] = join(*map(inline, e.args))
-            else:
-                memo[id(e)] = e
-        return memo[id(e)]
+    def step(e: BoolExpr):
+        if isinstance(e, BVar):
+            return (yield defines[e.name]) if e.name in defines else e
+        if isinstance(e, BNot):
+            return bx.bnot((yield e.arg))
+        if isinstance(e, (BAnd, BOr)):
+            args = []
+            for arg in e.args:
+                args.append((yield arg))
+            return (bx.band if isinstance(e, BAnd) else bx.bor)(*args)
+        return e
 
-    return [inline(b) for b in bits]
+    return [bx.fold(b, step, memo) for b in bits]
 
 
 def flatten(resolved: ResolvedSpec) -> FlatModel:

@@ -467,6 +467,12 @@ MALFORMED = {
                                "malformed symbol entry: 'i+0 name'"),
     "symbol_non_ascii_index": ("aag 1 1 0 0 0\n2\ni\u0660 name\n",
                                "malformed symbol entry: 'i\u0660 name'"),
+    # more digits than sys.get_int_max_str_digits() lets int() read
+    "input_5000_digits": ("aag 1 1 0 0 0\n" + "2" * 5000 + "\n",
+                          f"input 0: not a literal: {'2' * 5000!r}"),
+    "and_operand_5000_digits": (
+        "aag 2 1 0 0 1\n2\n4 2 " + "2" * 5000 + "\n",
+        f"AND 0: not a literal: {'2' * 5000!r}"),
 }
 
 
@@ -475,3 +481,50 @@ def test_malformed_text_error_messages(text, message):
     with pytest.raises(AigError) as info:
         read_aiger(text)
     assert str(info.value) == message
+
+
+def test_tokens_of_a_line_split_at_any_whitespace():
+    """A no-break space separates a latch's tokens, as ``str.split``
+    reads it; only a line break is ``\\n``."""
+    doc = read_aiger("aag 1 0 1 0 0\n2\u00a02\n")
+    assert doc.latches == [(2, 2, None)]
+
+
+def test_validate_tests_the_range_beside_the_definition():
+    """A hand-built document whose input literal lies above ``max_var``:
+    the output reading it is out of range, though the variable is
+    defined."""
+    doc = AigerDoc(fmt="old", inputs=[(10, None)], outputs=[(10, None)])
+    assert doc.aig.max_var == 0
+    with pytest.raises(AigError) as info:
+        doc.validate()
+    assert str(info.value) == "output: literal 10 out of range"
+
+
+# the characters besides \n and \r that str.splitlines ends a line at
+LINE_BREAKS = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+def names_and_comments_text(chars: str) -> str:
+    """A justice-free document whose symbol name holds ``chars``, with
+    a comment holding each of them and one holding them all."""
+    lines = ["aag 1 1 0 0 0", "2", f"i0 in{chars}put", "c"]
+    lines += [f"comment {c}with {ord(c):#x}" for c in chars]
+    return "\n".join(lines + [f"all of [{chars}]"]) + "\n"
+
+
+@pytest.mark.parametrize("char", "\r" + LINE_BREAKS,
+                         ids=[f"{ord(c):#x}" for c in "\r" + LINE_BREAKS])
+def test_a_line_ends_only_at_newline(char):
+    """A lone ``\\r`` and the other breaks of ``str.splitlines`` belong
+    to their line: a symbol name or a comment holding one round-trips."""
+    text = names_and_comments_text(char)
+    doc = read_aiger(text)
+    assert doc.inputs == [(2, f"in{char}put")]
+    assert doc.comments[-1] == f"all of [{char}]"
+    assert write_aiger(doc) == text
+
+
+def test_crlf_line_ends_read_as_newlines():
+    text = names_and_comments_text(LINE_BREAKS)
+    assert write_aiger(read_aiger(text.replace("\n", "\r\n"))) == text

@@ -15,15 +15,16 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import aigsynt
-from aigsynt.aiger import AigerDoc, evaluate_vars, read_aiger, values_lit, \
-    write_aiger
+from aigsynt.aiger import AigerDoc, Simulator, evaluate_vars, read_aiger, \
+    values_lit, write_aiger
 from aigsynt.cli import main
 from aigsynt.game import delay_justice
 from aigsynt.mc import _cut_vars
 from aigsynt.oracle import solve_explicit
 
 from helpers import enumerate_fair_lasso, enumerate_lasso_fg_not_just
-from test_aiger import NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED
+from test_aiger import LINE_BREAKS, NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED, \
+    names_and_comments_text
 from test_game import all_states, assert_encoding_simulates, benchmark_doc, \
     doc_with
 from test_mc import replay
@@ -346,10 +347,12 @@ def test_negative_justice_size_is_an_input_error(tmp_path, capsys, command):
 
 
 # numbers that int() reads but AIGER does not: a sign, an underscore
-# and a non-ASCII digit in a literal, and an underscore in a count
+# and a non-ASCII digit in a literal, and an underscore in a count;
+# and ASCII digits too many for int() to read
 NOT_NUMBERS = {"plus": "aag 1 1 0 0 0\n+2\n", "underscore": "aag 1 1 0 0 0\n0_2\n",
                "arabic_indic": "aag 1 1 0 0 0\n\u0662\n",
-               "header": "aag 1_0 1 0 0 0\n2\n"}
+               "header": "aag 1_0 1 0 0 0\n2\n",
+               "5000_digits": "aag 1 1 0 0 0\n" + "2" * 5000 + "\n"}
 
 
 @pytest.mark.parametrize("text", NOT_NUMBERS.values(), ids=NOT_NUMBERS)
@@ -378,6 +381,59 @@ def test_binary_aiger_is_an_input_error(tmp_path, capsys, command):
     assert "can't decode byte 0x82" in err
     assert str(path) in err
     assert not (tmp_path / "out.aag").exists()
+
+
+def test_synt2hwmcc_keeps_line_breaks_inside_names_and_comments(tmp_path,
+                                                              capsys):
+    """Only ``\\n`` ends a line: ``synt2hwmcc`` writes a justice-free
+    document whose symbol name and comments hold the other breaks of
+    ``str.splitlines`` byte for byte as it read them."""
+    source = tmp_path / "names.aag"
+    text = names_and_comments_text(LINE_BREAKS)
+    source.write_text(text, encoding="utf-8")
+    out = tmp_path / "out.aag"
+    assert main(["synt2hwmcc", str(source), "-o", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("model unchanged\n")
+    assert out.read_bytes() == text.encode("utf-8")
+
+
+def case_table(n_rows: int) -> str:
+    """Rows ``u = k : v;`` of a ``case``, ``v`` being ``k % 3 = 0``."""
+    return "".join(f"    u = {k} : {'TRUE' if k % 3 == 0 else 'FALSE'};\n"
+                   for k in range(n_rows))
+
+
+def test_a_deep_case_goes_through_the_pipeline(tmp_path, capsys):
+    """A 2000-branch ``case`` nests its branches 2000 deep; it compiles
+    without recursing, and the game steps as its table says: ``x`` takes
+    the value of row ``u``, and keeps its own past the last row."""
+    spec = tmp_path / "deep.smv"
+    spec.write_text(f"MODULE main\nVAR\n  u : 0..1999;\nVAR\n  x : boolean;\n"
+                    f"ASSIGN\n  init(x) := FALSE;\n  next(x) := case\n"
+                    f"{case_table(1999)}    TRUE : x;\n  esac;\n")
+    game, model = tmp_path / "game.aag", tmp_path / "model.aag"
+    assert main(["spec2aag", str(spec), "-o", str(game)]) == 0
+    assert main(["synth", str(game), "-o", str(model)]) == 0
+    assert main(["mc", str(model)]) == 0
+    capsys.readouterr()
+    sim = Simulator(read_aiger(game.read_text()))
+    x = False
+    for u in (0, 1999, 1, 1999, 3, 4, 5, 6, 998, 999, 1000, 1997, 1998, 1999):
+        sim.step({f"u.__bit{i}": bool(u >> i & 1) for i in range(11)})
+        x = u % 3 == 0 if u < 1999 else x
+        assert sim.latch_values == [x], u
+
+
+def test_a_deep_define_read_by_init_is_not_a_constant(tmp_path, capsys):
+    """A 1500-branch define reaches the constant check of ``init()``."""
+    spec = tmp_path / "deep.smv"
+    spec.write_text(f"MODULE main\nVAR\n  u : 0..1499;\nVAR\n  x : boolean;\n"
+                    f"DEFINE\n  d := case\n{case_table(1499)}    TRUE : FALSE;\n"
+                    f"  esac;\n"
+                    f"ASSIGN\n  init(x) := d;\n  next(x) := x;\n")
+    assert main(["spec2aag", str(spec), "-o", str(tmp_path / "game.aag")]) == 2
+    assert capsys.readouterr().err == \
+        "error: init(x) is not a constant expression (line 1510)\n"
 
 
 def test_automaton_error_names_its_file_and_spec_line(tmp_path, capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from aigsynt.aiger import AigerDoc, Simulator, evaluate_vars, values_lit, \
     write_aiger
+from aigsynt import mc
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import WINNING_BLOCK, build_game, read_winning_block, \
     solve, synthesize, winning_block
@@ -284,6 +285,35 @@ def test_frontiers_give_the_rings_and_the_walks_of_full_rings():
                 assert frontier == full, seed
                 walked += len(full)
     assert walked >= 300 and differ >= 20
+
+
+def test_each_walk_step_lowers_the_first_ring_holding_the_state(monkeypatch):
+    """Along every safety trace and lasso of 200 random games, each step
+    of ``_walk_to_ring0`` takes a state first in ring ``l`` to one first
+    in ring ``l - 1``, down to ring 0.  A state that the one-step test
+    found lies in no ring; it counts as first in ring ``len(rings)``."""
+    walks = []
+
+    def recording(sm, search, state, step_pred, steps, level=None):
+        start = len(steps)
+        end = _walk_to_ring0(sm, search, state, step_pred, steps, level)
+        walks.append((sm, search.rings, [s for _, s in steps[start:]] + [end]))
+        return end
+
+    monkeypatch.setattr(mc, "_walk_to_ring0", recording)
+    for seed in range(200):
+        doc = random_game_doc(seed + 1700, n_latches=3 + seed % 4, n_c=1)
+        check_safety(doc)
+        check_justice_universal(doc)
+        find_fair_trace(reverse_justice(doc))
+    steps = 0
+    for sm, rings, states in walks:
+        firsts = [next((i for i, ring in enumerate(rings)
+                        if sm.contains(ring, state)), len(rings))
+                  for state in states]
+        assert firsts == list(range(firsts[0], -1, -1))
+        steps += len(states) - 1
+    assert len(walks) >= 200 and steps >= 100
 
 
 def _safety_walk_over_full_rings(sm):
