@@ -19,14 +19,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from aigsynt.aiger import read_aiger
-from aigsynt.cli import read_input, run_guarded
+from aigsynt.cli import read_aiger_input, run_guarded
 from aigsynt.game import build_game, is_realizable, solve
 from aigsynt.transforms import justice_to_safety
 
 
 def search(aag: Path, max_k: int) -> int:
-    doc = read_aiger(read_input(aag))
+    doc = read_aiger_input(aag)
     for k in range(max_k + 1):
         t0 = time.monotonic()
         game = build_game(justice_to_safety(doc, k))

@@ -248,14 +248,44 @@ class AigerDoc:
     comments: list[str] = field(default_factory=list)
 
     def copy(self, **changes) -> "AigerDoc":
-        """A copy sharing nothing mutable; keywords replace whole fields."""
-        fields = dict(aig=self.aig.copy(), inputs=list(self.inputs),
-                      latches=list(self.latches), outputs=list(self.outputs),
-                      bad=list(self.bad), constraints=list(self.constraints),
-                      justice=[(list(g), n) for g, n in self.justice],
-                      fmt=self.fmt, comments=list(self.comments))
+        """A copy sharing nothing mutable: ``relabel`` of the identity on
+        a copy of the graph; keywords replace whole fields."""
+        return self.relabel(lambda lit: lit, self.aig.copy(), **changes)
+
+    def relabel(self, f, aig: Aig, **changes) -> "AigerDoc":
+        """A copy on graph ``aig`` in which every section literal ``lit``,
+        of an input, a latch or its next state, an output, a bad signal,
+        a constraint or a justice group, becomes ``f(lit)``; names and
+        comments are kept, and keywords replace whole fields.
+
+        Code that renumbers a document (``copy``, ``sweep``,
+        ``game.strategy_to_circuit``) goes through it, so none of it
+        lists the sections itself.
+        """
+        fields = dict(
+            aig=aig, inputs=[(f(lit), name) for lit, name in self.inputs],
+            latches=[(f(lit), f(nxt), name) for lit, nxt, name in self.latches],
+            outputs=[(f(lit), name) for lit, name in self.outputs],
+            bad=[(f(lit), name) for lit, name in self.bad],
+            constraints=[(f(lit), name) for lit, name in self.constraints],
+            justice=[([f(lit) for lit in group], name)
+                     for group, name in self.justice],
+            fmt=self.fmt, comments=list(self.comments))
         fields.update(changes)
         return AigerDoc(**fields)
+
+    def section_lits(self) -> list[tuple[str, list[int]]]:
+        """The literals the document reads, as ``(section, literals)``
+        pairs in file order: latch next states, outputs, bad signals,
+        constraints and justice groups.  ``validate`` names a fault by
+        its section, and ``sweep`` and ``game.strategy_to_circuit`` take
+        their live cones from these literals."""
+        return [("latch next", [nxt for _, nxt, _ in self.latches]),
+                ("output", [lit for lit, _ in self.outputs]),
+                ("bad", [lit for lit, _ in self.bad]),
+                ("constraint", [lit for lit, _ in self.constraints]),
+                ("justice", [lit for group, _ in self.justice
+                             for lit in group])]
 
     def add_input(self, name: str | None = None) -> int:
         var = self.aig.new_var()
@@ -320,11 +350,12 @@ class AigerDoc:
     def validate(self) -> None:
         """Raise AigError at the first structural fault of the document.
 
-        Each AND operand and each checked literal is tested with one set
-        lookup, the variables defined before it (the constant, the
-        inputs, the latches and the gates above it), and one range test
-        against ``max_var``; the message is formatted only for a literal
-        that fails.  So a gate must be defined after every gate it reads.
+        Each AND operand and each literal of ``section_lits`` is tested
+        with one set lookup, the variables defined before it (the
+        constant, the inputs, the latches and the gates above it), and
+        one range test against ``max_var``; the message, which names the
+        gate or the section, is formatted only for a literal that fails.
+        So a gate must be defined after every gate it reads.
         """
         if self.fmt not in ("old", "new"):
             raise AigError(f"unknown format {self.fmt!r}")
@@ -354,13 +385,7 @@ class AigerDoc:
                 if rhs >> 1 not in known or rhs >> 1 > max_var:
                     raise _literal_fault(rhs, f"AND {var}", max_var, ands)
             known.add(var)
-        sections = (("latch next", [nxt for _, nxt, _ in self.latches]),
-                    ("output", [lit for lit, _ in self.outputs]),
-                    ("bad", [lit for lit, _ in self.bad]),
-                    ("constraint", [lit for lit, _ in self.constraints]),
-                    ("justice", [lit for group, _ in self.justice
-                                 for lit in group]))
-        for what, lits in sections:
+        for what, lits in self.section_lits():
             for lit in lits:
                 if lit >> 1 not in known or lit >> 1 > max_var:
                     raise _literal_fault(lit, what, max_var, ands)
@@ -369,16 +394,13 @@ class AigerDoc:
 def sweep(doc: AigerDoc) -> AigerDoc:
     """The document without the AND gates that none of its literals read.
 
-    The roots are the next-state, output, bad, constraint and justice
-    literals.  Inputs and latches keep their variables; the live gates
-    are renumbered above them in definition order, so each still follows
-    its operands, on the document's own builder class.  A document with
-    no dead gate is returned as it is.
+    The roots are the literals of ``doc.section_lits()``.  Inputs and
+    latches keep their variables; the live gates are renumbered above
+    them in definition order, so each still follows its operands, on the
+    document's own builder class, and ``doc.relabel`` carries every
+    section over.  A document with no dead gate is returned as it is.
     """
-    roots = [nxt for _, nxt, _ in doc.latches]
-    roots += [lit for lit, _ in doc.outputs + doc.bad + doc.constraints]
-    roots += [lit for group, _ in doc.justice for lit in group]
-    live = doc.aig.cone(roots)
+    live = doc.aig.cone(lit for _, lits in doc.section_lits() for lit in lits)
     if live.issuperset(doc.aig._ands):
         return doc
     aig = type(doc.aig)()
@@ -394,15 +416,7 @@ def sweep(doc: AigerDoc) -> AigerDoc:
         if var in live:
             var_map[var] = new = aig.new_var()
             aig.add_and_raw(new, lit_map(rhs0), lit_map(rhs1))
-    return AigerDoc(
-        aig=aig, inputs=list(doc.inputs),
-        latches=[(lit, lit_map(nxt), name) for lit, nxt, name in doc.latches],
-        outputs=[(lit_map(lit), name) for lit, name in doc.outputs],
-        bad=[(lit_map(lit), name) for lit, name in doc.bad],
-        constraints=[(lit_map(lit), name) for lit, name in doc.constraints],
-        justice=[([lit_map(lit) for lit in group], name)
-                 for group, name in doc.justice],
-        fmt=doc.fmt, comments=list(doc.comments))
+    return doc.relabel(lit_map, aig)
 
 
 def _literal_fault(lit: int, what: str, max_var: int, ands) -> AigError:
@@ -412,6 +426,11 @@ def _literal_fault(lit: int, what: str, max_var: int, ands) -> AigError:
     if lit >> 1 not in ands:
         return AigError(f"{what}: literal {lit} is undefined")
     return AigError(f"{what}: operand {lit} is not topological")
+
+
+# the symbol table's line prefix of each named section, in file order
+SYMBOL_PREFIXES = (("i", "inputs"), ("l", "latches"), ("o", "outputs"),
+                   ("b", "bad"), ("c", "constraints"), ("j", "justice"))
 
 
 def write_aiger(doc: AigerDoc) -> str:
@@ -440,10 +459,8 @@ def write_aiger(doc: AigerDoc) -> str:
             lines.append(str(lit))
     for var, rhs0, rhs1 in aig.nodes():
         lines.append(f"{2 * var} {rhs0} {rhs1}")
-    for prefix, entries in (("i", doc.inputs), ("l", doc.latches),
-                            ("o", doc.outputs), ("b", doc.bad),
-                            ("c", doc.constraints), ("j", doc.justice)):
-        for pos, entry in enumerate(entries):
+    for prefix, section in SYMBOL_PREFIXES:
+        for pos, entry in enumerate(getattr(doc, section)):
             name = entry[-1]
             if name is not None:
                 lines.append(f"{prefix}{pos} {name}")
@@ -609,8 +626,8 @@ def read_aiger(text: str) -> AigerDoc:
         raise _truncated("AND nodes")
     pos = end
 
-    sections = {"i": doc.inputs, "l": doc.latches, "o": doc.outputs,
-                "b": doc.bad, "c": doc.constraints, "j": doc.justice}
+    sections = {prefix: getattr(doc, section)
+                for prefix, section in SYMBOL_PREFIXES}
     for k in range(pos, n_lines):
         line = lines[k]
         if line == "c":

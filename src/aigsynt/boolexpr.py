@@ -129,14 +129,25 @@ def fold(root: BoolExpr, step, memo: dict) -> object:
 
 
 def evaluate(e: BoolExpr, env: Mapping[str, bool]) -> bool:
-    if isinstance(e, BConst):
-        return e.value
-    if isinstance(e, BVar):
-        return env[e.name]
-    if isinstance(e, BNot):
-        return not evaluate(e.arg, env)
-    if isinstance(e, BAnd):
-        return all(evaluate(a, env) for a in e.args)
-    if isinstance(e, BOr):
-        return any(evaluate(a, env) for a in e.args)
-    raise TypeError(f"not a BoolExpr: {e!r}")
+    """The value of ``e`` with each variable read from ``env``.
+
+    One ``fold`` step per node, so a deep tree does not recurse; ``&``
+    and ``|`` stop at the first argument that decides them, as ``all``
+    and ``any`` do.
+    """
+    def step(node: BoolExpr):
+        if isinstance(node, BConst):
+            return node.value
+        if isinstance(node, BVar):
+            return env[node.name]
+        if isinstance(node, BNot):
+            return not (yield node.arg)
+        if isinstance(node, (BAnd, BOr)):
+            decides = isinstance(node, BOr)
+            for arg in node.args:
+                if (yield arg) == decides:
+                    return decides
+            return not decides
+        raise TypeError(f"not a BoolExpr: {node!r}")
+
+    return fold(e, step, {})

@@ -61,19 +61,29 @@ def run_guarded(fn, *args) -> int:
         return 2
 
 
-def read_input(path: str | Path) -> str:
+def read_input(path: str | Path, newline: str | None = None) -> str:
     """The text of a specification, automaton or AIGER input file.
 
-    Every way the read can fail (a missing or unreadable file, a NUL
-    byte in the path, bytes that are not UTF-8) raises ``InputError``
-    naming the path.
+    ``newline`` is ``open``'s: by default every ``\\r\\n`` and lone
+    ``\\r`` reads as ``\\n``; ``read_aiger_input`` passes ``""``, which
+    keeps them.  Every way the read can fail (a missing or unreadable
+    file, a NUL byte in the path, bytes that are not UTF-8) raises
+    ``InputError`` naming the path.
     """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
     except (OSError, ValueError) as exc:  # ValueError covers decode errors
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror \
             else exc
         raise InputError(f"cannot read {str(path)!r}: {reason}") from None
+
+
+def read_aiger_input(path: str | Path) -> AigerDoc:
+    """The AIGER document of an input file, read with no newline
+    translation: ``read_aiger`` ends a line at ``\\n`` only, so a lone
+    ``\\r`` in a symbol name or a comment stays in it."""
+    return read_aiger(read_input(path, newline=""))
 
 
 def build_spec_doc(spec_path: Path) -> AigerDoc:
@@ -84,8 +94,7 @@ def build_spec_doc(spec_path: Path) -> AigerDoc:
     line of the specification that lists it.
     """
     spec = parse_smv(read_input(spec_path))
-    resolved = resolve(spec)
-    model = flatten(resolved)
+    model = flatten(resolve(spec))
     base = spec_path.parent
     monitors = {"sys": [], "env": []}
     for role_key, refs, role in (("sys", spec.main.sys_automata, "guarantee"),
@@ -143,7 +152,7 @@ def cmd_spec2aag(args) -> int:
 
 
 def cmd_just2safe(args) -> int:
-    doc = read_aiger(read_input(args.input))
+    doc = read_aiger_input(args.input)
     out = justice_to_safety(doc, args.k)
     _write(args.output, out)
     print(f"wrote {args.output}: {_doc_summary(out)}")
@@ -151,7 +160,7 @@ def cmd_just2safe(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    doc = read_aiger(read_input(args.input))
+    doc = read_aiger_input(args.input)
     if args.output is None:
         game = build_game(doc)
         winning = solve(game)
@@ -172,7 +181,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_synt2hwmcc(args) -> int:
-    doc = read_aiger(read_input(args.input))
+    doc = read_aiger_input(args.input)
     if not doc.justice:
         _write(args.output, doc)
         print(f"wrote {args.output}: no justice section, model unchanged")
@@ -184,7 +193,7 @@ def cmd_synt2hwmcc(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    doc = read_aiger(read_input(args.input))
+    doc = read_aiger_input(args.input)
     if args.existential:
         result = find_fair_trace(doc)
         if result.found:

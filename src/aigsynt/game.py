@@ -242,6 +242,11 @@ def solve(game: Encoding) -> BddRef:
     the young and old ``ite`` caches, and how many μY steps took a
     restricted frontier, with the node counts of those frontiers against
     those of their levels, all read off the kept pass.
+
+    Each pass ages the manager's ``ite`` cache as it starts, and ``solve``
+    ages it once more before it returns: extraction reads mostly what
+    the last pass made, so the entries of the pass before it, which the
+    last pass did not read, are dropped rather than kept alive.
     """
     mgr = game.mgr
     z = mgr.true
@@ -258,6 +263,7 @@ def solve(game: Encoding) -> BddRef:
                       sum(f for f, _ in sizes), sum(y for _, y in sizes))
         y = levels[-1]
         if y == z:
+            mgr.age()
             return z
         z = y
 
@@ -419,35 +425,32 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     translated game gate, is rewritten by the two-level rules where an
     operand is itself a gate.
 
-    The model keeps only the gates its latches, outputs and properties
-    read.  Of the game's gates only those in the cone of its next-state,
-    output and checked literals are translated, and ``sweep`` drops the
-    gates that constant folding leaves unread (the operands of a gate
-    whose controllable input got a constant strategy, or a strategy
-    cone nothing reads).  A model with no such gate keeps the numbering
-    of a full translation.
+    The kept inputs, then the latches, take the model's first variables,
+    in document order.  Of the game's gates only those in the cone of
+    ``doc.section_lits()`` are translated, and ``doc.relabel`` carries
+    every section over to the model, with the kept inputs only.  The
+    model keeps only the gates its latches, outputs and properties read:
+    ``sweep`` drops the gates that constant folding leaves unread (the
+    operands of a gate whose controllable input got a constant strategy,
+    or a strategy cone nothing reads).  A model with no such gate keeps
+    the numbering of a full translation.
     """
     if len(doc.latches) != len(game.latch_levels) or \
             len(doc.inputs) != len(game.input_levels):
         raise GameError("document does not match the game it was solved as")
-    new = AigerDoc(aig=TwoLevelAig(), fmt=doc.fmt,
-                   comments=without_winning_block(doc.comments))
-    aig = new.aig
+    aig = TwoLevelAig()
     level_to_lit: dict[int, int] = {}
     var_sub: dict[int, int] = {0: 0}  # constants map to themselves
-
     c_by_name = {}
+    inputs = []
     for (lit, name), lvl in zip(doc.inputs, game.input_levels):
         if is_controllable(name):
             c_by_name[name] = lit
             continue
-        new_lit = new.add_input(name)
-        var_sub[lit_var(lit)] = new_lit
-        level_to_lit[lvl] = new_lit
-    for (lit, next_lit, name), lvl in zip(doc.latches, game.latch_levels):
-        new_lit = new.add_latch(name)
-        var_sub[lit_var(lit)] = new_lit
-        level_to_lit[lvl] = new_lit
+        var_sub[lit >> 1] = level_to_lit[lvl] = new_lit = 2 * aig.new_var()
+        inputs.append((new_lit, name))
+    for (lit, _, _), lvl in zip(doc.latches, game.latch_levels):
+        var_sub[lit >> 1] = level_to_lit[lvl] = 2 * aig.new_var()
 
     funcs = list(strategy.funcs.values())
     sifted = sift(game.mgr, funcs)
@@ -460,29 +463,24 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     for n, level, lo, hi in sifted.records:
         lits[n] = aig.ite_(level_to_lit[level], lits[hi], lits[lo])
     for name, root in zip(strategy.funcs, sifted.roots):
-        var_sub[lit_var(c_by_name[name])] = lits[root]
+        var_sub[c_by_name[name] >> 1] = lits[root]
 
     def map_lit(lit: int) -> int:
-        return var_sub[lit_var(lit)] ^ (lit & 1)
+        return var_sub[lit >> 1] ^ (lit & 1)
 
-    read = doc.aig.cone(doc.root_lits() + [lit for lit, _ in doc.outputs])
+    read = doc.aig.cone(lit for _, lits in doc.section_lits() for lit in lits)
     for var, rhs0, rhs1 in doc.aig.nodes():
         if var in read:
             var_sub[var] = aig.and_(map_lit(rhs0), map_lit(rhs1))
 
-    for lit, next_lit, _ in doc.latches:
-        new.set_latch_next(var_sub[lit_var(lit)], map_lit(next_lit))
-    new.outputs = [(map_lit(lit), name) for lit, name in doc.outputs]
+    new = doc.relabel(map_lit, aig, inputs=inputs,
+                      comments=without_winning_block(doc.comments))
     if doc.fmt == "new":
         # old-format outputs are all read as error signals, so the
         # synthesized functions are exposed only in the new format
-        for name, func in strategy.funcs.items():
-            plain = name[len(CONTROLLABLE_PREFIX):]
-            new.outputs.append((var_sub[lit_var(c_by_name[name])], plain))
-    new.bad = [(map_lit(lit), name) for lit, name in doc.bad]
-    new.constraints = [(map_lit(lit), name) for lit, name in doc.constraints]
-    new.justice = [([map_lit(lit) for lit in group], name)
-                   for group, name in doc.justice]
+        new.outputs += [(var_sub[c_by_name[name] >> 1],
+                         name[len(CONTROLLABLE_PREFIX):])
+                        for name in strategy.funcs]
     new = sweep(new)
     new.validate()
     return new

@@ -8,12 +8,12 @@ from .ast import (
 )
 from .flatten import FlatLatch, FlatModel, flatten
 from .parser import parse_smv
-from .resolve import ResolvedSpec, resolve
+from .resolve import ModuleCtx, resolve
 
 __all__ = [
     "AssignDecl", "AutomatonRef", "Binary", "BOOL", "BoolLit", "BoolType",
     "Case", "DefineDecl", "EnumType", "Expr", "FlatLatch", "FlatModel",
-    "InstanceType", "IntLit", "Name", "RangeType", "ResolvedSpec",
+    "InstanceType", "IntLit", "ModuleCtx", "Name", "RangeType",
     "SmvError", "SmvFlattenError", "SmvModule", "SmvResolveError", "SmvSpec",
     "SmvSyntaxError", "Unary", "VarDecl", "VarType", "flatten", "parse_smv",
     "resolve",

@@ -215,7 +215,6 @@ class SmvModule:
 @dataclass
 class SmvSpec:
     modules: list[SmvModule]
-    main_name: str = "main"
 
     def module(self, name: str) -> SmvModule:
         for m in self.modules:
@@ -225,4 +224,4 @@ class SmvSpec:
 
     @property
     def main(self) -> SmvModule:
-        return self.module(self.main_name)
+        return self.module("main")

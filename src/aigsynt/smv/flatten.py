@@ -30,8 +30,8 @@ from .ast import (
     Name, RangeType, SmvFlattenError, Unary, VarType,
 )
 from .resolve import (
-    IntConstType, ModuleCtx, ParamBinding, ResolvedSpec, SymbolBinding,
-    SymConstType, VarBinding,
+    IntConstType, ModuleCtx, ParamBinding, SymbolBinding, SymConstType,
+    VarBinding,
 )
 
 log = logging.getLogger(__name__)
@@ -86,8 +86,8 @@ def code_bits(code: int, width: int) -> list[BoolExpr]:
 
 
 class _Flattener:
-    def __init__(self, resolved: ResolvedSpec):
-        self.resolved = resolved
+    def __init__(self, root: ModuleCtx):
+        self.root = root
         self.inputs_u: list[str] = []
         self.inputs_c: list[str] = []
         self.latches: list[FlatLatch] = []
@@ -115,8 +115,8 @@ class _Flattener:
     # main walk ----------------------------------------------------------
 
     def run(self) -> FlatModel:
-        self._emit_defines(self.resolved.root)
-        self._walk_vars(self.resolved.root)
+        self._emit_defines(self.root)
+        self._walk_vars(self.root)
         return FlatModel(
             inputs_u=tuple(self.inputs_u),
             inputs_c=tuple(self.inputs_c),
@@ -294,6 +294,7 @@ def _inline_defines(bits: list[BoolExpr],
     return [bx.fold(b, step, memo) for b in bits]
 
 
-def flatten(resolved: ResolvedSpec) -> FlatModel:
-    """Flatten a resolved specification to a boolean-only model."""
-    return _Flattener(resolved).run()
+def flatten(root: ModuleCtx) -> FlatModel:
+    """Flatten a resolved specification, given by the context of ``main``
+    that ``resolve`` returns, to a boolean-only model."""
+    return _Flattener(root).run()

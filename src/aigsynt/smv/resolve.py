@@ -102,12 +102,6 @@ class ModuleCtx:
         return ".".join(self.path) if self.path else "main"
 
 
-@dataclass
-class ResolvedSpec:
-    spec: SmvSpec
-    root: ModuleCtx
-
-
 def _check_module_structure(module: SmvModule) -> None:
     seen: dict[str, str] = {}
     for p in module.params:
@@ -229,50 +223,45 @@ class _Checker:
         return t
 
     def resolve_name(self, ctx: ModuleCtx, name: Name):
-        """Bind a possibly dotted name; memoized per context."""
-        cached = ctx.bindings.get(id(name))
-        if cached is not None:
-            return cached
-        binding = self._resolve_name_uncached(ctx, name)
+        """Bind a possibly dotted name and record the binding in
+        ``ctx.bindings``, which ``flatten`` reads.  ``expr_type`` memoizes
+        per node, so each name is bound once per context.
+
+        Every part but the last must name an instance; the last names a
+        parameter, a variable or a define, and a simple name bound to
+        none of these is a candidate enum symbol literal.
+        """
+        *path, part = name.parts
+        cur = ctx
+        for step in path:
+            if step in cur.params:
+                raise SmvResolveError(
+                    f"{cur.dotted}: cannot access a member of parameter {step!r}",
+                    name.line)
+            if step not in cur.children:
+                if cur.module.var_decl(step) or cur.module.define_decl(step):
+                    raise SmvResolveError(
+                        f"{cur.dotted}: {step!r} is not an instance", name.line)
+                raise SmvResolveError(f"{cur.dotted}: unbound identifier "
+                                      f"{'.'.join(name.parts)!r}", name.line)
+            cur = cur.children[step]
+        decl = cur.module.var_decl(part)
+        if part in cur.params:
+            binding = cur.params[part]
+        elif part in cur.children:
+            raise SmvResolveError(
+                f"{cur.dotted}: instance {part!r} used as a value", name.line)
+        elif decl is not None:
+            binding = VarBinding(ctx=cur, name=part, type=decl.type)
+        elif cur.module.define_decl(part) is not None:
+            binding = DefineBinding(ctx=cur, name=part)
+        elif not path:
+            binding = SymbolBinding(name=part)
+        else:
+            raise SmvResolveError(f"{cur.dotted}: unbound identifier "
+                                  f"{'.'.join(name.parts)!r}", name.line)
         ctx.bindings[id(name)] = binding
         return binding
-
-    def _resolve_name_uncached(self, ctx: ModuleCtx, name: Name):
-        cur = ctx
-        parts = name.parts
-        for i, part in enumerate(parts):
-            last = i == len(parts) - 1
-            module = cur.module
-            if part in cur.params:
-                if not last:
-                    raise SmvResolveError(
-                        f"{cur.dotted}: cannot access a member of parameter {part!r}",
-                        name.line)
-                return cur.params[part]
-            if part in cur.children:
-                if last:
-                    raise SmvResolveError(
-                        f"{cur.dotted}: instance {part!r} used as a value", name.line)
-                cur = cur.children[part]
-                continue
-            decl = module.var_decl(part)
-            if decl is not None:
-                if not last:
-                    raise SmvResolveError(
-                        f"{cur.dotted}: {part!r} is not an instance", name.line)
-                return VarBinding(ctx=cur, name=part, type=decl.type)
-            ddecl = module.define_decl(part)
-            if ddecl is not None:
-                if not last:
-                    raise SmvResolveError(
-                        f"{cur.dotted}: {part!r} is not an instance", name.line)
-                return DefineBinding(ctx=cur, name=part)
-            if i == 0 and last:
-                # unbound simple name: candidate enum symbol literal
-                return SymbolBinding(name=part)
-            raise SmvResolveError(
-                f"{cur.dotted}: unbound identifier {'.'.join(parts)!r}", name.line)
-        raise AssertionError("unreachable")
 
     def expr_type(self, ctx: ModuleCtx, expr: Expr) -> VarType:
         cached = ctx.expr_types.get(id(expr))
@@ -368,8 +357,12 @@ class _Checker:
         raise AssertionError(f"unknown operator {op!r}")
 
 
-def resolve(spec: SmvSpec) -> ResolvedSpec:
-    """Bind names, verify the instance hierarchy and type-check everything."""
+def resolve(spec: SmvSpec) -> ModuleCtx:
+    """Bind names, verify the instance hierarchy and type-check everything.
+
+    Returns the context of ``main``, the root of the instance tree, which
+    ``flatten`` walks.
+    """
     main = spec.main
     if main.params:
         raise SmvResolveError("module 'main' must not take parameters", main.line)
@@ -379,4 +372,4 @@ def resolve(spec: SmvSpec) -> ResolvedSpec:
     checker = _Checker(spec)
     root = checker.build_ctx(main, (), {})
     checker.check_ctx(root)
-    return ResolvedSpec(spec=spec, root=root)
+    return root

@@ -19,8 +19,8 @@ from aigsynt.smv.ast import (
 )
 from aigsynt.smv.flatten import FlatModel, nbits, value_code
 from aigsynt.smv.resolve import (
-    DefineBinding, IntConstType, ModuleCtx, ParamBinding, ResolvedSpec,
-    SymbolBinding, VarBinding,
+    DefineBinding, IntConstType, ModuleCtx, ParamBinding, SymbolBinding,
+    VarBinding,
 )
 
 
@@ -30,11 +30,11 @@ from aigsynt.smv.resolve import (
 class RefInterp:
     """Typed-value execution of a resolved spec (oracle for flatten)."""
 
-    def __init__(self, resolved: ResolvedSpec):
-        self.resolved = resolved
+    def __init__(self, root: ModuleCtx):
+        self.root = root
         self.state_vars: list[tuple[ModuleCtx, str]] = []
         self.input_vars: list[tuple[ModuleCtx, str]] = []
-        self._collect(resolved.root)
+        self._collect(root)
 
     def _collect(self, ctx: ModuleCtx) -> None:
         nexts = {a.target for a in ctx.module.assigns if a.kind == "next"}
@@ -143,7 +143,7 @@ class RefInterp:
             for child in ctx.children.values():
                 walk(child)
 
-        walk(self.resolved.root)
+        walk(self.root)
         return out
 
     def enumerate_input_values(self) -> list[dict[str, object]]:
@@ -177,7 +177,7 @@ class RefInterp:
             for child in ctx.children.values():
                 walk(child)
 
-        walk(self.resolved.root)
+        walk(self.root)
         return out
 
 

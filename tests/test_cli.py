@@ -21,10 +21,12 @@ from aigsynt.cli import main
 from aigsynt.game import delay_justice
 from aigsynt.mc import _cut_vars
 from aigsynt.oracle import solve_explicit
+from aigsynt.smv import flatten, parse_smv, resolve
 
-from helpers import enumerate_fair_lasso, enumerate_lasso_fg_not_just
+from helpers import FlatSim, enumerate_fair_lasso, enumerate_lasso_fg_not_just
 from test_aiger import LINE_BREAKS, NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED, \
     names_and_comments_text
+from test_automata import gff
 from test_game import all_states, assert_encoding_simulates, benchmark_doc, \
     doc_with
 from test_mc import replay
@@ -84,8 +86,6 @@ def test_synth_output_with_realizability_only_rejected(tmp_path, capsys):
 
 
 def test_spec2aag_standard_k_without_liveness_rejected(tmp_path, capsys):
-    from test_automata import gff
-
     (tmp_path / "spec.smv").write_text(
         "MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"
         "  q: boolean;\n\nSYS_AUTOMATON_SPEC\n  guarantee.gff;\n")
@@ -386,15 +386,36 @@ def test_binary_aiger_is_an_input_error(tmp_path, capsys, command):
 def test_synt2hwmcc_keeps_line_breaks_inside_names_and_comments(tmp_path,
                                                               capsys):
     """Only ``\\n`` ends a line: ``synt2hwmcc`` writes a justice-free
-    document whose symbol name and comments hold the other breaks of
-    ``str.splitlines`` byte for byte as it read them."""
+    document whose symbol name and comments hold a lone ``\\r`` and the
+    other breaks of ``str.splitlines`` byte for byte as it read them."""
     source = tmp_path / "names.aag"
-    text = names_and_comments_text(LINE_BREAKS)
-    source.write_text(text, encoding="utf-8")
+    text = names_and_comments_text("\r" + LINE_BREAKS)
+    source.write_bytes(text.encode("utf-8"))
     out = tmp_path / "out.aag"
     assert main(["synt2hwmcc", str(source), "-o", str(out)]) == 0
     assert capsys.readouterr().out.endswith("model unchanged\n")
     assert out.read_bytes() == text.encode("utf-8")
+
+
+def test_crlf_aiger_files_go_through_main(tmp_path, capsys):
+    """An AIGER input with CRLF line ends reads as with LF: written back
+    with LF, and a game solved and its model checked as from LF."""
+    source = tmp_path / "crlf.aag"
+    text = names_and_comments_text(LINE_BREAKS)
+    source.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    out = tmp_path / "out.aag"
+    assert main(["synt2hwmcc", str(source), "-o", str(out)]) == 0
+    assert out.read_bytes() == text.encode("utf-8")
+    game = tmp_path / "game.aag"
+    assert main(["spec2aag", str(BENCH / "huffman4.smv"), "-o", str(game)]) == 0
+    crlf_game = tmp_path / "crlf_game.aag"
+    crlf_game.write_bytes(game.read_bytes().replace(b"\n", b"\r\n"))
+    models = [tmp_path / "model.aag", tmp_path / "crlf_model.aag"]
+    for source, model in zip((game, crlf_game), models):
+        assert main(["synth", str(source), "-o", str(model)]) == 0
+        assert main(["mc", str(model)]) == 0
+    capsys.readouterr()
+    assert models[0].read_bytes() == models[1].read_bytes()
 
 
 def case_table(n_rows: int) -> str:
@@ -405,8 +426,10 @@ def case_table(n_rows: int) -> str:
 
 def test_a_deep_case_goes_through_the_pipeline(tmp_path, capsys):
     """A 2000-branch ``case`` nests its branches 2000 deep; it compiles
-    without recursing, and the game steps as its table says: ``x`` takes
-    the value of row ``u``, and keeps its own past the last row."""
+    without recursing, and the game and the flattened model
+    (``FlatSim``, whose ``boolexpr.evaluate`` walks 2000 rows down at
+    ``u`` = 1999) step as its table says: ``x`` takes the value of row
+    ``u``, and keeps its own past the last row."""
     spec = tmp_path / "deep.smv"
     spec.write_text(f"MODULE main\nVAR\n  u : 0..1999;\nVAR\n  x : boolean;\n"
                     f"ASSIGN\n  init(x) := FALSE;\n  next(x) := case\n"
@@ -417,11 +440,14 @@ def test_a_deep_case_goes_through_the_pipeline(tmp_path, capsys):
     assert main(["mc", str(model)]) == 0
     capsys.readouterr()
     sim = Simulator(read_aiger(game.read_text()))
-    x = False
+    flat = FlatSim(flatten(resolve(parse_smv(spec.read_text()))))
+    x, flat_latches = False, flat.initial()
     for u in (0, 1999, 1, 1999, 3, 4, 5, 6, 998, 999, 1000, 1997, 1998, 1999):
-        sim.step({f"u.__bit{i}": bool(u >> i & 1) for i in range(11)})
+        bits = {f"u.__bit{i}": bool(u >> i & 1) for i in range(11)}
+        sim.step(bits)
+        flat_latches = flat.step(flat_latches, bits)
         x = u % 3 == 0 if u < 1999 else x
-        assert sim.latch_values == [x], u
+        assert sim.latch_values == [x] and flat_latches == {"x": x}, u
 
 
 def test_a_deep_define_read_by_init_is_not_a_constant(tmp_path, capsys):
@@ -437,8 +463,6 @@ def test_a_deep_define_read_by_init_is_not_a_constant(tmp_path, capsys):
 
 
 def test_automaton_error_names_its_file_and_spec_line(tmp_path, capsys):
-    from test_automata import gff
-
     (tmp_path / "spec.smv").write_text(
         "MODULE main\nVAR\n  p: boolean;\n\n"
         "VAR --controllable\n  q: boolean;\n\n"
@@ -463,8 +487,6 @@ def test_automaton_error_names_its_file_and_spec_line(tmp_path, capsys):
 
 @pytest.mark.parametrize("corrupt", ["spec.smv", "guarantee.gff"])
 def test_spec2aag_non_utf8_input_is_an_input_error(tmp_path, capsys, corrupt):
-    from test_automata import gff
-
     (tmp_path / "spec.smv").write_text(
         "-- cafe\nMODULE main\nVAR\n  p: boolean;\n\n"
         "VAR --controllable\n  q: boolean;\n\n"
@@ -504,6 +526,127 @@ def test_spec2aag_unreadable_number_is_an_input_error(tmp_path, capsys, bound,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message} (line 3, col 10)\n"
+    assert not out.exists()
+
+
+def gff_xml(states='<state sid="s"/>',
+            transitions="<transition><from>s</from><to>s</to>"
+                        "<label>True</label></transition>",
+            acc='<acc type="buchi"><stateID>s</stateID></acc>'):
+    """A one-state GFF automaton with one of its elements replaced."""
+    return ('<structure label-on="transition" type="fa">'
+            '<alphabet type="propositional"/>'
+            f"<stateSet>{states}</stateSet><initialStateSet><stateID>s"
+            f"</stateID></initialStateSet><transitionSet>{transitions}"
+            f"</transitionSet>{acc}</structure>")
+
+
+SPEC_HEAD = "MODULE main\nVAR x: boolean; r: 0..3;\n"
+# id: (specification, its one guarantee automaton or None, error message);
+# an automaton is listed on line 4 of its specification
+SPEC_ERRORS = {
+    # resolution
+    "duplicate_parameter": (
+        "MODULE m(p, p)\nVAR y: boolean;\nMODULE main\nVAR i: m(TRUE, FALSE);\n",
+        None, "module 'm': duplicate parameter 'p' (line 1)"),
+    "variable_and_define": (
+        "MODULE main\nVAR x: boolean;\nDEFINE x := TRUE;\n",
+        None, "module 'main': name 'x' declared twice (line 3)"),
+    "next_of_a_define": (
+        "MODULE main\nVAR x: boolean;\nDEFINE d := x;\nASSIGN next(d) := x;\n",
+        None, "module 'main': next(d) does not assign a variable (line 4)"),
+    "assign_to_instance": (
+        "MODULE m\nVAR y: boolean;\nMODULE main\nVAR i: m;\n"
+        "ASSIGN next(i) := TRUE;\n",
+        None, "module 'main': cannot assign to instance 'i' (line 5)"),
+    "member_of_parameter": (
+        "MODULE m(p)\nDEFINE d := p.x;\nMODULE main\nVAR a: boolean; i: m(a);\n",
+        None, "i: cannot access a member of parameter 'p' (line 2)"),
+    "instance_as_value": (
+        "MODULE m\nVAR y: boolean;\nMODULE main\nVAR i: m; x: boolean;\n"
+        "ASSIGN next(x) := i;\n",
+        None, "main: instance 'i' used as a value (line 5)"),
+    "member_of_variable": (SPEC_HEAD + "ASSIGN next(x) := x.y;\n",
+                           None, "main: 'x' is not an instance (line 3)"),
+    "member_of_define": (
+        SPEC_HEAD + "DEFINE d := x;\nASSIGN next(x) := d.y;\n",
+        None, "main: 'd' is not an instance (line 4)"),
+    "unbound_dotted_name": (SPEC_HEAD + "ASSIGN next(x) := w.y;\n",
+                            None, "main: unbound identifier 'w.y' (line 3)"),
+    "not_of_a_word": (
+        SPEC_HEAD + "ASSIGN next(x) := !r;\n",
+        None, "main: operand of '!' has type 0..3, expected boolean (line 3)"),
+    "and_of_a_word": (
+        SPEC_HEAD + "ASSIGN next(x) := x & r;\n", None,
+        "main: right operand of '&' has type 0..3, expected boolean (line 3)"),
+    "case_condition_of_a_word": (
+        SPEC_HEAD + "ASSIGN next(x) := case r : TRUE; TRUE : FALSE; esac;\n",
+        None, "main: case condition has type 0..3, expected boolean (line 3)"),
+    "main_with_parameters": (
+        "MODULE main(p)\nVAR x: boolean;\n",
+        None, "module 'main' must not take parameters (line 1)"),
+    # parsing
+    "duplicate_enum_symbol": ("MODULE main\nVAR e: {A, B, A};\n",
+                              None, "duplicate enum symbol (line 2, col 8)"),
+    "range_minus_without_number": (
+        "MODULE main\nVAR r: -x..3;\n",
+        None, "expected a number after '-' (line 2, col 9)"),
+    "range_bound_not_a_number": (
+        "MODULE main\nVAR r: 0..x;\n",
+        None, "expected a number, found 'x' (line 2, col 11)"),
+    "assign_neither_init_nor_next": (
+        SPEC_HEAD + "ASSIGN last(x) := TRUE;\n", None,
+        "expected init(...) or next(...), found 'last' (line 3, col 8)"),
+    "star_as_an_atom": (
+        SPEC_HEAD + "ASSIGN next(x) := * x;\n",
+        None, "arithmetic operator '*' is not supported (line 3, col 19)"),
+    "empty_case": (SPEC_HEAD + "ASSIGN next(x) := case esac;\n",
+                   None, "empty case expression (line 3, col 19)"),
+    # automata
+    "label_mixes_true": (
+        SPEC_HEAD, gff(["s"], "s", [("s", "True x", "s")], ["s"]),
+        "aut.gff (spec line 4): cannot mix True with literals: 'True x'"),
+    "unparsable_label_literal": (
+        SPEC_HEAD, gff(["s"], "s", [("s", "x-y", "s")], ["s"]),
+        "aut.gff (spec line 4): unparsable label literal 'x-y'"),
+    "duplicate_state_ids": (
+        SPEC_HEAD, gff(["s", "s"], "s", [("s", "True", "s")], ["s"]),
+        "aut.gff (spec line 4): duplicate state ids"),
+    "undeclared_initial_state": (
+        SPEC_HEAD, gff(["s"], "t", [("s", "True", "s")], ["s"]),
+        "aut.gff (spec line 4): initial state 't' undeclared"),
+    "transition_to_unknown_state": (
+        SPEC_HEAD, gff(["s"], "s", [("s", "True", "t")], ["s"]),
+        "aut.gff (spec line 4): transition 's'->'t' uses unknown state"),
+    "state_without_sid": (
+        SPEC_HEAD, gff_xml(states='<state sid="s"/><state/>'),
+        "aut.gff (spec line 4): <state> without sid attribute"),
+    "transition_without_to": (
+        SPEC_HEAD, gff_xml(transitions="<transition><from>s</from>"
+                           "<label>True</label></transition>"),
+        "aut.gff (spec line 4): <transition> without <from>/<to>"),
+    "no_acc": (SPEC_HEAD, gff_xml(acc=""),
+               "aut.gff (spec line 4): missing <acc> element"),
+}
+
+
+@pytest.mark.parametrize("line_end", ["\n", "\r"], ids=["lf", "cr"])
+@pytest.mark.parametrize("spec, automaton, message", SPEC_ERRORS.values(),
+                         ids=SPEC_ERRORS)
+def test_spec2aag_error_messages(tmp_path, capsys, spec, automaton, message,
+                                 line_end):
+    """Each fault of a specification or of its automaton exits 2 with
+    one ``error:`` line, and writes nothing.  Specification and automaton
+    files, unlike AIGER inputs, read a lone ``\\r`` as a line end, so the
+    line numbers are the same with either line end."""
+    if automaton is not None:
+        spec += "SYS_AUTOMATON_SPEC\n  aut.gff;\n"
+        (tmp_path / "aut.gff").write_bytes(
+            automaton.replace("\n", line_end).encode())
+    (tmp_path / "spec.smv").write_bytes(spec.replace("\n", line_end).encode())
+    out = tmp_path / "spec.aag"
+    assert main(["spec2aag", str(tmp_path / "spec.smv"), "-o", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -609,8 +752,6 @@ def test_spec2aag_on_module_hierarchy_spec(tmp_path):
     negation each) compiles to an extended file with B, C and J
     sections."""
     from test_smv_parser import LISTING_STYLE
-    from test_automata import gff
-
     (tmp_path / "spec.smv").write_text(LISTING_STYLE)
     # guarantee 1: done recurs (deterministic liveness automaton)
     (tmp_path / "guarantee1.gff").write_text(gff(
@@ -659,8 +800,6 @@ def test_spec2aag_accepts_guarantee_with_unreachable_incomplete_state(
         tmp_path, capsys):
     """The guarantee's unreachable state s2 loops on p alone; its move on
     ~p into the completion trap keeps the trap, so the spec compiles."""
-    from test_automata import gff
-
     (tmp_path / "spec.smv").write_text(
         "MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"
         "  q: boolean;\n\nSYS_AUTOMATON_SPEC\n  guarantee.gff;\n")

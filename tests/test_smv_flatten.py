@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from aigsynt import boolexpr as bx
+from aigsynt.aiger import Simulator
 from aigsynt.circuit import CircuitError, compile_model
 from aigsynt.smv import (
     FlatModel, SmvFlattenError, SmvResolveError, flatten, parse_smv, resolve,
@@ -369,6 +370,99 @@ def test_semantics_integer_comparisons_on_a_case():
       pick := case go : 1; TRUE : 2; esac;
       eq := pick = 2; ne := 2 != pick; lt := pick < 2; ge := pick >= 1;
     """, max_len=2)
+
+
+# ``xor`` and ``!=`` on booleans, ``>``, order comparisons against
+# constants, ``!=`` on an enum, and negative literals in a range, a
+# comparison and a case value; each define is sampled by a latch, so the
+# compiled game shows every operator in its latch values
+OPERATORS = """
+MODULE main
+VAR a : boolean;
+    b : boolean;
+    u : -3..2;
+    e : {RED, GREEN, BLUE};
+    x : -3..2;
+    c : {IDLE, BUSY};
+    s_xor : boolean; s_ne : boolean; s_gt : boolean; s_gtc : boolean;
+    s_ge : boolean; s_lt : boolean; s_en : boolean; s_neg : boolean;
+DEFINE
+  d_xor := a xor b;
+  d_ne := a != b;
+  d_gt := u > x;
+  d_gtc := x > -2;
+  d_ge := u >= 1;
+  d_lt := -1 < u;
+  d_en := e != GREEN;
+  neg := case a : -1; b : 2; TRUE : -3; esac;
+  d_neg := neg = -1 | x < -1;
+ASSIGN
+  init(x) := -2;
+  next(x) := case
+    d_xor : -1;
+    d_gt : u;
+    x < -1 : -3;
+    TRUE : x;
+  esac;
+  init(c) := IDLE;
+  next(c) := case (e != RED) & (c != BUSY) : BUSY; TRUE : IDLE; esac;
+  init(s_xor) := FALSE; next(s_xor) := d_xor;
+  init(s_ne) := FALSE; next(s_ne) := d_ne;
+  init(s_gt) := FALSE; next(s_gt) := d_gt;
+  init(s_gtc) := TRUE; next(s_gtc) := d_gtc;
+  init(s_ge) := FALSE; next(s_ge) := d_ge;
+  init(s_lt) := FALSE; next(s_lt) := d_lt;
+  init(s_en) := TRUE; next(s_en) := d_en;
+  init(s_neg) := FALSE; next(s_neg) := d_neg;
+"""
+
+
+def test_semantics_rarely_used_operators():
+    _agreement_case(OPERATORS, max_len=2)
+
+
+def test_compiled_game_steps_rarely_used_operators():
+    """The game compiled from ``OPERATORS`` steps under
+    ``aiger.Simulator`` as the typed interpreter does, over every input
+    sequence of two steps."""
+    root = build(OPERATORS)
+    interp = RefInterp(root)
+    doc = compile_model(flatten(root), [], [])
+    var_types = interp.var_types()
+    latch_names = [name for _, _, name in doc.latches]
+
+    def bits_of(values: dict[str, object]) -> dict[str, bool]:
+        bits = {}
+        for name, value in values.items():
+            bits.update(typed_value_to_bits(var_types[name], value, name))
+        return bits
+
+    def state_bits(state) -> dict[str, bool]:
+        return bits_of({interp.full_name(ctx, name): state[(id(ctx), name)]
+                        for ctx, name in interp.state_vars})
+
+    def latch_bits(values: list[bool]) -> dict[str, bool]:
+        # a latch that starts at 1 is stored negated under ``.__neg``
+        return {name.removesuffix(".__neg"): v ^ name.endswith(".__neg")
+                for name, v in zip(latch_names, values)}
+
+    sim = Simulator(doc)
+    steps = 0
+
+    def explore(state, depth):
+        nonlocal steps
+        assert latch_bits(sim.latch_values) == state_bits(state)
+        if depth == 2:
+            return
+        before = sim.latch_values
+        for inputs in interp.enumerate_input_values():
+            sim.latch_values = before
+            sim.step(bits_of(inputs))
+            steps += 1
+            explore(interp.step(state, inputs), depth + 1)
+
+    explore(interp.initial_state(), 0)
+    assert steps == 72 + 72 * 72
 
 
 @given(st.lists(st.booleans(), min_size=1, max_size=8))
