@@ -9,6 +9,12 @@ sections).  Latches always initialize to 0.
 
 Graph construction is single-writer; a finished document is treated as
 immutable and may be shared freely.
+
+A synthesized model ends its comments with a winning-region block, a set
+of its states (``game.winning_block``).  ``AigerDoc.relabel``, and so
+``copy``, decides once whether a rewrite keeps it: a copy that replaces
+a field drops the block, since the block describes the source's latches
+and properties, and a plain copy or renumbering (``sweep``) keeps it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,9 @@ TRUE_LIT = 1
 
 CONTROLLABLE_PREFIX = "controllable_"
 
+# the first word of the winning-region block's header comment line
+WINNING_BLOCK = "aigsynt-winning-region"
+
 
 class AigError(Exception):
     pass
@@ -28,6 +37,15 @@ class AigError(Exception):
 def is_controllable(name: str | None) -> bool:
     """The SYNTCOMP input partition: controllable iff the name has the prefix."""
     return name is not None and name.startswith(CONTROLLABLE_PREFIX)
+
+
+def winning_block_start(comments) -> int | None:
+    """Index of the winning-region block's header among the comment
+    lines, if any; the block runs to the end of the comments."""
+    for i, line in enumerate(comments):
+        if line.split(" ", 1)[0] == WINNING_BLOCK:
+            return i
+    return None
 
 
 def lit_var(lit: int) -> int:
@@ -249,30 +267,38 @@ class AigerDoc:
 
     def copy(self, **changes) -> "AigerDoc":
         """A copy sharing nothing mutable: ``relabel`` of the identity on
-        a copy of the graph; keywords replace whole fields."""
+        a copy of the graph."""
         return self.relabel(lambda lit: lit, self.aig.copy(), **changes)
 
     def relabel(self, f, aig: Aig, **changes) -> "AigerDoc":
         """A copy on graph ``aig`` in which every section literal ``lit``,
         of an input, a latch or its next state, an output, a bad signal,
-        a constraint or a justice group, becomes ``f(lit)``; names and
-        comments are kept, and keywords replace whole fields.
+        a constraint or a justice group, becomes ``f(lit)``, and names
+        are kept.  Keywords replace whole fields, which are taken as
+        given and not mapped.
 
-        Code that renumbers a document (``copy``, ``sweep``,
-        ``game.strategy_to_circuit``) goes through it, so none of it
-        lists the sections itself.
+        Every rewrite of a document goes through it, so it is the one
+        place that decides what a rewrite keeps: a copy that replaces any
+        field keeps only the comments before the winning-region block,
+        unless ``comments`` is given; with no keyword (``copy()``,
+        ``sweep``) the block is kept.
         """
-        fields = dict(
-            aig=aig, inputs=[(f(lit), name) for lit, name in self.inputs],
-            latches=[(f(lit), f(nxt), name) for lit, nxt, name in self.latches],
-            outputs=[(f(lit), name) for lit, name in self.outputs],
-            bad=[(f(lit), name) for lit, name in self.bad],
-            constraints=[(f(lit), name) for lit, name in self.constraints],
-            justice=[([f(lit) for lit in group], name)
-                     for group, name in self.justice],
-            fmt=self.fmt, comments=list(self.comments))
-        fields.update(changes)
-        return AigerDoc(**fields)
+        mapped = {
+            "inputs": lambda: [(f(lit), name) for lit, name in self.inputs],
+            "latches": lambda: [(f(lit), f(nxt), name)
+                                for lit, nxt, name in self.latches],
+            "outputs": lambda: [(f(lit), name) for lit, name in self.outputs],
+            "bad": lambda: [(f(lit), name) for lit, name in self.bad],
+            "constraints": lambda: [(f(lit), name)
+                                    for lit, name in self.constraints],
+            "justice": lambda: [([f(lit) for lit in group], name)
+                                for group, name in self.justice]}
+        end = winning_block_start(self.comments) if changes else None
+        fields = {name: build() for name, build in mapped.items()
+                  if name not in changes}
+        return AigerDoc(**{"aig": aig, "fmt": self.fmt,
+                           "comments": self.comments[:end],
+                           **fields, **changes})
 
     def section_lits(self) -> list[tuple[str, list[int]]]:
         """The literals the document reads, as ``(section, literals)``

@@ -66,12 +66,13 @@ def read_input(path: str | Path, newline: str | None = None) -> str:
 
     ``newline`` is ``open``'s: by default every ``\\r\\n`` and lone
     ``\\r`` reads as ``\\n``; ``read_aiger_input`` passes ``""``, which
-    keeps them.  Every way the read can fail (a missing or unreadable
-    file, a NUL byte in the path, bytes that are not UTF-8) raises
-    ``InputError`` naming the path.
+    keeps them.  A UTF-8 byte-order mark at the start reads as nothing.
+    Every way the read can fail (a missing or unreadable file, a NUL
+    byte in the path, bytes that are not UTF-8) raises ``InputError``
+    naming the path.
     """
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8-sig", newline=newline) as fh:
             return fh.read()
     except (OSError, ValueError) as exc:  # ValueError covers decode errors
         reason = exc.strerror if isinstance(exc, OSError) and exc.strerror \

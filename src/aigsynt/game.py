@@ -32,11 +32,11 @@ Each μY pass of ``solve`` is kept on the game until the next one
 as a block at the end of the AIGER comments: ``winning_block`` writes
 it and ``read_winning_block`` reads it, side by side below, and the
 model checker proves safety with it (see ``mc``).  The block adds no
-gate and no symbol, and other AIGER tools skip comments.  A rewrite
-whose latches or properties differ from its source's (``delay_justice``,
-the ``transforms`` rewrites, ``strategy_to_circuit``, which copies a
-game's comments) drops the block with ``without_winning_block``, so a
-document never carries a stale or a second one.
+gate and no symbol, and other AIGER tools skip comments.  Every rewrite
+(the ``transforms`` rewrites, ``strategy_to_circuit``, which copies a
+game's comments) goes through ``AigerDoc.relabel``, which drops the
+block from a copy that replaces a field, so a document never carries a
+stale or a second one.
 """
 
 from __future__ import annotations
@@ -46,45 +46,17 @@ import logging
 from dataclasses import dataclass
 from typing import Sequence
 
-from .aiger import AigerDoc, CONTROLLABLE_PREFIX, TwoLevelAig, \
-    is_controllable, lit_var, read_number, sweep
+from .aiger import AigerDoc, CONTROLLABLE_PREFIX, WINNING_BLOCK, \
+    TwoLevelAig, is_controllable, read_number, sweep, winning_block_start
 from .bdd import BddManager, BddRef, Substitution, frontier, postorder, \
     sift
+from .transforms import delay_justice, justice_depends_on_inputs
 
 log = logging.getLogger(__name__)
 
 
 class GameError(Exception):
     pass
-
-
-DELAY_LATCH_NAME = "__just_delay"
-
-
-def justice_depends_on_inputs(doc: AigerDoc) -> bool:
-    jlit = doc.justice_literal()
-    if jlit is None:
-        return False
-    cone = doc.aig.cone([jlit])
-    return any(lit_var(lit) in cone for lit, _ in doc.inputs)
-
-
-def delay_justice(doc: AigerDoc) -> AigerDoc:
-    """Route the justice literal through a fresh latch so it is state-based.
-
-    Recurring infinitely often is insensitive to a one-step delay.  The
-    delay latch observes the others, so it is listed first.
-    """
-    jlit = doc.justice_literal()
-    if jlit is None:
-        raise GameError("document has no justice literal to delay")
-    new = doc.copy(latches=[], justice=[],
-                   comments=without_winning_block(doc.comments))
-    lit = new.add_latch(DELAY_LATCH_NAME, next_lit=jlit)
-    new.latches += doc.latches
-    new.justice.append(([lit], doc.justice[0][1]))
-    new.validate()
-    return new
 
 
 class Encoding:
@@ -99,9 +71,9 @@ class Encoding:
     Latch levels follow document order, so the document fixes the latch
     order.  Producers list observers first: ``compile_model`` puts the
     monitor latches above the model's, and every rewrite in
-    ``transforms`` and ``delay_justice`` puts its added latches above
-    the copied ones.  An observer has few modes; on top it splits each
-    diagram into a few branches sharing the observed design's
+    ``transforms``, ``delay_justice`` among them, puts its added latches
+    above the copied ones.  An observer has few modes; on top it splits
+    each diagram into a few branches sharing the observed design's
     sub-diagrams, where below them it would leave its own copy of its
     function at the end of every path through the design.
 
@@ -191,8 +163,9 @@ def build_game(doc: AigerDoc) -> Encoding:
 
     Old-format documents play the pure safety game over the disjunction
     of their outputs.  If the justice cone touches input variables the
-    document is first rewritten with a delay latch, so ``just`` is a
-    state predicate; the game carries the rewritten document.
+    document is first rewritten with a delay latch
+    (``transforms.delay_justice``), so ``just`` is a state predicate;
+    the game carries the rewritten document.
     """
     if justice_depends_on_inputs(doc):
         doc = delay_justice(doc)
@@ -408,8 +381,9 @@ def extract_strategy(game: Encoding, winning: BddRef) -> Strategy:
     return Strategy(funcs=funcs)
 
 
-def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> AigerDoc:
-    """Replace each controllable input by an AND-gate cone of its function.
+def strategy_to_circuit(game: Encoding, strategy: Strategy) -> AigerDoc:
+    """Replace each controllable input of ``game.doc`` by an AND-gate cone
+    of its function.
 
     The cone is the Shannon expansion along the function's BDD, one
     hash-consed multiplexer per node; latch count is unchanged and the
@@ -428,16 +402,15 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
     The kept inputs, then the latches, take the model's first variables,
     in document order.  Of the game's gates only those in the cone of
     ``doc.section_lits()`` are translated, and ``doc.relabel`` carries
-    every section over to the model, with the kept inputs only.  The
-    model keeps only the gates its latches, outputs and properties read:
-    ``sweep`` drops the gates that constant folding leaves unread (the
+    every section over to the model, with the kept inputs only; since
+    it replaces the inputs, the game's winning-region block is dropped.
+    The model keeps only the gates its latches, outputs and properties
+    read: ``sweep`` drops the gates that constant folding leaves unread (the
     operands of a gate whose controllable input got a constant strategy,
     or a strategy cone nothing reads).  A model with no such gate keeps
     the numbering of a full translation.
     """
-    if len(doc.latches) != len(game.latch_levels) or \
-            len(doc.inputs) != len(game.input_levels):
-        raise GameError("document does not match the game it was solved as")
+    doc = game.doc
     aig = TwoLevelAig()
     level_to_lit: dict[int, int] = {}
     var_sub: dict[int, int] = {0: 0}  # constants map to themselves
@@ -473,8 +446,7 @@ def strategy_to_circuit(doc: AigerDoc, game: Encoding, strategy: Strategy) -> Ai
         if var in read:
             var_sub[var] = aig.and_(map_lit(rhs0), map_lit(rhs1))
 
-    new = doc.relabel(map_lit, aig, inputs=inputs,
-                      comments=without_winning_block(doc.comments))
+    new = doc.relabel(map_lit, aig, inputs=inputs)
     if doc.fmt == "new":
         # old-format outputs are all read as error signals, so the
         # synthesized functions are exposed only in the new format
@@ -497,30 +469,12 @@ def synthesize(doc: AigerDoc) -> tuple[bool, AigerDoc | None, Encoding]:
     if not is_realizable(game, winning):
         return False, None, game
     strategy = extract_strategy(game, winning)
-    model = strategy_to_circuit(game.doc, game, strategy)
+    model = strategy_to_circuit(game, strategy)
     model.comments += winning_block(game, winning)
     return True, model, game
 
 
 # the winning-region block ----------------------------------------------------
-
-WINNING_BLOCK = "aigsynt-winning-region"
-
-
-def _block_start(comments: Sequence[str]) -> int | None:
-    """Index of the block's header among the comment lines, if any."""
-    for i, line in enumerate(comments):
-        if line.split(" ", 1)[0] == WINNING_BLOCK:
-            return i
-    return None
-
-
-def without_winning_block(comments: Sequence[str]) -> list[str]:
-    """The comment lines before the block; a rewrite with other latches
-    or other properties keeps these and drops the block."""
-    start = _block_start(comments)
-    return list(comments[:start])
-
 
 def winning_block(game: Encoding, winning: BddRef) -> list[str]:
     """The comment lines stating the winning region W over the latches.
@@ -554,7 +508,7 @@ def read_winning_block(enc: Encoding) -> BddRef | None:
     unreduced or misordered diagram.
     """
     comments = enc.doc.comments
-    start = _block_start(comments)
+    start = winning_block_start(comments)
     if start is None:
         return None
     n_latches = len(enc.latch_levels)

@@ -1,4 +1,5 @@
-"""Format-level rewrites: bounded liveness-to-safety and justice reversal.
+"""Format-level rewrites: bounded liveness-to-safety, the justice delay
+and justice reversal.
 
 ``justice_to_safety`` turns an extended document (bad / constraint /
 justice sections) into an old-format single-output safety game: the
@@ -7,27 +8,31 @@ length k, enforced by a saturating counter of steps since the literal
 last held.  ``fold_constraints_into_bad`` is the same rewrite for a
 document without justice.  Both end in one output builder,
 ``_with_bad_output``, which relativizes bad to the constraints.
+``delay_justice`` routes a justice literal that reads inputs through a
+latch, so the game solver (``game.build_game``) sees a state predicate.
 ``reverse_justice`` rewrites a synthesized model so that a standard
 existential fair-trace search witnesses the reversed-polarity justice
 violations.
 
 Every latch a rewrite adds observes the copied ones (the window counter,
-``env_broken``, the ``aux`` watcher), so it is listed ahead of them and
-the copied latches keep their relative order.  ``game.Encoding`` gives
-latches their decision-diagram levels in document order, and an
-observer with few modes placed on top splits each diagram into a few
-branches that share the copied design's sub-diagrams; see
-``circuit.py``.
+``env_broken``, the delay latch, the ``aux`` watcher), so it is listed
+ahead of them and the copied latches keep their relative order.
+``game.Encoding`` gives latches their decision-diagram levels in
+document order, and an observer with few modes placed on top splits
+each diagram into a few branches that share the copied design's
+sub-diagrams; see ``circuit.py``.
 
-Every rewrite keeps the source's comments but drops its winning-region
-block (``game.without_winning_block``): the block states a set of the
-source's states, and the rewrite's latches or properties differ.
+Every rewrite is an ``AigerDoc.copy`` that replaces fields, so it keeps
+the source's comments but drops its winning-region block: the block
+states a set of the source's states, and the rewrite's latches or
+properties differ.
 """
 
 from __future__ import annotations
 
-from .aiger import AigerDoc, FALSE_LIT, TRUE_LIT
-from .game import without_winning_block
+from .aiger import AigerDoc, FALSE_LIT, TRUE_LIT, lit_var
+
+DELAY_LATCH_NAME = "__just_delay"
 
 
 class TransformError(Exception):
@@ -45,8 +50,7 @@ def _old_format_copy(doc: AigerDoc) -> AigerDoc:
     """Copy without property sections or latches; the caller adds its
     observer latches, then ``doc.latches`` after them."""
     return doc.copy(latches=[], outputs=[], bad=[], constraints=[],
-                    justice=[], fmt="old",
-                    comments=without_winning_block(doc.comments))
+                    justice=[], fmt="old")
 
 
 def _fresh_name(doc: AigerDoc, base: str) -> str:
@@ -127,6 +131,29 @@ def justice_to_safety(doc: AigerDoc, k: int) -> AigerDoc:
     return _with_bad_output(new, doc, at_top)
 
 
+def justice_depends_on_inputs(doc: AigerDoc) -> bool:
+    jlit = doc.justice_literal()
+    if jlit is None:
+        return False
+    cone = doc.aig.cone([jlit])
+    return any(lit_var(lit) in cone for lit, _ in doc.inputs)
+
+
+def delay_justice(doc: AigerDoc) -> AigerDoc:
+    """Route the justice literal through a fresh latch so it is state-based.
+
+    Recurring infinitely often is insensitive to a one-step delay.  The
+    delay latch observes the others, so it is listed first.
+    """
+    jlit = _single_justice_literal(doc)
+    new = doc.copy(latches=[], justice=[])
+    lit = new.add_latch(DELAY_LATCH_NAME, next_lit=jlit)
+    new.latches += doc.latches
+    new.justice.append(([lit], doc.justice[0][1]))
+    new.validate()
+    return new
+
+
 def reverse_justice(doc: AigerDoc) -> AigerDoc:
     """Swap the justice polarity of a closed model for fair-trace search.
 
@@ -140,8 +167,7 @@ def reverse_justice(doc: AigerDoc) -> AigerDoc:
     """
     just = _single_justice_literal(doc)
 
-    new = doc.copy(latches=[], justice=[], fmt="new",
-                   comments=without_winning_block(doc.comments))
+    new = doc.copy(latches=[], justice=[], fmt="new")
     aig = new.aig
     aux = new.add_input(_fresh_name(doc, "aux"))
     armed = new.add_latch(_fresh_name(doc, "aux_seen"))

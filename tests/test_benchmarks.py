@@ -11,7 +11,7 @@ from aigsynt.aiger import AigerDoc, Simulator, values_lit, write_aiger
 from aigsynt.automata import AutomatonError, parse_gff, validate_for_role
 from aigsynt import cli
 from aigsynt.cli import build_spec_doc
-from aigsynt.game import GameError, synthesize
+from aigsynt.game import GameError, solve, synthesize
 from aigsynt.mc import (
     CheckResult, FairResult, Trace, check_justice_universal, check_safety,
 )
@@ -181,6 +181,24 @@ def test_min_k_script_finds_the_huffman_window(tmp_path, monkeypatch, capsys):
     assert _search_min_k(_huffman4_game(tmp_path), monkeypatch) == 0
     assert capsys.readouterr().out.splitlines()[-1] == \
         "minimal realizable window: 3"
+
+
+def test_min_k_script_solves_a_lost_game_once(tmp_path, monkeypatch, capsys):
+    # the environment can hold u high forever, so the justice literal
+    # !u need never hold: no window is realizable, and none is tried
+    game = tmp_path / "never.aag"
+    game.write_text("aag 1 1 0 0 0 0 0 1 0\n2\n1\n3\ni0 u\n")
+    solved = []
+
+    def counting(game):
+        solved.append(game)
+        return solve(game)
+
+    assert _search_min_k(game, monkeypatch, "--max-k", "5",
+                         solve=counting) == 1
+    assert len(solved) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == \
+        "unrealizable for every k up to 5"
 
 
 @EXHAUSTION

@@ -18,10 +18,10 @@ import aigsynt
 from aigsynt.aiger import AigerDoc, Simulator, evaluate_vars, read_aiger, \
     values_lit, write_aiger
 from aigsynt.cli import main
-from aigsynt.game import delay_justice
 from aigsynt.mc import _cut_vars
 from aigsynt.oracle import solve_explicit
 from aigsynt.smv import flatten, parse_smv, resolve
+from aigsynt.transforms import delay_justice
 
 from helpers import FlatSim, enumerate_fair_lasso, enumerate_lasso_fg_not_just
 from test_aiger import LINE_BREAKS, NEGATIVE_JUSTICE_SIZE, TWICE_DEFINED, \
@@ -104,6 +104,66 @@ def test_spec2aag_standard_k_without_liveness_rejected(tmp_path, capsys):
     assert captured.err == ("error: --k applies only to a specification "
                             "with a liveness objective\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("guarantee, assumption, verdict", [
+    ([("ok", "~p", "ok"), ("ok", "p q", "ok")], None, 0),  # q answers p
+    ([("ok", "~p", "ok")], None, 1),  # the environment raises p
+    ([("ok", "~p", "ok")], [("ok", "~p", "ok")], 0),  # unless assumed not
+], ids=["realizable", "unrealizable", "assumed"])
+def test_spec2aag_standard_folds_a_safety_spec(tmp_path, capsys, guarantee,
+                                              assumption, verdict):
+    """``--standard`` on a specification without justice writes an
+    old-format game with one output, ``bad``, relativized to the
+    assumptions, and the game keeps the extended game's verdict."""
+    spec = tmp_path / "spec.smv"
+    spec.write_text(
+        "MODULE main\nVAR\n  p: boolean;\n\nVAR --controllable\n"
+        "  q: boolean;\n\nSYS_AUTOMATON_SPEC\n  guarantee.gff;\n"
+        + ("ENV_AUTOMATON_SPEC\n  assumption.gff;\n" if assumption else ""))
+    for name, transitions in (("guarantee", guarantee),
+                              ("assumption", assumption)):
+        if transitions:
+            (tmp_path / f"{name}.gff").write_text(gff(
+                ["ok"], "ok", transitions, ["ok"], props=["p", "q"]))
+    extended, standard = tmp_path / "extended.aag", tmp_path / "standard.aag"
+    assert main(["spec2aag", str(spec), "-o", str(extended)]) == 0
+    assert len(read_aiger(extended.read_text()).constraints) == \
+        (assumption is not None)
+    assert main(["spec2aag", str(spec), "-o", str(standard),
+                 "--standard"]) == 0
+    doc = read_aiger(standard.read_text())
+    assert len(standard.read_text().split("\n", 1)[0].split()) == 6
+    assert doc.fmt == "old" and [name for _, name in doc.outputs] == ["bad"]
+    assert not (doc.bad or doc.constraints or doc.justice)
+    capsys.readouterr()
+    verdicts = [main(["synth", str(game)]) for game in (extended, standard)]
+    assert verdicts == [verdict, verdict]
+    assert capsys.readouterr().out.splitlines() == \
+        2 * ["UNREALIZABLE" if verdict else "REALIZABLE"]
+
+
+def test_a_byte_order_mark_reads_as_nothing(tmp_path, capsys):
+    """A UTF-8 byte-order mark in front of a specification or an AIGER
+    file changes no byte written."""
+    plain = BENCH.parent / "arbiter"
+    marked = tmp_path / "arbiter"
+    marked.mkdir()
+    for path in plain.iterdir():
+        (marked / path.name).write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    games = []
+    for source in (plain, marked):
+        games.append(tmp_path / f"{source.name}-{len(games)}.aag")
+        assert main(["spec2aag", str(source / "arbiter.smv"),
+                     "-o", str(games[-1])]) == 0
+    assert games[0].read_bytes() == games[1].read_bytes()
+    marked_game = tmp_path / "marked.aag"
+    marked_game.write_bytes(b"\xef\xbb\xbf" + games[0].read_bytes())
+    models = [tmp_path / "model.aag", tmp_path / "marked_model.aag"]
+    for game, model in zip((games[0], marked_game), models):
+        assert main(["synth", str(game), "-o", str(model)]) == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+    assert "error" not in capsys.readouterr().err
 
 
 # SHA-256 of each bundled specification compiled by ``spec2aag``: a
@@ -378,7 +438,7 @@ def test_binary_aiger_is_an_input_error(tmp_path, capsys, command):
     assert main(aiger_argv(command, path, tmp_path)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert "can't decode byte 0x82" in err
+    assert "'utf-8' codec can't decode byte 0x82" in err
     assert str(path) in err
     assert not (tmp_path / "out.aag").exists()
 
@@ -506,7 +566,7 @@ def test_spec2aag_non_utf8_input_is_an_input_error(tmp_path, capsys, corrupt):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
-    assert "can't decode byte 0xe9" in captured.err
+    assert "'utf-8' codec can't decode byte 0xe9" in captured.err
     assert str(path) in captured.err
     assert not out.exists()
 

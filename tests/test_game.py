@@ -18,15 +18,15 @@ from aigsynt.bdd import BddManager, BddRef, Sifted, _SiftTable, frontier, \
 from aigsynt.cli import build_spec_doc, main
 from aigsynt.game import (
     WINNING_BLOCK, Encoding, GameError, Strategy, _mu_steps, build_game, cpre,
-    delay_justice, extract_strategy, is_realizable, justice_depends_on_inputs,
-    move_relation, mu_levels, read_winning_block, solve, strategy_to_circuit,
-    synthesize,
+    extract_strategy, is_realizable, move_relation, mu_levels,
+    read_winning_block, solve, strategy_to_circuit, synthesize,
 )
 from aigsynt.mc import (
     _cut_vars, check_justice_universal, check_safety, find_fair_trace,
 )
 from aigsynt.oracle import solve_explicit
-from aigsynt.transforms import justice_to_safety, reverse_justice
+from aigsynt.transforms import delay_justice, justice_depends_on_inputs, \
+    justice_to_safety, reverse_justice
 
 from helpers import random_game_doc, with_random_outputs
 
@@ -655,7 +655,7 @@ def test_synthesized_model_never_leaves_winning_region():
             continue
         checked += 1
         strategy = extract_strategy(game, w)
-        model = strategy_to_circuit(game.doc, game, strategy)
+        model = strategy_to_circuit(game, strategy)
         # 20-step random-adversary simulation: stay in W, never raise bad
         # while the constraint history holds
         latch_vals = [False] * len(model.latches)
@@ -810,7 +810,7 @@ def test_old_format_game_uses_outputs():
     w = solve(game)
     assert is_realizable(game, w)
     strategy = extract_strategy(game, w)
-    model = strategy_to_circuit(game.doc, game, strategy)
+    model = strategy_to_circuit(game, strategy)
     assert model.fmt == "old"
     assert [n for _, n in model.outputs] == ["bad"]  # no extra outputs
     assert check_safety(model).holds
@@ -933,7 +933,7 @@ def test_model_keeps_only_live_gates(fmt, named):
             strategy = extract_strategy(game, w)
             if FREE in strategy.funcs:
                 assert strategy.funcs[FREE].is_false
-            model = strategy_to_circuit(game.doc, game, strategy)
+            model = strategy_to_circuit(game, strategy)
             assert_model_follows_game(game, strategy, model)
     assert realizable >= 20
 
@@ -994,17 +994,17 @@ def test_minimized_models_compute_the_plain_translation(monkeypatch):
             continue
         realizable += 1
         strategy = extract_strategy(game, w)
-        model = strategy_to_circuit(game.doc, game, strategy)
+        model = strategy_to_circuit(game, strategy)
         with monkeypatch.context() as m:
             m.setattr("aigsynt.game.TwoLevelAig", Aig)
-            plain = strategy_to_circuit(game.doc, game, strategy)
+            plain = strategy_to_circuit(game, strategy)
         assert type(model.aig) is TwoLevelAig and type(plain.aig) is Aig
         assert model.aig.num_ands <= plain.aig.num_ands
         assert_same_root_functions(model, plain)
         for order in (static_order, reversed_order):
             with monkeypatch.context() as m:
                 m.setattr("aigsynt.game.sift", order)
-                other = strategy_to_circuit(game.doc, game, strategy)
+                other = strategy_to_circuit(game, strategy)
             assert_same_root_functions(model, other)
             if order is static_order:
                 assert model.aig.num_ands <= other.aig.num_ands
@@ -1178,8 +1178,8 @@ def test_legal_move_check_catches_a_flipped_forced_bit():
                 v: point[v] for v in game.latch_levels + game.u_levels})
             funcs = dict(strategy.funcs)
             funcs[name] = funcs[name] ^ state_input
-            model = strategy_to_circuit(game.doc, game, strategy)
-            mutant = strategy_to_circuit(game.doc, game, Strategy(funcs))
+            model = strategy_to_circuit(game, strategy)
+            mutant = strategy_to_circuit(game, Strategy(funcs))
             assert_plays_legal_moves(doc, model, seed)
             with pytest.raises(AssertionError, match="illegal move at step 0"):
                 assert_plays_legal_moves(doc, mutant, seed)
@@ -1204,8 +1204,7 @@ def test_ageing_the_ite_cache_changes_no_node_and_no_output(monkeypatch):
         w = solve(game)
         checked, text = [doc], None
         if is_realizable(game, w):
-            model = strategy_to_circuit(game.doc, game,
-                                        extract_strategy(game, w))
+            model = strategy_to_circuit(game, extract_strategy(game, w))
             checked.append(model)
             text = write_aiger(model)
         renders = [(r.holds, r.trace and r.trace.render())
@@ -1267,12 +1266,12 @@ def test_strategy_to_circuit_logs_its_sifted_sizes(caplog, tmp_path,
     assert sifted.size < sifted.static_size == \
         len(postorder(game.mgr._nodes, [func.node for func in funcs]))
     with caplog.at_level(logging.DEBUG, logger="aigsynt.game"):
-        strategy_to_circuit(game.doc, game, strategy)
+        strategy_to_circuit(game, strategy)
     assert [r.getMessage() for r in caplog.records] == [
         f"strategy_to_circuit: strategies of "
         f"{[func.dag_size() for func in funcs]} nodes, shared diagram of "
         f"{sifted.static_size} nodes in the static order and "
         f"{sifted.size} sifted, {sifted.swaps} swaps"]
     caplog.clear()
-    strategy_to_circuit(game.doc, game, strategy)
+    strategy_to_circuit(game, strategy)
     assert not caplog.records

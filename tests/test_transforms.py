@@ -1,20 +1,27 @@
 """Window reduction and justice reversal, checked against explicit oracles."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import aigsynt
 from aigsynt.aiger import (
-    AigerDoc, CONTROLLABLE_PREFIX, Simulator, evaluate_vars, sweep, values_lit,
-    write_aiger,
+    WINNING_BLOCK, AigerDoc, Simulator, evaluate_vars, sweep, values_lit,
 )
 from aigsynt.cli import build_spec_doc
-from aigsynt.game import WINNING_BLOCK, delay_justice, synthesize
-from aigsynt.mc import find_fair_trace
+from aigsynt.game import (
+    build_game, extract_strategy, is_realizable, solve, strategy_to_circuit,
+    synthesize,
+)
+from aigsynt.mc import check_justice_universal, check_safety, \
+    find_fair_trace
 from aigsynt.oracle import solve_explicit
 from aigsynt.transforms import (
-    TransformError, fold_constraints_into_bad, justice_to_safety,
-    reverse_justice,
+    TransformError, delay_justice, fold_constraints_into_bad,
+    justice_to_safety, reverse_justice,
 )
 
 from helpers import (
@@ -124,7 +131,6 @@ def test_realizable_at_k_implies_extended_and_monotone():
 
 
 def test_monotone_in_k_via_game_solver():
-    from aigsynt.game import build_game, is_realizable, solve
     for seed in range(8):
         doc = random_game_doc(seed + 60, n_latches=3, n_u=1, n_c=1, n_gates=8)
         verdicts = []
@@ -145,13 +151,6 @@ def test_k_strategy_wins_original_game():
     objective with the window strategy, which the model checker then
     verifies outright.
     """
-    from aigsynt.aiger import AigerDoc
-    from aigsynt.game import (
-        build_game, extract_strategy, is_realizable, solve,
-        strategy_to_circuit,
-    )
-    from aigsynt.mc import check_justice_universal, check_safety
-
     verified = 0
     for seed in range(20):
         doc = random_game_doc(seed + 40, n_latches=3, n_u=1, n_c=1, n_gates=8)
@@ -169,12 +168,32 @@ def test_k_strategy_wins_original_game():
                               constraints=list(doc.constraints),
                               justice=[(list(g), n) for g, n in doc.justice],
                               fmt="new")
-            model = strategy_to_circuit(hybrid, game, strategy)
+            game.doc = hybrid  # the window game's circuit, as solved
+            model = strategy_to_circuit(game, strategy)
             assert check_safety(model).holds, (seed, k)
             assert check_justice_universal(model).holds, (seed, k)
             verified += 1
             break  # one k per document keeps the suite quick
     assert verified >= 8
+
+
+def test_no_window_wins_a_game_lost_unbounded():
+    """A strategy that keeps every k-window wins the unbounded justice
+    game, so each window's winning region lies inside the unbounded
+    one's; ``scripts/search_min_k.py`` stops after one solve on that."""
+    lost = lost_to_justice = 0
+    for seed in range(200):
+        doc = random_game_doc(seed, n_latches=3)
+        game = build_game(doc)
+        if is_realizable(game, solve(game)):
+            continue
+        lost += 1
+        safety = build_game(doc.copy(justice=[]))
+        lost_to_justice += is_realizable(safety, solve(safety))
+        for k in range(5):
+            window = build_game(justice_to_safety(doc, k))
+            assert not is_realizable(window, solve(window)), (seed, k)
+    assert lost >= 50 and lost_to_justice >= 20
 
 
 def test_fold_constraints_into_bad():
@@ -204,23 +223,59 @@ def test_added_latches_listed_first():
     assert folded.latches[1:] == doc.latches
 
 
+SECTIONS = ("inputs", "latches", "outputs", "bad", "constraints", "justice")
+
+
 def test_rewrites_drop_the_winning_region_block():
     """Every rewrite keeps the comments ahead of the block and drops the
-    block, whose state space is the source's; a synthesized model keeps
-    the game's comments and carries its own block only."""
+    block, whose state space is the source's; so does any copy that
+    replaces a field, while a plain copy and ``sweep`` keep it.  A
+    synthesized model keeps the game's comments and carries its own
+    block only."""
     block = [f"{WINNING_BLOCK} 3", "2 0 1"]
     doc = random_game_doc(8, n_latches=3)  # realizable
     doc.comments = ["made by hand", *block]
     rewrites = [justice_to_safety(doc, 2), reverse_justice(doc),
                 delay_justice(doc),
                 fold_constraints_into_bad(doc.copy(justice=[]))]
+    rewrites += [doc.copy(**{name: getattr(doc, name)})
+                 for name in (*SECTIONS, "fmt")]
     for new in rewrites:
         assert new.comments == ["made by hand"]
+    assert doc.copy(justice=[], comments=block).comments == block
+    assert doc.copy().comments == doc.comments
+    swept = sweep(doc)
+    assert swept.aig.num_ands < doc.aig.num_ands  # renumbered, not returned
+    assert swept.comments == doc.comments
     ok, model, game = synthesize(doc)
     assert ok and model.comments[0] == "made by hand"
     assert model.comments[1] == f"{WINNING_BLOCK} {len(game.doc.latches)}"
     assert sum(line.startswith(WINNING_BLOCK)
                for line in model.comments) == 1
+
+
+def test_relabel_maps_no_field_it_is_given():
+    doc = random_game_doc(8, n_latches=3)
+
+    def unreachable(lit):
+        raise AssertionError(f"mapped {lit}")
+
+    given = {name: [] for name in SECTIONS}
+    new = doc.relabel(unreachable, doc.aig, **given)
+    assert [getattr(new, name) for name in given] == [[]] * len(given)
+    assert new.fmt == doc.fmt and new.aig is doc.aig
+
+
+def test_transforms_import_leaves_the_solver_out():
+    """The rewrites depend on the AIGER layer only: importing them loads
+    neither the game solver nor its decision diagrams."""
+    src = str(Path(aigsynt.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    probe = ("import sys, aigsynt.transforms; "
+             "print(sorted({'aigsynt.game', 'aigsynt.bdd'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # reverse_justice --------------------------------------------------------------
